@@ -276,7 +276,11 @@ def concentration_term(M: float, s: int, q: int, n: int, delta: float) -> float:
 
 def zero_one_error(obj, theta, X, y) -> float:
     """Percent of misclassified examples; logit ties go to the smaller class."""
-    preds = obj.predictions(theta, X)
+    return error_pct(obj.predictions(theta, X), y)
+
+
+def error_pct(preds, y) -> float:
+    """Percent of predictions that differ from the labels."""
     return 100.0 * float(np.mean(preds != np.asarray(y)))
 
 

@@ -31,12 +31,13 @@ class GammaWeights:
     ``exact[j-1]`` is the exact probability that the rank-j sample is kept;
     ``approx`` is the same vector rounded to float64.  The weights sum to q,
     are nonincreasing, never exceed s/n, and vanish for j > n - s + q.
+    ``exact`` is None where only the float vector is kept.
     """
 
     n: int
     s: int
     q: int
-    exact: tuple[Fraction, ...]
+    exact: tuple[Fraction, ...] | None
     approx: np.ndarray
 
 
@@ -66,14 +67,21 @@ def _check_nsq(n, s, q):
 
 
 def gamma_weight_numerators(n, s, q):
-    """Integer numerators of gamma_1..gamma_n over the common denominator C(n, s)."""
+    """Integer numerators of gamma_1..gamma_n over the common denominator C(n, s).
+
+    N_j counts the s-subsets that keep the rank-j sample.  Swapping ranks j
+    and j+1 maps the subsets holding only one of them onto each other with
+    the same outcome, so N_j - N_{j+1} = C(j-1, q-1) * C(n-j-1, s-q-1)
+    counts the subsets holding both in which exactly q-1 members outrank j.
+    The last rank is kept only when q = s, so N_n = C(n-1, s-1) if q = s and
+    0 otherwise.  Exact integers, O(n) binomials.
+    """
     _check_nsq(n, s, q)
-    nums = []
-    for j in range(1, n + 1):
-        acc = 0
-        for l in range(min(q, j)):  # C(j-1, l) = 0 for l > j-1
-            acc += comb(j - 1, l) * comb(n - j, s - l - 1)
-        nums.append(acc)
+    if q == s:
+        return [comb(n - 1, s - 1)] * n, comb(n, s)
+    nums = [0] * n
+    for j in range(n - 1, 0, -1):
+        nums[j - 1] = nums[j] + comb(j - 1, q - 1) * comb(n - j - 1, s - q - 1)
     return nums, comb(n, s)
 
 

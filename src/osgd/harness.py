@@ -98,9 +98,12 @@ class ExperimentResult:
 @lru_cache(maxsize=64)
 def _gamma_approx(n, s, q):
     # Float path beyond the exact-rational comfort zone; exact otherwise.
+    # Only the float vector is cached, not the n rationals.
     if n > coeffs.EXACT_N_LIMIT:
-        return coeffs.gamma_weights_float(n, s, q)
-    return coeffs.gamma_weights(n, s, q).approx
+        approx = coeffs.gamma_weights_float(n, s, q)
+    else:
+        approx = coeffs.gamma_weights(n, s, q).approx
+    return coeffs.GammaWeights(n=n, s=s, q=q, exact=None, approx=approx)
 
 
 def _epoch_batches(rng, n, s, mode):
@@ -112,14 +115,20 @@ def _epoch_batches(rng, n, s, mode):
     return [selection.sample_minibatch(rng, n, s) for _ in range(max(1, n // s))]
 
 
-def _evaluate_epoch(obj, theta, Xtr, ytr, Xte, yte, s, q):
-    profile = ordered_loss.loss_profile(obj, theta, Xtr, ytr)
+def _evaluate_epoch(obj, state, Xtr, ytr, Xte, yte, s):
+    """Epoch-end metrics: one forward over the train set, one over the test set."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        losses, train_preds = obj.losses_and_predictions(state.theta, Xtr, ytr)
+        reg_value, _ = obj.regularizer(state.theta)
+    if not (np.isfinite(losses).all() and np.isfinite(reg_value)):
+        raise DivergenceError(state.step_count,
+                              "non-finite training objective in evaluation")
+    profile = ordered_loss.LossProfile.of(losses, reg_value)
     avg = ordered_loss.average_empirical_loss(profile)
-    weights = _gamma_approx(Xtr.shape[0], s, q)
-    ordered = float(weights @ profile.per_sample[profile.order]) / q \
-        + profile.reg_value
-    train_err = analysis.zero_one_error(obj, theta, Xtr, ytr)
-    test_err = analysis.zero_one_error(obj, theta, Xte, yte)
+    ordered = ordered_loss.ordered_empirical_loss(
+        profile, _gamma_approx(Xtr.shape[0], s, state.q_current))
+    train_err = analysis.error_pct(train_preds, ytr)
+    test_err = analysis.zero_one_error(obj, state.theta, Xte, yte)
     return avg, ordered, 1.0 - train_err / 100.0, test_err
 
 
@@ -143,7 +152,7 @@ def run_single(cfg: RunConfig, dataset: Dataset, seed: int) -> RunResult:
         # evaluated every epoch (the adaptive rule needs train accuracy);
         # a record row is only kept on the eval cadence
         avg, ordered, train_acc, test_err = _evaluate_epoch(
-            obj, state.theta, Xtr, ytr, Xte, yte, s, state.q_current)
+            obj, state, Xtr, ytr, Xte, yte, s)
         if emit:
             records.append(RunRecord(
                 seed=seed, epoch=epoch, step=state.step_count,
@@ -199,11 +208,17 @@ def run_experiment(cfg: RunConfig, dataset: Dataset | None = None) -> Experiment
 
 
 def sweep_q(cfg: RunConfig, q_values, dataset: Dataset | None = None) -> dict:
-    """One experiment per fixed q, sharing the config's seed list."""
+    """One experiment per fixed q, sharing the config's seed list.
+
+    Each q must fit the batch size that runs use: the configured one, or
+    the train-split size when a given dataset has fewer train rows.
+    """
     q_values = list(q_values)
     if not q_values:
         raise ValueError("q_values must not be empty")
     s = cfg.opt.batch_size
+    if dataset is not None:
+        s = min(s, len(dataset.splits["train"]))
     bad = [q for q in q_values if not 1 <= q <= s]
     if bad:
         raise ValueError(f"q values {bad} outside [1, s={s}]")

@@ -21,18 +21,20 @@ LOSS_KINDS = (
     "squared",
 )
 
+# (activation, its derivative written in terms of the activation's output
+# h, so backward reads h from the tape instead of evaluating it again)
 _ACTIVATIONS = {
     "relu": (
         lambda z: np.maximum(z, 0.0),
-        lambda z: (z > 0.0).astype(np.float64),
+        lambda h: (h > 0.0).astype(np.float64),
     ),
     "tanh": (
         np.tanh,
-        lambda z: 1.0 - np.tanh(z) ** 2,
+        lambda h: 1.0 - h ** 2,
     ),
     "sigmoid": (
         expit,
-        lambda z: expit(z) * (1.0 - expit(z)),
+        lambda h: h * (1.0 - h),
     ),
 }
 
@@ -127,7 +129,7 @@ class FeedforwardModel:
                 grad[self._slices[f"b{i}"]] = G.sum(axis=0)
             if i > 0:
                 W, _ = layers[i]
-                G = (G @ W) * dact(tape[i - 1][1])
+                G = (G @ W) * dact(H_in)  # H_in = act(Z) of layer i - 1
         return grad
 
 
@@ -241,14 +243,26 @@ class Objective:
         A = self.model.logits(theta, np.atleast_2d(X))
         return _loss_values(self.loss, A, y)
 
+    def losses_and_predictions(self, theta, X, y):
+        """Per-example losses and predicted classes from one forward pass."""
+        y = self._check_labels(y)
+        A = self.model.logits(theta, np.atleast_2d(X))
+        return _loss_values(self.loss, A, y), self._predict(A)
+
+    def taped_batch(self, theta, X, y):
+        """Forward the batch once; see :class:`TapedBatch`."""
+        return TapedBatch(self, theta, X, y)
+
     def per_sample_loss(self, theta, x, y):
         return float(self.per_example_losses(theta, np.atleast_2d(x), np.atleast_1d(y))[0])
 
     def weighted_grad(self, theta, X, y, weights):
         """sum_i weights[i] * grad of loss_i, in one reverse pass."""
         y = self._check_labels(y)
-        X = np.atleast_2d(X)
-        A, tape = self.model.forward(theta, X)
+        A, tape = self.model.forward(theta, np.atleast_2d(X))
+        return self._grad_from_tape(theta, A, tape, y, weights)
+
+    def _grad_from_tape(self, theta, A, tape, y, weights):
         G = _loss_logit_grads(self.loss, A, y)
         G *= np.asarray(weights, dtype=np.float64)[:, None]
         return self.model.backward(theta, G, tape)
@@ -265,7 +279,41 @@ class Objective:
 
     def predictions(self, theta, X):
         """Predicted class per row; logit ties go to the smaller class index."""
-        A = self.model.logits(theta, np.atleast_2d(X))
+        return self._predict(self.model.logits(theta, np.atleast_2d(X)))
+
+    def _predict(self, A):
         if self.model.d_out == 1:
             return (A[:, 0] > 0.0).astype(np.int64)
         return A.argmax(axis=1)
+
+
+class TapedBatch:
+    """Per-row losses of one forward pass over a batch, with its tape.
+
+    :meth:`mean_grad` differentiates the mean loss over a subset of the
+    rows, reusing the tape when the subset is the whole batch.
+    """
+
+    def __init__(self, obj, theta, X, y):
+        self._obj, self._theta = obj, theta
+        self._X, self._y = np.atleast_2d(X), obj._check_labels(y)
+        self._logits, self._tape = obj.model.forward(theta, self._X)
+        self.losses = _loss_values(obj.loss, self._logits, self._y)
+
+    def mean_grad(self, positions):
+        """Gradient of the mean loss over the rows at ``positions``.
+
+        ``positions`` are distinct and ascending.  A strict subset gets a
+        fresh forward on its own rows instead of a slice of the tape: BLAS
+        picks its kernels by row count, so rows sliced from an m-row matmul
+        can differ in the last bits from a matmul over the subset alone
+        (OpenBLAS: 256->10 and 16->1 layers at subset sizes that are not a
+        multiple of 4), and trajectories are defined by the subset forward.
+        """
+        q = len(positions)
+        weights = np.full(q, 1.0 / q)
+        if q == self.losses.shape[0]:
+            return self._obj._grad_from_tape(self._theta, self._logits,
+                                             self._tape, self._y, weights)
+        return self._obj.weighted_grad(self._theta, self._X[positions],
+                                       self._y[positions], weights)

@@ -7,6 +7,12 @@ q equal to the batch size this is exactly minibatch SGD / Adam: the
 baseline step functions delegate to the ordered ones, so the q = s
 trajectories are bit-identical by construction.
 
+A step forwards the batch once.  When q equals the batch length, backward
+reuses that forward's tape.  When q is smaller, the kept rows get a fresh
+forward of their own: a BLAS matmul over q rows may use other kernels than
+one over the whole batch, so slicing the batch forward would change the
+last bits of the trajectory (see :class:`osgd.objectives.TapedBatch`).
+
 The unbiasedness property (the expected update equals a subgradient of
 the rank-weighted loss) concerns the plain update rule.  The momentum and
 Adam variants reuse the same top-q direction as empirical extensions and
@@ -62,14 +68,11 @@ def _topq_update_direction(state, obj, X, y, batch, q):
     if q > batch.shape[0]:
         raise ValueError(f"q={q} exceeds batch size {batch.shape[0]}")
     with np.errstate(over="ignore", invalid="ignore"):  # inf loss handled below
-        losses = obj.per_example_losses(state.theta, X[batch], y[batch])
-    if not np.isfinite(losses).all():
+        taped = obj.taped_batch(state.theta, X[batch], y[batch])
+    if not np.isfinite(taped.losses).all():
         raise DivergenceError(state.step_count)
-    kept = batch[topq_positions(losses, q)]
     _, reg_grad = obj.regularizer(state.theta)
-    g = obj.weighted_grad(state.theta, X[kept], y[kept],
-                          np.full(kept.shape[0], 1.0 / q))
-    return g + reg_grad
+    return taped.mean_grad(topq_positions(taped.losses, q)) + reg_grad
 
 
 def osgd_step(state, obj, X, y, batch, q, momentum=0.0) -> OptimizerState:

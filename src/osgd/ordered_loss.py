@@ -37,12 +37,17 @@ class LossProfile:
     order: np.ndarray
     reg_value: float
 
+    @classmethod
+    def of(cls, losses, reg_value) -> LossProfile:
+        """Profile of given per-sample losses, ranked with the tie rule."""
+        return cls(per_sample=losses, order=rank_by_loss(losses),
+                   reg_value=reg_value)
+
 
 def loss_profile(obj, theta, X, y) -> LossProfile:
     losses = obj.per_example_losses(theta, X, y)
     reg_value, _ = obj.regularizer(theta)
-    return LossProfile(per_sample=losses, order=rank_by_loss(losses),
-                       reg_value=reg_value)
+    return LossProfile.of(losses, reg_value)
 
 
 def average_empirical_loss(profile: LossProfile) -> float:

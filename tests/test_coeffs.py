@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from osgd.coeffs import (EXACT_N_LIMIT, beta_cdf, gamma_asymptotic,
-                         gamma_rescaled_curve, gamma_weights,
-                         gamma_weights_float)
+                         gamma_rescaled_curve, gamma_weight_numerators,
+                         gamma_weights, gamma_weights_float)
 
 
 def enumerate_rank_frequencies(n, s, q):
@@ -29,6 +29,29 @@ def enumerate_rank_frequencies(n, s, q):
         for rank in sorted(subset)[:q]:  # smaller rank = larger loss
             counts[rank] += 1
     return [Fraction(c, total) for c in counts]
+
+
+def gamma_numerators_double_sum(n, s, q):
+    """Test-local reference: N_j = sum_{l<q} C(j-1, l) * C(n-j, s-l-1)."""
+    nums = []
+    for j in range(1, n + 1):
+        acc = 0
+        for l in range(min(q, j)):  # C(j-1, l) = 0 for l > j-1
+            acc += comb(j - 1, l) * comb(n - j, s - l - 1)
+        nums.append(acc)
+    return nums
+
+
+def test_numerators_equal_double_sum_for_every_n_up_to_40():
+    tuples = 0
+    for n in range(1, 41):
+        for s in range(1, n + 1):
+            for q in range(1, s + 1):
+                nums, den = gamma_weight_numerators(n, s, q)
+                assert den == comb(n, s)
+                assert nums == gamma_numerators_double_sum(n, s, q), (n, s, q)
+                tuples += 1
+    assert tuples == 11_480
 
 
 class TestGammaWeightsExamples:

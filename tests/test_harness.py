@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from osgd.config import DataConfig, ModelConfig, OptConfig, RunConfig
+from osgd.data import gen_clusters_2d
 from osgd.harness import (read_records_csv, run_experiment,
                           run_verification_suite, report_to_json, sweep_q,
                           write_records_csv, write_summary_csv)
+from osgd.objectives import Objective
 from osgd.optimizers import ScheduleSpec
 
 
@@ -120,6 +122,37 @@ class TestSweep:
     def test_out_of_range_q_rejected(self):
         with pytest.raises(ValueError):
             sweep_q(tiny_config(), [0, 21])
+
+    def test_q_checked_against_train_rows_of_given_dataset(self):
+        # 12 train rows clamp the batch to s = 12, so q = 16 cannot run
+        ds = gen_clusters_2d(11)
+        ds = ds.with_splits({"train": np.arange(12), "test": np.arange(12, 40)})
+        cfg = tiny_config(seeds=(0,), epochs=1)
+        with pytest.raises(ValueError, match="s=12"):
+            sweep_q(cfg, [4, 16], dataset=ds)
+        assert sorted(sweep_q(cfg, [4, 12], dataset=ds)) == [4, 12]
+
+
+class TestDivergence:
+    def test_divergence_at_evaluation_fails_only_its_seed(self):
+        cfg = dataclasses.replace(
+            tiny_config(q=8, seeds=(0, 1), epochs=3), loss_kind="squared",
+            model=ModelConfig(kind="mlp", hidden=(8,), activation="relu"),
+            opt=OptConfig(kind="osgd", q=8, batch_size=64, momentum=0.9,
+                          schedule=ScheduleSpec(kind="constant", base_lr=1e3)))
+        with np.errstate(all="ignore"):
+            result = run_experiment(cfg)
+        assert [run.failed for run in result.runs] == [True, True]
+        assert all("evaluation" in run.error for run in result.runs)
+        assert result.summary()["failed_seeds"] == [0, 1]
+
+    def test_non_finite_regularizer_is_divergence(self, monkeypatch):
+        monkeypatch.setattr(Objective, "regularizer",
+                            lambda self, theta: (float("inf"),
+                                                 np.zeros_like(theta)))
+        result = run_experiment(tiny_config(seeds=(0,), epochs=1))
+        assert result.runs[0].failed
+        assert "in evaluation at step" in result.runs[0].error
 
 
 class TestVerificationSuite:

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from osgd.objectives import (LOSS_KINDS, FeedforwardModel, Objective,
-                             make_model, regularizer_value_grad)
+from scipy.special import expit
+
+from osgd.objectives import (_ACTIVATIONS, LOSS_KINDS, FeedforwardModel,
+                             Objective, make_model, regularizer_value_grad)
 
 
 def finite_difference_grad(obj, theta, x, y):
@@ -21,6 +23,21 @@ def finite_difference_grad(obj, theta, x, y):
         fd[i] = (obj.per_sample_loss(up, x, y)
                  - obj.per_sample_loss(down, x, y)) / (2.0 * h)
     return fd
+
+
+@pytest.mark.parametrize("name,derivative_at_input", [
+    ("relu", lambda z: (z > 0.0).astype(np.float64)),
+    ("tanh", lambda z: 1.0 - np.tanh(z) ** 2),
+    ("sigmoid", lambda z: expit(z) * (1.0 - expit(z))),
+])
+def test_derivative_from_output_is_bitwise_derivative_at_input(
+        name, derivative_at_input):
+    # backward reads act(z) from the tape; it must give the same bits as
+    # evaluating the derivative at z
+    act, dact = _ACTIVATIONS[name]
+    z = np.concatenate([5.0 * np.random.default_rng(3).standard_normal(1000),
+                        [0.0, -0.0, 1e-300, 40.0, -40.0, 800.0, -800.0]])
+    assert dact(act(z)).tobytes() == derivative_at_input(z).tobytes()
 
 
 def away_from_kinks(obj, theta, x, y, margin=1e-3):

@@ -1,5 +1,6 @@
 """Update rules, schedules, the adaptive q rule, and trajectory equivalences."""
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from osgd.optimizers import (DivergenceError, ScheduleSpec, adam_step,
                              minibatch_sgd_step, ordered_adam_step, osgd_step,
                              schedule_lr)
 from osgd.ordered_loss import lq_subgradient
-from osgd.selection import sample_minibatch
+from osgd.selection import sample_minibatch, topq_positions
 
 
 class ConstantGradObjective:
@@ -20,11 +21,10 @@ class ConstantGradObjective:
     def __init__(self, g):
         self.g = np.asarray(g, dtype=np.float64)
 
-    def per_example_losses(self, theta, X, y):
-        return np.arange(len(X), dtype=np.float64)
-
-    def weighted_grad(self, theta, X, y, w):
-        return float(np.sum(w)) * self.g
+    def taped_batch(self, theta, X, y):
+        # the mean of any set of copies of g is g
+        return SimpleNamespace(losses=np.arange(len(X), dtype=np.float64),
+                               mean_grad=lambda positions: self.g.copy())
 
     def regularizer(self, theta):
         return 0.0, np.zeros_like(theta)
@@ -38,6 +38,50 @@ def logistic_setup(seed, n=40, d=4, l2=1e-3):
                     "binary-cross-entropy", l2=l2)
     theta = obj.init_params(rng)
     return obj, theta, X, y, rng
+
+
+def two_forward_step(theta, obj, X, y, batch, q, lr):
+    """Reference plain step: one forward for the losses of the batch, a
+    second, fresh forward on the kept rows for their gradient."""
+    losses = obj.per_example_losses(theta, X[batch], y[batch])
+    kept = batch[topq_positions(losses, q)]
+    _, reg_grad = obj.regularizer(theta)
+    g = obj.weighted_grad(theta, X[kept], y[kept], np.full(q, 1.0 / q))
+    return theta - lr * (g + reg_grad)
+
+
+# name -> (d_in, model, loss); 256-d inputs are binary pixels
+STEP_MODELS = {
+    "mlp-tanh": (2, FeedforwardModel(2, 1, (16, 16), "tanh"),
+                 "binary-cross-entropy"),
+    "mlp-sigmoid": (2, FeedforwardModel(2, 1, (16, 16), "sigmoid"), "squared"),
+    "mlp-relu": (2, FeedforwardModel(2, 1, (16, 16), "relu"),
+                 "binary-cross-entropy"),
+    "linear-256-10": (256, FeedforwardModel(256, 10),
+                      "multinomial-cross-entropy"),
+    "linear-256-1": (256, FeedforwardModel(256, 1), "binary-cross-entropy"),
+}
+
+
+@pytest.mark.parametrize("q", [1, 3, 5, 63, 64])
+@pytest.mark.parametrize("name", sorted(STEP_MODELS))
+def test_step_bit_identical_to_two_forward_reference(name, q):
+    d, model, loss = STEP_MODELS[name]
+    rng = np.random.default_rng(17)
+    n = 226  # batches of 64, 64, then partial batches of 40 and 58 rows
+    X = rng.standard_normal((n, d)) if d == 2 else \
+        (rng.random((n, d)) < 0.3).astype(np.float64)
+    obj = Objective(model, loss, l2=1e-3)
+    y = rng.integers(0, obj.n_classes, n)
+    theta = obj.init_params(rng)
+    state, ref = init_state(theta.copy(), q=q, lr=0.1), theta.copy()
+    perm = rng.permutation(n)
+    for lo, hi in [(0, 64), (64, 128), (128, 168), (168, 226)]:
+        batch = np.sort(perm[lo:hi])
+        q_eff = min(q, len(batch))
+        ref = two_forward_step(ref, obj, X, y, batch, q_eff, 0.1)
+        osgd_step(state, obj, X, y, batch, q_eff)
+        assert state.theta.tobytes() == ref.tobytes(), (lo, hi, q_eff)
 
 
 class TestOsgdStep:
