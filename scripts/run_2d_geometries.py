@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Qualitative 2-D comparison: ordered vs minibatch SGD on rings and clusters.
 
-Trains both optimizers on the two synthetic geometries with the standard
-hyper-parameters (s=64, lr 0.01, momentum 0.9, weight decay 1e-4, adaptive
-q) and reports overall plus region accuracies: the inner rings and the
-mid-field sub-clusters are where the ordered variant is expected to win.
+Trains both optimizers with the shipped configs (configs/rings_osgd.cfg and
+configs/clusters_osgd.cfg; the baseline arm overrides opt.kind = sgd) and
+reports overall plus region accuracies: the inner rings and the mid-field
+sub-clusters are where the ordered variant is expected to win.
 
 Writes per-seed CSV rows next to the printed table.
 
@@ -17,39 +17,43 @@ import sys
 
 import numpy as np
 
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from osgd.config import (DataConfig, ModelConfig, OptConfig, RunConfig,
-                         build_objective)
-from osgd.data import gen_clusters_2d, gen_rings_2d
-from osgd.harness import format_comparison_table, run_single
-from osgd.optimizers import ScheduleSpec
+from osgd.analysis import zero_one_error
+from osgd.config import build_dataset, build_objective, load_config
+from osgd.harness import format_comparison_table, run_experiment
+
+# (table label, config file, focus group of the dataset)
+GEOMETRIES = (("rings/inner", "rings_osgd.cfg", "inner"),
+              ("clusters/sub", "clusters_osgd.cfg", "subcluster"))
 
 
-def run_geometry(ds, model, epochs, seeds, focus_group):
+def run_geometry(config_file, seeds, focus_group):
     rows = []
     medians = {}
     for kind in ("sgd", "osgd"):
-        cfg = RunConfig(
-            name=f"2d-{kind}", data=DataConfig(kind="clusters"), model=model,
-            loss_kind="binary-cross-entropy", l2=1e-4, epochs=epochs,
-            seeds=tuple(seeds),
-            opt=OptConfig(kind=kind, q="adaptive", batch_size=64,
-                          momentum=0.9,
-                          schedule=ScheduleSpec(kind="constant",
-                                                base_lr=0.01)))
+        cfg = load_config(os.path.join(CONFIG_DIR, config_file),
+                          overrides=[f"opt.kind = {kind}",
+                                     "seeds = " + ", ".join(map(str, seeds))])
+        ds = build_dataset(cfg.data)
         obj = build_objective(cfg, ds)
+        idx = ds.groups[focus_group]
         focus, overall = [], []
-        for seed in seeds:
-            res = run_single(cfg, ds, seed)
-            idx = ds.groups[focus_group]
-            preds = obj.predictions(res.final_theta, ds.features[idx])
-            focus.append(float(np.mean(preds == ds.labels[idx])))
-            overall.append(1.0 - res.records[-1].test_error_pct / 100.0)
-            rows.append({"optimizer": kind, "seed": seed,
+        for run in run_experiment(cfg, ds).runs:
+            if run.failed:
+                print(f"{kind} seed {run.seed} failed: {run.error}",
+                      file=sys.stderr)
+                continue
+            focus.append(1.0 - zero_one_error(obj, run.final_theta,
+                                              ds.features[idx],
+                                              ds.labels[idx]) / 100.0)
+            overall.append(1.0 - zero_one_error(obj, run.final_theta,
+                                                ds.features, ds.labels) / 100.0)
+            rows.append({"optimizer": kind, "seed": run.seed,
                          "focus_acc": focus[-1], "overall_acc": overall[-1]})
         medians[kind] = (float(np.median(focus)), float(np.median(overall)))
-    return rows, medians
+    return rows, medians, cfg.model.kind
 
 
 def main():
@@ -60,25 +64,16 @@ def main():
     seeds = range(args.seeds)
     os.makedirs(args.outdir, exist_ok=True)
 
-    experiments = [
-        ("rings/inner", gen_rings_2d(0),
-         ModelConfig(kind="mlp", hidden=(16, 16), activation="tanh"),
-         400, "inner"),
-        ("clusters/sub", gen_clusters_2d(0), ModelConfig(kind="linear"),
-         200, "subcluster"),
-    ]
     table_rows = []
-    for name, ds, model, epochs, group in experiments:
-        ds = ds.with_splits({"train": np.arange(ds.n),
-                             "test": np.arange(ds.n)})
-        rows, medians = run_geometry(ds, model, epochs, seeds, group)
+    for name, config_file, group in GEOMETRIES:
+        rows, medians, model = run_geometry(config_file, seeds, group)
         path = os.path.join(args.outdir, name.replace("/", "-") + ".csv")
         with open(path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
             writer.writeheader()
             writer.writerows(rows)
         table_rows.append({
-            "dataset": name, "model": model.kind,
+            "dataset": name, "model": model,
             "base_mean": 100.0 * (1.0 - medians["sgd"][0]),
             "base_std": 0.0,
             "ord_mean": 100.0 * (1.0 - medians["osgd"][0]),

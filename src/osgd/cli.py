@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from . import analysis, coeffs, harness, ordered_loss
+from . import analysis, coeffs, harness
 from .config import build_dataset, build_objective, load_config
 from .data import (gen_clusters_2d, gen_rings_2d, load_idx, load_semeion,
                    save_cache)
@@ -63,22 +63,11 @@ def _cmd_gamma_curve(args):
 
 def _cmd_verify(args):
     if args.what == "unbiasedness":
-        rng = np.random.default_rng(args.seed)
-        gamma = coeffs.gamma_weights(args.n, args.s, args.q)
-        worst = 0.0
-        for _ in range(args.trials):
-            obj, theta, X, y = harness._random_logistic_instance(
-                rng, n=args.n, d=3)
-            losses = obj.per_example_losses(theta, X, y)
-            if np.unique(losses).size < losses.size:
-                continue
-            lhs = ordered_loss.expected_step_bruteforce(
-                obj, theta, X, y, args.s, args.q)
-            rhs = ordered_loss.lq_subgradient(obj, theta, X, y, gamma)
-            worst = max(worst, float(np.abs(lhs - rhs).max()))
+        worst = harness.unbiasedness_deviation(args.seed, args.n, args.s,
+                                               args.q, args.trials)
         print(f"max componentwise deviation over {args.trials} trials: "
               f"{worst:.3e}")
-        return 0 if worst <= 1e-10 else 1
+        return 0 if worst <= harness.UNBIASEDNESS_TOL else 1
     report = harness.run_verification_suite(corrupt=args.corrupt)
     print(harness.report_to_json(report))
     if not report["all_passed"]:
@@ -182,8 +171,7 @@ def _cmd_analyze(args):
     theta = np.load(args.theta)
     Xtr, ytr = ds.split("train")
     s = min(cfg.opt.batch_size, Xtr.shape[0])
-    q = s if cfg.opt.q == "adaptive" else min(int(cfg.opt.q), s)
-    gamma = coeffs.gamma_weights(Xtr.shape[0], s, q)
+    gamma = coeffs.gamma_weights(Xtr.shape[0], s, cfg.opt.initial_q(s))
     mcfg = analysis.MoreauConfig(rho_hat=args.rho_hat, inner_tol=args.inner_tol)
     value = analysis.moreau_grad_norm(obj, theta, Xtr, ytr, gamma, mcfg)
     with open(args.out, "w", newline="") as fh:
@@ -204,9 +192,8 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--exact", action="store_true", default=True)
-    group.add_argument("--float", action="store_true")
+    p.add_argument("--float", action="store_true",
+                   help="log-space float weights instead of exact rationals")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_gamma)
 

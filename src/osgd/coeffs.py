@@ -19,8 +19,8 @@ from math import comb, exp, lgamma, log, log1p
 import numpy as np
 from scipy.special import gammaln
 
-# Above this n the exact rational path is replaced by the log-space float
-# path in gamma_rescaled_curve (rationals stay correct but get slow).
+# Above this n the float vectors of gamma_vector come from the log-space
+# path instead of the exact integers (those stay correct but get slow).
 EXACT_N_LIMIT = 10_000
 
 
@@ -124,6 +124,19 @@ def gamma_weights_float(n: int, s: int, q: int) -> np.ndarray:
     return out
 
 
+def gamma_vector(n: int, s: int, q: int, scale: int = 1) -> np.ndarray:
+    """Float64 vector scale * gamma_1..scale * gamma_n.
+
+    For n <= EXACT_N_LIMIT each entry is one rounding of the exact value
+    (scale * N_j) / C(n, s); beyond that it is scale times the log-space
+    :func:`gamma_weights_float`.
+    """
+    if n <= EXACT_N_LIMIT:
+        nums, den = gamma_weight_numerators(n, s, q)
+        return np.array([(scale * m) / den for m in nums], dtype=np.float64)
+    return scale * gamma_weights_float(n, s, q)
+
+
 def gamma_asymptotic(z: float, s: int, q: int) -> float:
     """Limit of n * gamma_j as n -> infinity with j/n = z, for 0 < z < 1.
 
@@ -210,17 +223,12 @@ def beta_cdf(z: float, a: float, b: float) -> float:
 
 
 def gamma_rescaled_curve(n: int, s: int, q: int) -> GammaCurve:
-    """Curve of n * gamma_j on the grid z_j = j/n.
+    """Curve of n * gamma_j on the grid z_j = j/n (see :func:`gamma_vector`).
 
-    For n <= EXACT_N_LIMIT values come from the exact rationals; beyond
-    that the log-space float path is used and the curve is flagged
-    approximate.
+    The curve is flagged approximate beyond EXACT_N_LIMIT, where the values
+    come from the log-space float path.
     """
     _check_nsq(n, s, q)
     z = np.arange(1, n + 1, dtype=np.float64) / n
-    if n <= EXACT_N_LIMIT:
-        nums, den = gamma_weight_numerators(n, s, q)
-        values = np.array([(n * m) / den for m in nums], dtype=np.float64)
-        return GammaCurve(z_grid=z, values=values, approximate=False)
-    values = n * gamma_weights_float(n, s, q)
-    return GammaCurve(z_grid=z, values=values, approximate=True)
+    return GammaCurve(z_grid=z, values=gamma_vector(n, s, q, scale=n),
+                      approximate=n > EXACT_N_LIMIT)

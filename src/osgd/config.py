@@ -8,7 +8,7 @@ the tenth epoch, momentum 0.9, weight decay 1e-4, adaptive q.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +20,8 @@ from .optimizers import ScheduleSpec
 
 DATASET_KINDS = ("clusters", "rings", "semeion", "idx", "cache")
 OPT_KINDS = ("osgd", "sgd", "oadam", "adam")
+# Minibatch SGD and Adam: the ordered step with q pinned to the batch length.
+BASELINE_KINDS = ("sgd", "adam")
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,6 @@ class ModelConfig:
 @dataclass(frozen=True)
 class OptConfig:
     kind: str = "osgd"
-    lr: float = 0.01
     momentum: float = 0.9
     batch_size: int = 64
     q: str | int = "adaptive"
@@ -67,6 +68,12 @@ class OptConfig:
             raise ValueError(f"unknown batching mode {self.batching!r}")
         if isinstance(self.q, str) and self.q != "adaptive":
             raise ValueError(f"q must be an integer or 'adaptive', got {self.q!r}")
+
+    def initial_q(self, s: int) -> int:
+        """q of the first step at batch size s: s for baselines and adaptive q."""
+        if self.kind in BASELINE_KINDS or self.q == "adaptive":
+            return s
+        return min(int(self.q), s)
 
 
 @dataclass(frozen=True)
@@ -156,6 +163,7 @@ def config_from_flat(flat: dict) -> RunConfig:
         activation=pop("model.activation", "tanh"),
         bias=pop("model.bias", True),
     )
+    # opt.lr is an alias of opt.schedule.base_lr, which wins if both are set
     schedule = ScheduleSpec(
         kind=pop("opt.schedule.kind", "step-decay"),
         base_lr=pop("opt.schedule.base_lr", pop("opt.lr", 0.01, float), float),
@@ -167,7 +175,6 @@ def config_from_flat(flat: dict) -> RunConfig:
         q_raw = int(q_raw.split(":", 1)[1])
     opt = OptConfig(
         kind=pop("opt.kind", "osgd"),
-        lr=schedule.base_lr,
         momentum=pop("opt.momentum", 0.9, float),
         batch_size=pop("opt.batch_size", 64),
         q=q_raw,
@@ -192,10 +199,6 @@ def config_from_flat(flat: dict) -> RunConfig:
     if flat:
         raise ValueError(f"unknown config keys: {sorted(flat)}")
     return cfg
-
-
-def with_overrides(cfg: RunConfig, **kwargs) -> RunConfig:
-    return replace(cfg, **kwargs)
 
 
 def build_dataset(dc: DataConfig, split_seed=None) -> Dataset:

@@ -18,8 +18,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import analysis, coeffs, objectives, optimizers, ordered_loss, selection
-from .config import (DataConfig, ModelConfig, OptConfig, RunConfig,
-                     build_dataset, build_objective)
+from .config import (BASELINE_KINDS, DataConfig, ModelConfig, OptConfig,
+                     RunConfig, build_dataset, build_objective)
 from .data import Dataset, gen_clusters_2d
 from .optimizers import DivergenceError, adaptive_q_update, schedule_lr
 
@@ -97,13 +97,9 @@ class ExperimentResult:
 
 @lru_cache(maxsize=64)
 def _gamma_approx(n, s, q):
-    # Float path beyond the exact-rational comfort zone; exact otherwise.
     # Only the float vector is cached, not the n rationals.
-    if n > coeffs.EXACT_N_LIMIT:
-        approx = coeffs.gamma_weights_float(n, s, q)
-    else:
-        approx = coeffs.gamma_weights(n, s, q).approx
-    return coeffs.GammaWeights(n=n, s=s, q=q, exact=None, approx=approx)
+    return coeffs.GammaWeights(n=n, s=s, q=q, exact=None,
+                               approx=coeffs.gamma_vector(n, s, q))
 
 
 def _epoch_batches(rng, n, s, mode):
@@ -140,12 +136,13 @@ def run_single(cfg: RunConfig, dataset: Dataset, seed: int) -> RunResult:
     n_tr = Xtr.shape[0]
     opt = cfg.opt
     s = min(opt.batch_size, n_tr)
-    adaptive = opt.q == "adaptive"
-    q0 = s if adaptive else min(int(opt.q), s)
+    adaptive = opt.q == "adaptive" and opt.kind not in BASELINE_KINDS
+    heavy_ball = opt.kind in ("osgd", "sgd")
 
     rng = np.random.default_rng(seed)
     theta = obj.init_params(rng)
-    state = optimizers.init_state(theta, q0, opt.schedule.base_lr)
+    state = optimizers.init_state(theta, opt.initial_q(s),
+                                  opt.schedule.base_lr)
     records = []
 
     def epoch_end(epoch, elapsed, emit):
@@ -171,22 +168,13 @@ def run_single(cfg: RunConfig, dataset: Dataset, seed: int) -> RunResult:
                 state.lr_current = schedule_lr(opt.schedule, epoch,
                                                state.step_count)
                 q_eff = min(state.q_current, len(batch))
-                if opt.kind == "osgd":
+                if heavy_ball:
                     optimizers.osgd_step(state, obj, Xtr, ytr, batch, q_eff,
                                          momentum=opt.momentum)
-                elif opt.kind == "sgd":
-                    optimizers.minibatch_sgd_step(state, obj, Xtr, ytr, batch,
-                                                  momentum=opt.momentum)
-                elif opt.kind == "oadam":
+                else:
                     optimizers.ordered_adam_step(state, obj, Xtr, ytr, batch,
                                                  q_eff, beta1=opt.beta1,
                                                  beta2=opt.beta2, eps=opt.eps)
-                elif opt.kind == "adam":
-                    optimizers.adam_step(state, obj, Xtr, ytr, batch,
-                                         beta1=opt.beta1, beta2=opt.beta2,
-                                         eps=opt.eps)
-                else:
-                    raise ValueError(f"unknown optimizer kind {opt.kind!r}")
             elapsed = time.perf_counter() - t0
             epoch_end(epoch, elapsed,
                       emit=(epoch + 1) % cfg.eval_every == 0
@@ -211,14 +199,15 @@ def sweep_q(cfg: RunConfig, q_values, dataset: Dataset | None = None) -> dict:
     """One experiment per fixed q, sharing the config's seed list.
 
     Each q must fit the batch size that runs use: the configured one, or
-    the train-split size when a given dataset has fewer train rows.
+    the train-split size when that is smaller.  Without a dataset, the train
+    split is the one the first seed's run builds.
     """
     q_values = list(q_values)
     if not q_values:
         raise ValueError("q_values must not be empty")
-    s = cfg.opt.batch_size
-    if dataset is not None:
-        s = min(s, len(dataset.splits["train"]))
+    ds = dataset if dataset is not None else build_dataset(
+        cfg.data, split_seed=cfg.seeds[0])
+    s = min(cfg.opt.batch_size, len(ds.splits["train"]))
     bad = [q for q in q_values if not 1 <= q <= s]
     if bad:
         raise ValueError(f"q values {bad} outside [1, s={s}]")
@@ -324,29 +313,38 @@ def _check_gamma_enumeration():
     return True, "all (n, s, q) with n <= 6"
 
 
-def _random_logistic_instance(rng, n=8, d=3):
-    X = rng.standard_normal((n, d))
-    y = rng.integers(0, 2, n)
-    model = objectives.FeedforwardModel(d, 1, bias=False)
+UNBIASEDNESS_TOL = 1e-10
+
+
+def unbiasedness_deviation(seed, n, s, q, trials):
+    """Worst componentwise gap between the expected step and the L_q subgradient.
+
+    The expected step is enumerated over all s-subsets.  The ``trials``
+    random logistic instances (n rows, 3 features) share one generator
+    seeded with ``seed``; instances with tied losses are skipped.
+    """
+    rng = np.random.default_rng(seed)
+    model = objectives.FeedforwardModel(3, 1, bias=False)
     obj = objectives.Objective(model, "binary-cross-entropy", l2=0.1)
-    theta = rng.standard_normal(model.n_params)
-    return obj, theta, X, y
-
-
-def _check_unbiasedness():
-    rng = np.random.default_rng(7)
+    gamma = coeffs.gamma_weights(n, s, q)
     worst = 0.0
-    for _ in range(3):
-        obj, theta, X, y = _random_logistic_instance(rng)
+    for _ in range(trials):
+        X = rng.standard_normal((n, 3))
+        y = rng.integers(0, 2, n)
+        theta = rng.standard_normal(model.n_params)
         losses = obj.per_example_losses(theta, X, y)
         if np.unique(losses).size < losses.size:
             continue
-        gamma = coeffs.gamma_weights(8, 4, 2)
-        lhs = ordered_loss.expected_step_bruteforce(obj, theta, X, y, 4, 2)
+        lhs = ordered_loss.expected_step_bruteforce(obj, theta, X, y, s, q)
         rhs = ordered_loss.lq_subgradient(obj, theta, X, y, gamma)
         worst = max(worst, float(np.abs(lhs - rhs).max()))
-    if worst > 1e-10:
-        return False, f"max deviation {worst:.2e} > 1e-10"
+    return worst
+
+
+def _check_unbiasedness():
+    worst = unbiasedness_deviation(seed=7, n=8, s=4, q=2, trials=3)
+    if worst > UNBIASEDNESS_TOL:
+        return False, f"max deviation {worst:.2e} > {UNBIASEDNESS_TOL:g}"
     return True, f"max deviation {worst:.2e}"
 
 

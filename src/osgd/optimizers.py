@@ -4,8 +4,9 @@ Each step computes the per-sample losses of the drawn batch, keeps the q
 largest-loss members (ties toward the smaller index), and applies the
 average gradient of the kept members plus the regularizer gradient.  With
 q equal to the batch size this is exactly minibatch SGD / Adam: the
-baseline step functions delegate to the ordered ones, so the q = s
-trajectories are bit-identical by construction.
+baseline step functions delegate to the ordered ones, and the runner runs
+the baselines as the ordered step at q = s, so the q = s trajectories are
+bit-identical by construction.
 
 A step forwards the batch once.  When q equals the batch length, backward
 reuses that forward's tape.  When q is smaller, the kept rows get a fresh

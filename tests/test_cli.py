@@ -116,6 +116,17 @@ class TestTrainCommands:
         rows = list(csv.DictReader(open(tmp_path / "out/cli-smoke-sweep-q.csv")))
         assert len(rows) == 2
 
+    def test_sweep_q_checks_q_against_train_rows(self, config_file, tmp_path,
+                                                 monkeypatch):
+        # clusters has 200 train rows, so s = 200 whatever the batch size
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError, match="s=200"):
+            main(["sweep-q", "--config", str(config_file),
+                  "--q-values", "4096",
+                  "--override", "opt.batch_size = 4096",
+                  "--override", "outdir = out", "--override", "seeds = 0"])
+        assert not (tmp_path / "out").exists()
+
 
 class TestDataCommands:
     def test_gen_rings_cache(self, tmp_path):

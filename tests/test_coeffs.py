@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from osgd.coeffs import (EXACT_N_LIMIT, beta_cdf, gamma_asymptotic,
-                         gamma_rescaled_curve, gamma_weight_numerators,
-                         gamma_weights, gamma_weights_float)
+                         gamma_rescaled_curve, gamma_vector,
+                         gamma_weight_numerators, gamma_weights,
+                         gamma_weights_float)
 
 
 def enumerate_rank_frequencies(n, s, q):
@@ -144,6 +145,14 @@ class TestGammaFloatPath:
             gw = gamma_weights(n, s, q)
             approx = gamma_weights_float(n, s, q)
             np.testing.assert_allclose(approx, gw.approx, rtol=1e-11, atol=1e-16)
+
+    def test_vector_picks_exact_rounding_then_float_path(self):
+        for n, s, q in [(5, 3, 2), (200, 64, 8), (EXACT_N_LIMIT, 64, 32)]:
+            assert gamma_vector(n, s, q).tobytes() == \
+                gamma_weights(n, s, q).approx.tobytes()
+        n = EXACT_N_LIMIT + 1
+        assert gamma_vector(n, 10, 3).tobytes() == \
+            gamma_weights_float(n, 10, 3).tobytes()
 
 
 class TestGammaAsymptotic:

@@ -30,7 +30,7 @@ class TestParsing:
     def test_defaults_mirror_standard_setting(self):
         cfg = config_from_flat({})
         assert cfg.opt.batch_size == 64
-        assert cfg.opt.lr == 0.01
+        assert cfg.opt.schedule.base_lr == 0.01
         assert cfg.opt.momentum == 0.9
         assert cfg.l2 == 1e-4
         assert cfg.opt.q == "adaptive"
@@ -52,7 +52,8 @@ class TestParsing:
         cfg = config_from_flat({"opt.lr": "0.5",
                                 "opt.schedule.kind": "constant"})
         assert cfg.opt.schedule.base_lr == 0.5
-        assert cfg.opt.lr == 0.5
+        with pytest.raises(TypeError):
+            OptConfig(kind="osgd", lr=0.5)  # the schedule owns the rate
 
     def test_seed_list_and_hidden_tuple(self):
         cfg = config_from_flat({"seeds": "3, 5, 8",

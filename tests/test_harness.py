@@ -5,13 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from osgd.config import DataConfig, ModelConfig, OptConfig, RunConfig
+from osgd.config import (DataConfig, ModelConfig, OptConfig, RunConfig,
+                         build_dataset, build_objective)
 from osgd.data import gen_clusters_2d
-from osgd.harness import (read_records_csv, run_experiment,
+from osgd.harness import (_epoch_batches, read_records_csv, run_experiment,
                           run_verification_suite, report_to_json, sweep_q,
                           write_records_csv, write_summary_csv)
 from osgd.objectives import Objective
-from osgd.optimizers import ScheduleSpec
+from osgd.optimizers import (ScheduleSpec, adam_step, init_state,
+                             minibatch_sgd_step, schedule_lr)
 
 
 def tiny_config(kind="osgd", q="adaptive", seeds=(0,), epochs=3, name="tiny"):
@@ -49,6 +51,36 @@ class TestEquivalences:
         b = run_experiment(cfg)
         assert [strip_time(r) for r in a.records] == \
                [strip_time(r) for r in b.records]
+
+
+class TestBaselines:
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_adaptive_baseline_steps_and_logs_q_equals_s(self, kind):
+        cfg = tiny_config(kind=kind, seeds=(4,), epochs=4)
+        run = run_experiment(cfg).runs[0]
+        # past 80% train accuracy the adaptive rule would have shrunk q
+        assert max(rec.train_acc for rec in run.records[:-1]) >= 0.80
+        assert [rec.q for rec in run.records] == [20] * cfg.epochs
+        for rec in run.records:  # L_s is the average loss
+            assert rec.train_ordered_loss == pytest.approx(rec.train_avg_loss,
+                                                           rel=1e-12)
+
+        ds = build_dataset(cfg.data, split_seed=4)
+        obj = build_objective(cfg, ds)
+        X, y = ds.split("train")
+        rng = np.random.default_rng(4)
+        state = init_state(obj.init_params(rng), 20, cfg.opt.schedule.base_lr)
+        for epoch in range(cfg.epochs):
+            for batch in _epoch_batches(rng, len(y), 20, cfg.opt.batching):
+                state.lr_current = schedule_lr(cfg.opt.schedule, epoch,
+                                               state.step_count)
+                if kind == "sgd":
+                    minibatch_sgd_step(state, obj, X, y, batch,
+                                       momentum=cfg.opt.momentum)
+                else:
+                    adam_step(state, obj, X, y, batch, beta1=cfg.opt.beta1,
+                              beta2=cfg.opt.beta2, eps=cfg.opt.eps)
+        assert run.final_theta.tobytes() == state.theta.tobytes()
 
 
 class TestSummaries:
