@@ -224,7 +224,8 @@ def build_parser():
     p.add_argument("--save-params", action="store_true")
     p.set_defaults(fn=_cmd_train)
 
-    p = sub.add_parser("sweep-q", help="repeat an experiment across q values")
+    p = sub.add_parser("sweep-q", help="repeat an osgd or oadam experiment "
+                       "across q values")
     p.add_argument("--config", required=True)
     p.add_argument("--q-values", required=True,
                    help="comma-separated q values")

@@ -334,49 +334,77 @@ def _pack_index_table(table):
 
 
 def load_cache(path) -> Dataset:
-    """Read a dataset written by :func:`save_cache` (lossless round-trip)."""
-    buf = _read_bytes(path)
-    if buf[:8] != _CACHE_MAGIC:
-        raise FormatError(f"{path}: bad cache magic {buf[:8]!r}")
-    off = 8
-    version, n, d, n_classes, seed = struct.unpack_from("<IQQIq", buf, off)
-    off += struct.calcsize("<IQQIq")
+    """Read a dataset written by :func:`save_cache` (lossless round-trip).
+
+    A file that ends early, or holds a split or group index outside
+    [0, n), raises :class:`FormatError` naming the byte offset.
+    """
+    r = _CacheReader(path, _read_bytes(path))
+    magic = bytes(r.take(8, "magic"))
+    if magic != _CACHE_MAGIC:
+        raise FormatError(f"{path}: bad cache magic {magic!r} at byte 0")
+    version, n, d, n_classes, seed = r.unpack("<IQQIq", "header")
     if version != 1:
-        raise FormatError(f"{path}: unsupported cache version {version}")
-    (plen,) = struct.unpack_from("<I", buf, off)
-    off += 4
-    prov = buf[off:off + plen].decode("utf-8")
-    off += plen
-    splits, off = _unpack_index_table(buf, off)
-    groups, off = _unpack_index_table(buf, off)
-    need = (n * d + n) * 8
-    if len(buf) - off < need:
-        raise FormatError(f"{path}: truncated at byte {len(buf)}, expected "
-                          f"{need} matrix bytes from offset {off}")
-    features = np.frombuffer(buf, dtype="<f8", count=n * d, offset=off)
-    off += n * d * 8
-    labels = np.frombuffer(buf, dtype="<i8", count=n, offset=off)
-    off += n * 8
-    if off != len(buf):
-        raise FormatError(f"{path}: {len(buf) - off} trailing bytes")
+        raise FormatError(f"{path}: unsupported cache version {version} "
+                          f"at byte 8")
+    prov = r.text("provenance")
+    splits = r.index_table("split", n)
+    groups = r.index_table("group", n)
+    features = r.array("<f8", n * d, "features")
+    labels = r.array("<i8", n, "labels")
+    if r.off != len(r.buf):
+        raise FormatError(f"{path}: {len(r.buf) - r.off} trailing bytes "
+                          f"from offset {r.off}")
     return Dataset(features=features.reshape(n, d).copy(),
                    labels=labels.astype(np.int64),
                    n_classes=n_classes, splits=splits, groups=groups,
                    provenance=prov, seed=None if seed == -1 else seed)
 
 
-def _unpack_index_table(buf, off):
-    (count,) = struct.unpack_from("<I", buf, off)
-    off += 4
-    table = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack_from("<I", buf, off)
-        off += 4
-        name = buf[off:off + nlen].decode("utf-8")
-        off += nlen
-        (m,) = struct.unpack_from("<Q", buf, off)
-        off += 8
-        idx = np.frombuffer(buf, dtype="<u8", count=m, offset=off).astype(np.int64)
-        off += m * 8
-        table[name] = idx
-    return table, off
+class _CacheReader:
+    """Sequential reads from a cache file; a short read is a FormatError."""
+
+    def __init__(self, path, buf):
+        self.path, self.buf, self.off = path, memoryview(buf), 0
+
+    def take(self, size, what):
+        if self.off + size > len(self.buf):
+            raise FormatError(f"{self.path}: truncated at byte "
+                              f"{len(self.buf)}, expected {size} bytes of "
+                              f"{what} from offset {self.off}")
+        self.off += size
+        return self.buf[self.off - size:self.off]
+
+    def unpack(self, fmt, what):
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+    def array(self, dtype, count, what):
+        dtype = np.dtype(dtype)
+        return np.frombuffer(self.take(count * dtype.itemsize, what),
+                             dtype=dtype)
+
+    def text(self, what):
+        (size,) = self.unpack("<I", f"{what} length")
+        start = self.off
+        raw = bytes(self.take(size, what))
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{self.path}: {what} at offset {start} is not "
+                              f"UTF-8 ({exc.reason})") from None
+
+    def index_table(self, kind, n):
+        """Named index arrays, each index checked against the row count n."""
+        (count,) = self.unpack("<I", f"{kind} count")
+        table = {}
+        for _ in range(count):
+            name = self.text(f"{kind} name")
+            (m,) = self.unpack("<Q", f"{kind} '{name}' length")
+            start = self.off
+            idx = self.array("<u8", m, f"{kind} '{name}' indices")
+            if m and idx.max() >= n:
+                raise FormatError(
+                    f"{self.path}: {kind} '{name}' from offset {start} holds "
+                    f"index {int(idx.max())}, outside [0, n={n})")
+            table[name] = idx.astype(np.int64)
+        return table

@@ -200,8 +200,12 @@ def sweep_q(cfg: RunConfig, q_values, dataset: Dataset | None = None) -> dict:
 
     Each q must fit the batch size that runs use: the configured one, or
     the train-split size when that is smaller.  Without a dataset, the train
-    split is the one the first seed's run builds.
+    split is the one the first seed's run builds.  Baseline kinds step at
+    q = s whatever q is, so they are rejected.
     """
+    if cfg.opt.kind in BASELINE_KINDS:
+        raise ValueError(f"opt.kind = {cfg.opt.kind} always steps at q = s; "
+                         f"sweep q with an ordered kind (osgd or oadam)")
     q_values = list(q_values)
     if not q_values:
         raise ValueError("q_values must not be empty")

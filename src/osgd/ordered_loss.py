@@ -8,21 +8,28 @@ where L_(1) >= L_(2) >= ... are the per-sample losses sorted nonincreasing
 (ties toward the smaller index) and gamma_j are the selection weights from
 :mod:`osgd.coeffs`.  Averaging the top-q update direction over every
 possible minibatch reproduces the analytic subgradient of L_q exactly;
-:func:`expected_step_bruteforce` certifies this by enumeration.
+:func:`expected_step_bruteforce` certifies this by enumeration.  The
+enumeration (:func:`rank_selection_counts`) stacks the s-subsets into
+fixed-size chunks of rows and selects the top q of a whole chunk in one
+numpy call, counting the kept ids as exact integers.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 from math import comb
 
 import numpy as np
 
 from .coeffs import GammaWeights
-from .selection import q_argmax, rank_by_loss
+from .selection import finite_losses, q_argmax, rank_by_loss
 
 # Enumeration cap: keeps verification runs under a minute.
 MAX_BRUTEFORCE_SUBSETS = 100_000
+# Subsets ranked per stacked selection: large enough that numpy, not the
+# Python loop, does the work; small enough that a block's index, value
+# and sort arrays stay a few hundred kB.
+_ENUM_BLOCK_ROWS = 1024
 
 
 class ResourceError(RuntimeError):
@@ -87,8 +94,15 @@ def rank_selection_counts(losses, s: int, q: int):
     Returns ``(counts, total)`` where ``counts[i]`` is the number of the
     ``total = C(n, s)`` batches in which sample i is selected.  Exact
     integers; ``counts[rank_by_loss(losses)[j]] / total`` equals gamma_j.
+
+    The subsets are enumerated in lexicographic order, in blocks of
+    ``_ENUM_BLOCK_ROWS`` rows stacked into one (rows, s) index array, and
+    the top q of every row are selected by one stacked :func:`q_argmax`
+    call, with the same tie rule as a single batch.  The counts never
+    read the gamma formula, so they stay an independent oracle for it.
+    Non-finite losses are rejected with their index.
     """
-    losses = np.asarray(losses, dtype=np.float64)
+    losses = finite_losses(losses)
     n = losses.shape[0]
     if not 1 <= q <= s <= n:
         raise ValueError(f"need 1 <= q <= s <= n, got (n={n}, s={s}, q={q})")
@@ -99,9 +113,13 @@ def rank_selection_counts(losses, s: int, q: int):
             f"{MAX_BRUTEFORCE_SUBSETS}"
         )
     counts = np.zeros(n, dtype=np.int64)
-    for subset in combinations(range(n), s):
-        batch = np.array(subset)
-        counts[q_argmax(losses, batch, q)] += 1
+    subsets = combinations(range(n), s)
+    for start in range(0, total, _ENUM_BLOCK_ROWS):
+        rows = min(_ENUM_BLOCK_ROWS, total - start)
+        batches = np.fromiter(chain.from_iterable(islice(subsets, rows)),
+                              dtype=np.intp, count=rows * s).reshape(rows, s)
+        counts += np.bincount(q_argmax(losses, batches, q).ravel(),
+                              minlength=n)
     return counts, total
 
 

@@ -48,23 +48,43 @@ def q_argmax(values: np.ndarray, batch: np.ndarray, q: int) -> np.ndarray:
     ``values`` is indexed by sample id; ``batch`` must be sorted ascending
     so that the tie rule (smaller original index wins) reduces to the
     positional rule inside the batch.  Returns indices sorted ascending.
+
+    ``batch`` is either one batch of shape (s,), which returns the (q,)
+    kept ids, or a stack of k batches of shape (k, s), one per row, which
+    returns the (k, q) kept ids of each row.  The stacked path ranks every
+    row at once with a stable sort on the negated values, so equal values
+    keep their positional order: the same tie rule as the single batch.
     """
     batch = np.asarray(batch)
-    if q > batch.shape[0]:
-        raise ValueError(f"q={q} exceeds batch size {batch.shape[0]}")
+    s = batch.shape[-1]
+    if q > s:
+        raise ValueError(f"q={q} exceeds batch size {s}")
     vals = np.asarray(values, dtype=np.float64)[batch]
-    return batch[topq_positions(vals, q)]
+    if batch.ndim == 1:
+        return batch[topq_positions(vals, q)]
+    if batch.ndim != 2 or q < 1:
+        raise ValueError(f"need 1 <= q <= s on an (s,) batch or a (k, s) "
+                         f"stack, got q={q} and shape {batch.shape}")
+    keep = np.sort(np.argsort(-vals, axis=-1, kind="stable")[:, :q], axis=-1)
+    return np.take_along_axis(batch, keep, axis=-1)
+
+
+def finite_losses(losses) -> np.ndarray:
+    """``losses`` as float64; a non-finite entry is rejected by its index.
+
+    Non-finite losses signal divergence upstream.
+    """
+    losses = np.asarray(losses, dtype=np.float64)
+    if not np.isfinite(losses).all():
+        bad = int(np.flatnonzero(~np.isfinite(losses))[0])
+        raise ValueError(f"non-finite loss at index {bad}; run has diverged")
+    return losses
 
 
 def rank_by_loss(losses: np.ndarray) -> np.ndarray:
     """Permutation listing sample indices by nonincreasing loss.
 
     Equal losses keep their original index order (stable sort on the
-    negated values).  Non-finite losses signal divergence upstream and are
-    rejected.
+    negated values).  Non-finite losses are rejected (:func:`finite_losses`).
     """
-    losses = np.asarray(losses, dtype=np.float64)
-    if not np.isfinite(losses).all():
-        bad = int(np.flatnonzero(~np.isfinite(losses))[0])
-        raise ValueError(f"non-finite loss at index {bad}; run has diverged")
-    return np.argsort(-losses, kind="stable")
+    return np.argsort(-finite_losses(losses), kind="stable")

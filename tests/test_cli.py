@@ -127,6 +127,15 @@ class TestTrainCommands:
                   "--override", "outdir = out", "--override", "seeds = 0"])
         assert not (tmp_path / "out").exists()
 
+    def test_sweep_q_rejects_baseline_kind(self, config_file, tmp_path,
+                                           monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError, match="sgd always steps at q = s"):
+            main(["sweep-q", "--config", str(config_file),
+                  "--q-values", "1,5,20", "--override", "opt.kind = sgd",
+                  "--override", "outdir = out", "--override", "seeds = 0"])
+        assert not (tmp_path / "out").exists()
+
 
 class TestDataCommands:
     def test_gen_rings_cache(self, tmp_path):

@@ -273,6 +273,34 @@ class TestCache:
         with pytest.raises(FormatError, match="truncated"):
             load_cache(path)
 
+    def test_truncation_at_every_byte_names_the_offset(self, tmp_path):
+        path = tmp_path / "cut.osgd"
+        ds = split_dataset(gen_clusters_2d(0), 0.25, seed=1)
+        ds = Dataset(features=ds.features[:12], labels=ds.labels[:12],
+                     n_classes=2, splits={"train": np.arange(9),
+                                          "test": np.arange(9, 12)},
+                     groups={"majority": np.arange(12)},
+                     provenance="twelve rows", seed=0)
+        save_cache(ds, path)
+        whole = path.read_bytes()
+        for cut in range(len(whole)):
+            path.write_bytes(whole[:cut])
+            with pytest.raises(FormatError,
+                               match=rf"truncated at byte {cut}, .* offset"):
+                load_cache(path)
+
+    @pytest.mark.parametrize("table", ["splits", "groups"])
+    def test_index_outside_rows_rejected_at_load(self, tmp_path, table):
+        ds = gen_clusters_2d(1)
+        bad = {"train": np.arange(10), "test": np.array([3, ds.n])}
+        ds = Dataset(features=ds.features, labels=ds.labels, n_classes=2,
+                     **{table: bad})
+        path = tmp_path / "bad.osgd"
+        save_cache(ds, path)
+        with pytest.raises(FormatError,
+                           match=rf"'test' from offset \d+ holds index {ds.n}"):
+            load_cache(path)
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 12), st.integers(1, 5), st.integers(2, 4),
            st.integers(0, 2 ** 31))

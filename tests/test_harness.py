@@ -36,14 +36,37 @@ def strip_time(record):
     return tuple(row.items())
 
 
+def baseline_theta(cfg, seed, kind):
+    """Final theta of a loop of the one-line baseline step (``"sgd"``:
+    minibatch_sgd_step, ``"adam"``: adam_step) over the batches the runner
+    draws for ``cfg`` at ``seed``."""
+    ds = build_dataset(cfg.data, split_seed=seed)
+    obj = build_objective(cfg, ds)
+    X, y = ds.split("train")
+    s = min(cfg.opt.batch_size, len(y))
+    rng = np.random.default_rng(seed)
+    state = init_state(obj.init_params(rng), s, cfg.opt.schedule.base_lr)
+    for epoch in range(cfg.epochs):
+        for batch in _epoch_batches(rng, len(y), s, cfg.opt.batching):
+            state.lr_current = schedule_lr(cfg.opt.schedule, epoch,
+                                           state.step_count)
+            if kind == "sgd":
+                minibatch_sgd_step(state, obj, X, y, batch,
+                                   momentum=cfg.opt.momentum)
+            else:
+                adam_step(state, obj, X, y, batch, beta1=cfg.opt.beta1,
+                          beta2=cfg.opt.beta2, eps=cfg.opt.eps)
+    return state.theta
+
+
 class TestEquivalences:
     def test_q_equals_s_matches_sgd_stream(self):
-        osgd_cfg = tiny_config(kind="osgd", q=20, seeds=(1, 2))
-        sgd_cfg = tiny_config(kind="sgd", q=20, seeds=(1, 2))
-        a = run_experiment(osgd_cfg)
-        b = run_experiment(sgd_cfg)
-        assert [strip_time(r) for r in a.records] == \
-               [strip_time(r) for r in b.records]
+        cfg = tiny_config(kind="osgd", q=20, seeds=(1, 2))
+        result = run_experiment(cfg)
+        for run in result.runs:
+            assert [rec.q for rec in run.records] == [20] * cfg.epochs
+            assert run.final_theta.tobytes() == \
+                baseline_theta(cfg, run.seed, "sgd").tobytes()
 
     def test_rerun_reproduces_records(self):
         cfg = tiny_config(seeds=(3, 4), epochs=4)
@@ -64,23 +87,8 @@ class TestBaselines:
         for rec in run.records:  # L_s is the average loss
             assert rec.train_ordered_loss == pytest.approx(rec.train_avg_loss,
                                                            rel=1e-12)
-
-        ds = build_dataset(cfg.data, split_seed=4)
-        obj = build_objective(cfg, ds)
-        X, y = ds.split("train")
-        rng = np.random.default_rng(4)
-        state = init_state(obj.init_params(rng), 20, cfg.opt.schedule.base_lr)
-        for epoch in range(cfg.epochs):
-            for batch in _epoch_batches(rng, len(y), 20, cfg.opt.batching):
-                state.lr_current = schedule_lr(cfg.opt.schedule, epoch,
-                                               state.step_count)
-                if kind == "sgd":
-                    minibatch_sgd_step(state, obj, X, y, batch,
-                                       momentum=cfg.opt.momentum)
-                else:
-                    adam_step(state, obj, X, y, batch, beta1=cfg.opt.beta1,
-                              beta2=cfg.opt.beta2, eps=cfg.opt.eps)
-        assert run.final_theta.tobytes() == state.theta.tobytes()
+        assert run.final_theta.tobytes() == \
+            baseline_theta(cfg, 4, kind).tobytes()
 
 
 class TestSummaries:
@@ -146,6 +154,11 @@ class TestSweep:
         assert sorted(out) == [1, 10, 20]
         for summary in out.values():
             assert len(summary["final_test_errors"]) == 2
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_baseline_kind_rejected(self, kind):
+        with pytest.raises(ValueError, match=f"{kind} always steps at q = s"):
+            sweep_q(tiny_config(kind=kind, seeds=(0, 1)), [1, 5, 20])
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):

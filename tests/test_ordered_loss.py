@@ -1,5 +1,7 @@
 """Ordered loss values, analytic subgradient, and the enumeration oracle."""
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from osgd.ordered_loss import (LossProfile, ResourceError,
                                expected_step_bruteforce, loss_profile,
                                lq_subgradient, ordered_empirical_loss,
                                rank_selection_counts)
-from osgd.selection import rank_by_loss
+from osgd.selection import q_argmax, rank_by_loss
 
 
 def profile_from(losses, reg=0.0):
@@ -159,6 +161,50 @@ class TestBruteforceOracle:
             order = rank_by_loss(losses)
             freqs = [Fraction(int(counts[order[j]]), total) for j in range(n)]
             assert freqs == list(gamma_weights(n, s, q).exact)
+
+
+def per_subset_counts(losses, s, q):
+    """Reference: one single-batch q_argmax call per s-subset."""
+    counts = np.zeros(len(losses), dtype=np.int64)
+    for subset in combinations(range(len(losses)), s):
+        counts[q_argmax(losses, np.array(subset), q)] += 1
+    return counts
+
+
+class TestSelectionCounts:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_equal_per_subset_reference(self, n):
+        rng = np.random.default_rng(n)
+        for losses in (rng.permutation(n) + 0.5 * rng.random(n),  # distinct
+                       rng.integers(0, 3, n).astype(np.float64)):  # tied
+            for s in range(1, n + 1):
+                for q in range(1, s + 1):
+                    counts, total = rank_selection_counts(losses, s, q)
+                    assert total == comb(n, s)
+                    assert counts.dtype == np.int64
+                    np.testing.assert_array_equal(
+                        counts, per_subset_counts(losses, s, q),
+                        err_msg=f"(n={n}, s={s}, q={q}, losses={losses})")
+
+    @pytest.mark.parametrize("n,s,q", [(13, 6, 2), (14, 7, 3)])
+    def test_equal_per_subset_reference_across_blocks(self, n, s, q):
+        # C(13, 6) = 1716 and C(14, 7) = 3432 subsets span several blocks
+        losses = np.random.default_rng(n).integers(0, 4, n).astype(np.float64)
+        counts, _ = rank_selection_counts(losses, s, q)
+        np.testing.assert_array_equal(counts, per_subset_counts(losses, s, q))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_loss_rejected_with_its_index(self, bad):
+        with pytest.raises(ValueError, match="index 1"):
+            rank_selection_counts([1.0, bad, 3.0, 2.0, 0.5], 3, 1)
+
+    def test_bruteforce_step_rejects_non_finite_losses(self):
+        obj, theta, X, y = logistic_instance(7, n=5, distinct=False)
+        X = X.copy()
+        X[3] = np.inf
+        with np.errstate(all="ignore"), \
+                pytest.raises(ValueError, match="index 3"):
+            expected_step_bruteforce(obj, theta, X, y, 3, 1)
 
 
 def test_loss_profile_roundtrip():

@@ -65,6 +65,49 @@ class TestQArgmax:
         assert q_argmax(values, batch, 1).tolist() == [3]
 
 
+class TestStackedQArgmax:
+    def test_each_row_is_selected_on_its_own(self):
+        values = np.array([0.5, 0.5, 0.3, 0.9])
+        batches = np.array([[0, 1, 2], [1, 2, 3], [0, 2, 3]])
+        assert q_argmax(values, batches, 2).tolist() == [[0, 1], [1, 3],
+                                                         [0, 3]]
+
+    def test_empty_stack(self):
+        got = q_argmax(np.arange(4.0), np.empty((0, 3), dtype=np.intp), 2)
+        assert got.shape == (0, 2)
+
+    @pytest.mark.parametrize("q", [0, 4])
+    def test_q_outside_row_length_rejected(self, q):
+        with pytest.raises(ValueError):
+            q_argmax(np.arange(4.0), np.array([[0, 1, 2], [1, 2, 3]]), q)
+
+    def test_three_dimensional_stack_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            q_argmax(np.arange(4.0), np.zeros((2, 2, 3), dtype=np.intp), 1)
+
+
+# small integers for many ties, with signed zeros and infinities
+_TIE_HEAVY = st.sampled_from([-np.inf, -2.0, -1.0, -0.0, 0.0, 1.0, 2.0,
+                              np.inf])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_stacked_q_argmax_rows_equal_single_batch_calls(data):
+    n = data.draw(st.integers(1, 10))
+    values = np.array(data.draw(st.lists(_TIE_HEAVY, min_size=n, max_size=n)))
+    s = data.draw(st.integers(1, n))
+    k = data.draw(st.integers(1, 8))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    batches = np.array([np.sort(rng.choice(n, s, replace=False))
+                        for _ in range(k)])
+    q = data.draw(st.integers(1, s))
+    got = q_argmax(values, batches, q)
+    assert got.shape == (k, q)
+    for row, batch in zip(got, batches):
+        assert row.tolist() == q_argmax(values, batch, q).tolist()
+
+
 class TestRankByLoss:
     def test_tie_rule_example(self):
         assert rank_by_loss(np.array([2.0, 2.0, 5.0])).tolist() == [2, 0, 1]
