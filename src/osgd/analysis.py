@@ -24,7 +24,8 @@ from math import log, sqrt
 
 import numpy as np
 
-from .ordered_loss import loss_profile, lq_subgradient, ordered_empirical_loss
+from .ordered_loss import (loss_profile, lq_subgradient,
+                           ordered_empirical_loss, rank_weights)
 from .selection import rank_by_loss
 
 
@@ -75,12 +76,11 @@ def _tie_mixed_subgradient(obj, beta, X, y, gamma, extra_grad,
     closed-form optimal magnitude are swept a few times; with no ties this
     reduces to the ordinary tie-rule subgradient.
     """
-    losses = obj.per_example_losses(beta, X, y)
-    order = rank_by_loss(losses)
-    srt = losses[order]
-    n = losses.shape[0]
-    u = np.empty(n)
-    u[order] = gamma.approx / gamma.q
+    taped = obj.taped_batch(beta, X, y)
+    order = rank_by_loss(taped.losses)
+    srt = taped.losses[order]
+    n = order.shape[0]
+    u = rank_weights(order, gamma)
     _, reg = obj.regularizer(beta)
     fixed = reg + extra_grad(beta)
 
@@ -94,7 +94,7 @@ def _tie_mixed_subgradient(obj, beta, X, y, gamma, extra_grad,
                 if wts.max() > wts.min():
                     groups.append(ranks)
             start = j
-    g = obj.weighted_grad(beta, X, y, u) + fixed
+    g = taped.grad(u) + fixed
     if not groups:
         return g
 
@@ -103,8 +103,7 @@ def _tie_mixed_subgradient(obj, beta, X, y, gamma, extra_grad,
         for i in order[ranks]:
             member_grads[int(i)] = obj.per_sample_grad(beta, X[int(i)],
                                                        int(y[int(i)]))
-    caps = {tuple(order[ranks]): gamma.approx[ranks] / gamma.q
-            for ranks in groups}
+    caps = {tuple(order[ranks]): u[order[ranks]] for ranks in groups}
     for _ in range(sweeps):
         for ranks in groups:
             ids = [int(i) for i in order[ranks]]

@@ -33,7 +33,6 @@ class DataConfig:
     seed: int = 0             # generator seed for synthetic kinds
     test_fraction: float = 0.0  # 0 disables splitting: train = test = all rows
     stratified: bool = True
-    split_seed: int | None = None  # defaults to the run seed at run time
 
     def __post_init__(self):
         if self.kind not in DATASET_KINDS:
@@ -67,7 +66,16 @@ class OptConfig:
         if self.batching not in ("shuffle", "iid"):
             raise ValueError(f"unknown batching mode {self.batching!r}")
         if isinstance(self.q, str) and self.q != "adaptive":
-            raise ValueError(f"q must be an integer or 'adaptive', got {self.q!r}")
+            raise ValueError(f"opt.q must be an integer or 'adaptive', "
+                             f"got {self.q!r}")
+        if self.q != "adaptive" and self.q < 1:
+            raise ValueError(f"opt.q must be at least 1, got {self.q}")
+        if self.batch_size < 1:
+            raise ValueError(f"opt.batch_size must be at least 1, "
+                             f"got {self.batch_size}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"opt.momentum must lie in [0, 1), "
+                             f"got {self.momentum}")
 
     def initial_q(self, s: int) -> int:
         """q of the first step at batch size s: s for baselines and adaptive q."""
@@ -94,6 +102,9 @@ class RunConfig:
             raise ValueError(f"epochs must be nonnegative, got {self.epochs}")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        if self.eval_every < 1:
+            raise ValueError(f"eval_every must be at least 1, "
+                             f"got {self.eval_every}")
 
 
 def parse_config_text(text: str) -> dict:
@@ -155,7 +166,6 @@ def config_from_flat(flat: dict) -> RunConfig:
         seed=pop("data.seed", 0),
         test_fraction=pop("data.test_fraction", 0.0, float),
         stratified=pop("data.stratified", True),
-        split_seed=pop("data.split_seed", None),
     )
     model = ModelConfig(
         kind=pop("model.kind", "linear"),
@@ -205,7 +215,8 @@ def build_dataset(dc: DataConfig, split_seed=None) -> Dataset:
     """Materialize the configured dataset, applying the train/test split.
 
     With test_fraction = 0 the full dataset serves as both splits, which is
-    what the 2-D qualitative experiments use.
+    what the 2-D qualitative experiments use.  Otherwise the split is drawn
+    with ``split_seed`` (the runner passes the run seed), else ``dc.seed``.
     """
     if dc.kind == "clusters":
         ds = gen_clusters_2d(dc.seed, ClustersSpec())
@@ -220,8 +231,7 @@ def build_dataset(dc: DataConfig, split_seed=None) -> Dataset:
     else:
         raise ValueError(f"unknown dataset kind {dc.kind!r}")
     if dc.test_fraction > 0.0:
-        seed = split_seed if split_seed is not None else (
-            dc.split_seed if dc.split_seed is not None else dc.seed)
+        seed = split_seed if split_seed is not None else dc.seed
         ds = split_dataset(ds, dc.test_fraction, seed, stratified=dc.stratified)
     elif not ds.splits:
         ds = ds.with_splits({"train": np.arange(ds.n), "test": np.arange(ds.n)})

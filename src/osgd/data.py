@@ -336,8 +336,9 @@ def _pack_index_table(table):
 def load_cache(path) -> Dataset:
     """Read a dataset written by :func:`save_cache` (lossless round-trip).
 
-    A file that ends early, or holds a split or group index outside
-    [0, n), raises :class:`FormatError` naming the byte offset.
+    A file that ends early, holds a split or group index outside [0, n),
+    a label outside [0, n_classes) or a non-finite feature raises
+    :class:`FormatError` naming the byte offset.
     """
     r = _CacheReader(path, _read_bytes(path))
     magic = bytes(r.take(8, "magic"))
@@ -350,8 +351,9 @@ def load_cache(path) -> Dataset:
     prov = r.text("provenance")
     splits = r.index_table("split", n)
     groups = r.index_table("group", n)
-    features = r.array("<f8", n * d, "features")
-    labels = r.array("<i8", n, "labels")
+    features = r.array("<f8", n * d, "features", np.isfinite, "not finite")
+    labels = r.array("<i8", n, "labels", lambda v: (v >= 0) & (v < n_classes),
+                     f"outside [0, n_classes={n_classes})")
     if r.off != len(r.buf):
         raise FormatError(f"{path}: {len(r.buf) - r.off} trailing bytes "
                           f"from offset {r.off}")
@@ -378,10 +380,19 @@ class _CacheReader:
     def unpack(self, fmt, what):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
-    def array(self, dtype, count, what):
+    def array(self, dtype, count, what, valid=None, rule=""):
+        """``count`` values; the first one that fails ``valid`` is a
+        FormatError naming its offset and the ``rule`` it breaks."""
         dtype = np.dtype(dtype)
-        return np.frombuffer(self.take(count * dtype.itemsize, what),
-                             dtype=dtype)
+        start = self.off
+        arr = np.frombuffer(self.take(count * dtype.itemsize, what),
+                            dtype=dtype)
+        bad = np.flatnonzero(~valid(arr)) if valid is not None else ()
+        if len(bad):
+            i = int(bad[0])
+            raise FormatError(f"{self.path}: {what}[{i}] = {arr[i]} at offset "
+                              f"{start + i * dtype.itemsize} is {rule}")
+        return arr
 
     def text(self, what):
         (size,) = self.unpack("<I", f"{what} length")

@@ -417,6 +417,19 @@ def _check_qs_equivalence():
         if (a.train_avg_loss, a.test_error_pct) != (b.train_avg_loss,
                                                     b.test_error_pct):
             return False, "q=s ordered run diverged from baseline run"
+    # Both runs above take the runner's one step path; the plain minibatch
+    # SGD loop over the same batches is the reference it must reproduce.
+    obj, opt = build_objective(base, ds), base.opt
+    rng = np.random.default_rng(5)
+    state = optimizers.init_state(obj.init_params(rng), opt.batch_size,
+                                  opt.schedule.base_lr)  # constant schedule
+    for _ in range(base.epochs):
+        for batch in _epoch_batches(rng, ds.n, opt.batch_size, opt.batching):
+            optimizers.minibatch_sgd_step(state, obj, ds.features, ds.labels,
+                                          batch, momentum=opt.momentum)
+    if osgd_run.final_theta is None or \
+            osgd_run.final_theta.tobytes() != state.theta.tobytes():
+        return False, "q=s ordered run diverged from the minibatch SGD loop"
     return True, "bit-identical metrics over 2 epochs"
 
 

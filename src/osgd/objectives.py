@@ -313,7 +313,11 @@ class TapedBatch:
         q = len(positions)
         weights = np.full(q, 1.0 / q)
         if q == self.losses.shape[0]:
-            return self._obj._grad_from_tape(self._theta, self._logits,
-                                             self._tape, self._y, weights)
+            return self.grad(weights)
         return self._obj.weighted_grad(self._theta, self._X[positions],
                                        self._y[positions], weights)
+
+    def grad(self, weights):
+        """sum_i weights[i] * grad of loss_i over every row, from the tape."""
+        return self._obj._grad_from_tape(self._theta, self._logits,
+                                         self._tape, self._y, weights)

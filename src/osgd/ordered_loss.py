@@ -4,14 +4,16 @@ The ordered empirical loss over n samples is
 
     L_q(theta) = (1/q) * sum_j gamma_j * L_(j)(theta) + R(theta),
 
-where L_(1) >= L_(2) >= ... are the per-sample losses sorted nonincreasing
-(ties toward the smaller index) and gamma_j are the selection weights from
-:mod:`osgd.coeffs`.  Averaging the top-q update direction over every
-possible minibatch reproduces the analytic subgradient of L_q exactly;
-:func:`expected_step_bruteforce` certifies this by enumeration.  The
-enumeration (:func:`rank_selection_counts`) stacks the s-subsets into
-fixed-size chunks of rows and selects the top q of a whole chunk in one
-numpy call, counting the kept ids as exact integers.
+where L_(1) >= L_(2) >= ... are the per-sample losses in the order of
+:func:`osgd.selection.rank_by_loss`, the order the top-q step selects by,
+and gamma_j / q are the per-sample weights of :func:`rank_weights`, the
+selection weights of :mod:`osgd.coeffs` over q.  Averaging the top-q
+update direction over every possible minibatch reproduces the analytic
+subgradient of L_q exactly; :func:`expected_step_bruteforce` certifies
+this by enumeration, and both forward the data once.  The enumeration
+(:func:`rank_selection_counts`) stacks the s-subsets into fixed-size
+chunks of rows and selects the top q of a whole chunk in one numpy call,
+counting the kept ids as exact integers.
 """
 from __future__ import annotations
 
@@ -71,21 +73,26 @@ def ordered_empirical_loss(profile: LossProfile, gamma: GammaWeights) -> float:
     return float(gamma.approx @ sorted_losses) / gamma.q + profile.reg_value
 
 
+def rank_weights(order, gamma: GammaWeights) -> np.ndarray:
+    """L_q's per-sample weights: gamma_j / q on ``order[j]``, the rank j."""
+    n = order.shape[0]
+    if gamma.n != n:
+        raise ValueError(f"gamma built for n={gamma.n}, data has n={n}")
+    weights = np.empty(n, dtype=np.float64)
+    weights[order] = gamma.approx / gamma.q
+    return weights
+
+
 def lq_subgradient(obj, theta, X, y, gamma: GammaWeights) -> np.ndarray:
     """Analytic subgradient (1/q) * sum_j gamma_j * g_(j) + grad R.
 
     Uses the module-wide subgradient selection and tie rule, so the result
     is a deterministic function of (theta, data, gamma).
     """
-    losses = obj.per_example_losses(theta, X, y)
-    n = losses.shape[0]
-    if gamma.n != n:
-        raise ValueError(f"gamma built for n={gamma.n}, data has n={n}")
-    order = rank_by_loss(losses)
-    weights = np.empty(n, dtype=np.float64)
-    weights[order] = gamma.approx / gamma.q
+    taped = obj.taped_batch(theta, X, y)
+    weights = rank_weights(rank_by_loss(taped.losses), gamma)
     _, reg_grad = obj.regularizer(theta)
-    return obj.weighted_grad(theta, X, y, weights) + reg_grad
+    return taped.grad(weights) + reg_grad
 
 
 def rank_selection_counts(losses, s: int, q: int):
@@ -136,8 +143,8 @@ def expected_step_bruteforce(obj, theta, X, y, s: int, q: int) -> np.ndarray:
     the two sides select among tied samples differently, so equality tests
     should perturb tied losses first.
     """
-    losses = obj.per_example_losses(theta, X, y)
-    counts, total = rank_selection_counts(losses, s, q)
+    taped = obj.taped_batch(theta, X, y)
+    counts, total = rank_selection_counts(taped.losses, s, q)
     weights = counts / (q * float(total))
     _, reg_grad = obj.regularizer(theta)
-    return obj.weighted_grad(theta, X, y, weights) + reg_grad
+    return taped.grad(weights) + reg_grad

@@ -1,8 +1,11 @@
 """Minibatch sampling and deterministic top-q selection.
 
-Indices are 0-based row positions into the dataset.  Ties in loss values
-are always broken toward the smaller original index, which makes every
-selection and ranking operation a pure function of its inputs.
+Indices are 0-based row positions into the dataset.  One rank order
+drives every selection and ranking here: values descending, ties toward
+the smaller position (a stable sort on the negated values).  The top-q
+kept set is the first q positions of that order, and the rank
+permutation of L_q is the whole of it, so the step and the loss it
+estimates always agree on which sample is the j-th largest.
 """
 from __future__ import annotations
 
@@ -21,25 +24,19 @@ def sample_minibatch(rng: np.random.Generator, n: int, s: int) -> np.ndarray:
     return np.sort(rng.choice(n, size=s, replace=False))
 
 
-def topq_positions(values: np.ndarray, q: int) -> np.ndarray:
-    """Positions of the q largest entries, ties toward the smaller position.
+def _rank_order(values) -> np.ndarray:
+    """Positions along the last axis, values descending, ties ascending."""
+    return np.argsort(-np.asarray(values, dtype=np.float64), axis=-1,
+                      kind="stable")
 
-    Partial selection: argpartition isolates the top region, then only the
-    entries tied at the threshold value are resolved explicitly, so the
-    expected cost is O(len(values)).
-    """
-    values = np.asarray(values, dtype=np.float64)
-    m = values.shape[0]
+
+def topq_positions(values: np.ndarray, q: int) -> np.ndarray:
+    """Positions of the q largest entries, ascending; ties toward the
+    smaller position."""
+    m = np.shape(values)[0]
     if not 0 < q <= m:
         raise ValueError(f"need 1 <= q <= len(values) = {m}, got q={q}")
-    if q == m:
-        return np.arange(m)
-    part = np.argpartition(-values, q - 1)
-    threshold = values[part[q - 1]]
-    sure = np.flatnonzero(values > threshold)
-    tied = np.flatnonzero(values == threshold)
-    take = q - sure.size
-    return np.sort(np.concatenate([sure, tied[:take]]))
+    return np.sort(_rank_order(values)[:q])
 
 
 def q_argmax(values: np.ndarray, batch: np.ndarray, q: int) -> np.ndarray:
@@ -51,21 +48,14 @@ def q_argmax(values: np.ndarray, batch: np.ndarray, q: int) -> np.ndarray:
 
     ``batch`` is either one batch of shape (s,), which returns the (q,)
     kept ids, or a stack of k batches of shape (k, s), one per row, which
-    returns the (k, q) kept ids of each row.  The stacked path ranks every
-    row at once with a stable sort on the negated values, so equal values
-    keep their positional order: the same tie rule as the single batch.
+    returns the (k, q) kept ids of each row.
     """
     batch = np.asarray(batch)
-    s = batch.shape[-1]
-    if q > s:
-        raise ValueError(f"q={q} exceeds batch size {s}")
-    vals = np.asarray(values, dtype=np.float64)[batch]
-    if batch.ndim == 1:
-        return batch[topq_positions(vals, q)]
-    if batch.ndim != 2 or q < 1:
+    if batch.ndim not in (1, 2) or not 1 <= q <= batch.shape[-1]:
         raise ValueError(f"need 1 <= q <= s on an (s,) batch or a (k, s) "
                          f"stack, got q={q} and shape {batch.shape}")
-    keep = np.sort(np.argsort(-vals, axis=-1, kind="stable")[:, :q], axis=-1)
+    vals = np.asarray(values, dtype=np.float64)[batch]
+    keep = np.sort(_rank_order(vals)[..., :q], axis=-1)
     return np.take_along_axis(batch, keep, axis=-1)
 
 
@@ -82,9 +72,7 @@ def finite_losses(losses) -> np.ndarray:
 
 
 def rank_by_loss(losses: np.ndarray) -> np.ndarray:
-    """Permutation listing sample indices by nonincreasing loss.
-
-    Equal losses keep their original index order (stable sort on the
-    negated values).  Non-finite losses are rejected (:func:`finite_losses`).
-    """
-    return np.argsort(-finite_losses(losses), kind="stable")
+    """Permutation listing sample indices by nonincreasing loss, ties
+    toward the smaller index.  Non-finite losses are rejected
+    (:func:`finite_losses`)."""
+    return _rank_order(finite_losses(losses))

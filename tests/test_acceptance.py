@@ -24,9 +24,10 @@ from osgd.config import (DataConfig, ModelConfig, OptConfig, RunConfig,
                          build_objective)
 from osgd.data import Dataset, gen_clusters_2d, gen_rings_2d, load_semeion, \
     split_dataset
-from osgd.harness import run_single
+from osgd.harness import _epoch_batches, run_single
 from osgd.objectives import FeedforwardModel, Objective, make_model
-from osgd.optimizers import (ScheduleSpec, init_state, osgd_step, schedule_lr)
+from osgd.optimizers import (ScheduleSpec, adam_step, init_state,
+                             minibatch_sgd_step, osgd_step, schedule_lr)
 from osgd.ordered_loss import (expected_step_bruteforce, loss_profile,
                                lq_subgradient, ordered_empirical_loss)
 from osgd.selection import q_argmax, sample_minibatch
@@ -444,14 +445,35 @@ def test_acceptance_9_q_equals_s_bit_identical():
     s = 64
     pairs = [("osgd", "sgd"), ("oadam", "adam")]
     for ordered_kind, plain_kind in pairs:
-        a = run_single(_equivalence_config(ordered_kind, q=s), ds, 0)
+        cfg = _equivalence_config(ordered_kind, q=s)
+        a = run_single(cfg, ds, 0)
         b = run_single(_equivalence_config(plain_kind, q=s), ds, 0)
         assert not a.failed and not b.failed
         np.testing.assert_array_equal(a.final_theta, b.final_theta)
         for ra, rb in zip(a.records, b.records):
             assert ra.train_avg_loss == rb.train_avg_loss
             assert ra.test_error_pct == rb.test_error_pct
+        # both runs take the runner's one step path: the plain baseline
+        # step looped over the same batches is the independent reference
+        assert a.final_theta.tobytes() == \
+            _plain_baseline_theta(cfg, ds, plain_kind).tobytes()
     return f"osgd==sgd and oadam==adam over 3 epochs on {source}"
+
+
+def _plain_baseline_theta(cfg, ds, kind):
+    obj = build_objective(cfg, ds)
+    X, y = ds.split("train")
+    rng = np.random.default_rng(0)
+    state = init_state(obj.init_params(rng), 64, cfg.opt.schedule.base_lr)
+    for epoch in range(cfg.epochs):
+        for batch in _epoch_batches(rng, len(y), 64, cfg.opt.batching):
+            state.lr_current = schedule_lr(cfg.opt.schedule, epoch,
+                                           state.step_count)
+            if kind == "sgd":
+                minibatch_sgd_step(state, obj, X, y, batch, momentum=0.9)
+            else:
+                adam_step(state, obj, X, y, batch)
+    return state.theta
 
 
 # --------------------------------------------------------------------------

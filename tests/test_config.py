@@ -83,14 +83,17 @@ class TestBuilders:
         assert len(ds.splits["test"]) == 50
         assert len(ds.splits["train"]) == 150
 
-    def test_split_seed_priority(self):
-        dc = DataConfig(kind="clusters", seed=0, test_fraction=0.2,
-                        split_seed=11)
-        a = build_dataset(dc)                 # uses config split_seed
+    def test_split_seed_key_rejected(self):
+        with pytest.raises(ValueError, match="unknown config keys"):
+            config_from_flat({"data.split_seed": "11"})
+
+    def test_split_seed_argument_beats_data_seed(self):
+        dc = DataConfig(kind="clusters", seed=0, test_fraction=0.2)
+        a = build_dataset(dc)                 # split drawn with dc.seed
         b = build_dataset(dc, split_seed=12)  # explicit wins
         assert not np.array_equal(a.splits["test"], b.splits["test"])
-        c = build_dataset(dc)
-        np.testing.assert_array_equal(a.splits["test"], c.splits["test"])
+        np.testing.assert_array_equal(
+            a.splits["test"], build_dataset(dc, split_seed=0).splits["test"])
 
     def test_cache_roundtrip_through_config(self, tmp_path):
         from osgd.data import gen_clusters_2d, save_cache
@@ -126,3 +129,35 @@ class TestBuilders:
     def test_empty_seed_list_rejected(self):
         with pytest.raises(ValueError):
             RunConfig(seeds=())
+
+
+class TestRunSettingChecks:
+    """Bad run settings fail when the config is built, naming the key."""
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_eval_every_below_one_rejected(self, value):
+        with pytest.raises(ValueError, match="eval_every must be at least 1"):
+            config_from_flat({"eval_every": value})
+
+    def test_batch_size_below_one_rejected(self):
+        with pytest.raises(ValueError,
+                           match="opt.batch_size must be at least 1, got 0"):
+            config_from_flat({"opt.batch_size": "0"})
+
+    @pytest.mark.parametrize("value", ["0", "-3", "fixed:0"])
+    def test_integer_q_below_one_rejected(self, value):
+        with pytest.raises(ValueError, match="opt.q must be at least 1"):
+            config_from_flat({"opt.q": value})
+
+    @pytest.mark.parametrize("value", ["-0.1", "1.0", "1.5"])
+    def test_momentum_outside_unit_interval_rejected(self, value):
+        with pytest.raises(ValueError, match=r"opt.momentum must lie in \[0, 1\)"):
+            config_from_flat({"opt.momentum": value})
+
+    @pytest.mark.parametrize("key,value", [("eval_every", "1"),
+                                           ("opt.batch_size", "1"),
+                                           ("opt.q", "1"),
+                                           ("opt.momentum", "0.0"),
+                                           ("opt.momentum", "0.99")])
+    def test_edge_values_accepted(self, key, value):
+        config_from_flat({key: value})

@@ -301,6 +301,35 @@ class TestCache:
                            match=rf"'test' from offset \d+ holds index {ds.n}"):
             load_cache(path)
 
+    @pytest.mark.parametrize("label", [7, 2, -1])
+    def test_label_outside_classes_rejected_with_offset(self, tmp_path,
+                                                        label):
+        path = tmp_path / "labels.osgd"
+        save_cache(gen_clusters_2d(0), path)
+        whole = bytearray(path.read_bytes())
+        offset = len(whole) - 8  # the last label
+        whole[offset:] = struct.pack("<q", label)
+        path.write_bytes(bytes(whole))
+        with pytest.raises(FormatError,
+                           match=rf"{path.name}: labels\[199\] = {label} at "
+                                 rf"offset {offset} is outside \[0, "
+                                 rf"n_classes=2\)"):
+            load_cache(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_rejected_with_offset(self, tmp_path, value):
+        ds = gen_clusters_2d(0)
+        path = tmp_path / "features.osgd"
+        save_cache(ds, path)
+        whole = bytearray(path.read_bytes())
+        offset = len(whole) - 8 * ds.n - 8 * ds.features.size + 8 * 5
+        whole[offset:offset + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(whole))
+        with pytest.raises(FormatError,
+                           match=rf"{path.name}: features\[5\] = .* at "
+                                 rf"offset {offset} is not finite"):
+            load_cache(path)
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 12), st.integers(1, 5), st.integers(2, 4),
            st.integers(0, 2 ** 31))

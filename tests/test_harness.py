@@ -8,7 +8,8 @@ import pytest
 from osgd.config import (DataConfig, ModelConfig, OptConfig, RunConfig,
                          build_dataset, build_objective)
 from osgd.data import gen_clusters_2d
-from osgd.harness import (_epoch_batches, read_records_csv, run_experiment,
+from osgd.harness import (_check_qs_equivalence, _epoch_batches,
+                          read_records_csv, run_experiment,
                           run_verification_suite, report_to_json, sweep_q,
                           write_records_csv, write_summary_csv)
 from osgd.objectives import Objective
@@ -221,3 +222,17 @@ class TestVerificationSuite:
         assert set(back) == {"checks", "all_passed"}
         for check in back["checks"]:
             assert set(check) == {"name", "passed", "detail"}
+
+    def test_q_equals_s_check_passes_with_the_detail_it_pins(self):
+        assert _check_qs_equivalence() == (
+            True, "bit-identical metrics over 2 epochs")
+
+    def test_runner_stepping_below_batch_length_fails_q_equals_s_check(
+            self, monkeypatch):
+        # A runner mutant that steps at q = s - 1 for every kind: the osgd
+        # and sgd runs still agree with each other, so only the plain
+        # minibatch SGD loop can tell.
+        monkeypatch.setattr(OptConfig, "initial_q", lambda self, s: s - 1)
+        passed, detail = _check_qs_equivalence()
+        assert not passed
+        assert "minibatch SGD loop" in detail

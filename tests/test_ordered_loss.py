@@ -214,3 +214,80 @@ def test_loss_profile_roundtrip():
     assert sorted(prof.order.tolist()) == list(range(8))
     reg_value, _ = obj.regularizer(theta)
     assert prof.reg_value == reg_value
+
+
+class TestOneForward:
+    """Each L_q subgradient forwards X once and backpropagates its weights
+    through that tape; the result is bitwise the two-forward form."""
+
+    @staticmethod
+    def instance(seed, n=10, d=3):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, d))
+        y = rng.integers(0, 2, n)
+        obj = Objective(FeedforwardModel(d, 1, hidden=(5,), activation="tanh"),
+                        "binary-cross-entropy", l2=0.1)
+        theta = rng.standard_normal(obj.model.n_params)
+        losses = obj.per_example_losses(theta, X, y)
+        assert np.unique(losses).size == n, "instance has tied losses"
+        return obj, theta, X, y, losses
+
+    @staticmethod
+    def count_forwards(monkeypatch):
+        calls = []
+        forward = FeedforwardModel.forward
+
+        def counted(self, theta, X):
+            calls.append(len(X))
+            return forward(self, theta, X)
+
+        monkeypatch.setattr(FeedforwardModel, "forward", counted)
+        return calls
+
+    @staticmethod
+    def lq_weights_reference(losses, gamma):
+        weights = np.empty(losses.shape[0])
+        weights[np.argsort(-losses, kind="stable")] = gamma.approx / gamma.q
+        return weights
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_lq_subgradient(self, monkeypatch, seed):
+        obj, theta, X, y, losses = self.instance(seed)
+        gamma = gamma_weights(10, 5, 2)
+        want = (obj.weighted_grad(theta, X, y,
+                                  self.lq_weights_reference(losses, gamma))
+                + obj.regularizer(theta)[1])
+        calls = self.count_forwards(monkeypatch)
+        got = lq_subgradient(obj, theta, X, y, gamma)
+        assert calls == [10]
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_expected_step_bruteforce(self, monkeypatch, seed):
+        obj, theta, X, y, losses = self.instance(seed)
+        counts, total = rank_selection_counts(losses, 5, 2)
+        want = (obj.weighted_grad(theta, X, y, counts / (2 * float(total)))
+                + obj.regularizer(theta)[1])
+        calls = self.count_forwards(monkeypatch)
+        got = expected_step_bruteforce(obj, theta, X, y, 5, 2)
+        assert calls == [10]
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tie_mixed_subgradient_without_ties(self, monkeypatch, seed):
+        from osgd.analysis import _tie_mixed_subgradient
+        obj, theta, X, y, losses = self.instance(seed)
+        gamma = gamma_weights(10, 5, 2)
+        pull = lambda b: 0.5 * b  # noqa: E731
+        want = (obj.weighted_grad(theta, X, y,
+                                  self.lq_weights_reference(losses, gamma))
+                + (obj.regularizer(theta)[1] + pull(theta)))
+        calls = self.count_forwards(monkeypatch)
+        got = _tie_mixed_subgradient(obj, theta, X, y, gamma, pull)
+        assert calls == [10]
+        assert got.tobytes() == want.tobytes()
+
+    def test_gamma_size_mismatch_rejected(self):
+        obj, theta, X, y, _ = self.instance(0)
+        with pytest.raises(ValueError, match="gamma built for n=9"):
+            lq_subgradient(obj, theta, X, y, gamma_weights(9, 5, 2))

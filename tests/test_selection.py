@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osgd.coeffs import gamma_weights
-from osgd.selection import q_argmax, rank_by_loss, sample_minibatch
+from osgd.selection import (q_argmax, rank_by_loss, sample_minibatch,
+                            topq_positions)
 
 
 class TestSampleMinibatch:
@@ -91,6 +92,11 @@ _TIE_HEAVY = st.sampled_from([-np.inf, -2.0, -1.0, -0.0, 0.0, 1.0, 2.0,
                               np.inf])
 
 
+def comparison_sort_topq(values, batch, q):
+    """Reference kept set: the first q of the batch sorted by (-value, id)."""
+    return sorted(sorted(batch, key=lambda i: (-values[i], i))[:q])
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_stacked_q_argmax_rows_equal_single_batch_calls(data):
@@ -105,7 +111,26 @@ def test_stacked_q_argmax_rows_equal_single_batch_calls(data):
     got = q_argmax(values, batches, q)
     assert got.shape == (k, q)
     for row, batch in zip(got, batches):
-        assert row.tolist() == q_argmax(values, batch, q).tolist()
+        want = comparison_sort_topq(values, batch.tolist(), q)
+        assert row.tolist() == want
+        assert q_argmax(values, batch, q).tolist() == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_TIE_HEAVY, min_size=1, max_size=12), st.data())
+def test_topq_positions_match_comparison_sort(values, data):
+    q = data.draw(st.integers(1, len(values)))
+    got = topq_positions(np.array(values), q)
+    assert got.tolist() == comparison_sort_topq(values, range(len(values)), q)
+
+
+def test_signed_zeros_and_infinities_tie_by_position():
+    values = np.array([0.0, -0.0, np.inf, -np.inf, np.inf, 0.0])
+    assert topq_positions(values, 3).tolist() == [0, 2, 4]
+    assert topq_positions(values, 4).tolist() == [0, 1, 2, 4]
+    assert q_argmax(values, np.array([1, 3, 5]), 2).tolist() == [1, 5]
+    assert q_argmax(values, np.array([[0, 1, 3], [1, 3, 5]]),
+                    1).tolist() == [[0], [1]]
 
 
 class TestRankByLoss:
@@ -132,13 +157,16 @@ class TestRankByLoss:
 def test_q_argmax_is_prefix_of_rank_restricted_to_batch(data):
     n = data.draw(st.integers(2, 12))
     losses = np.array(data.draw(st.lists(
-        st.floats(-5, 5, allow_nan=False), min_size=n, max_size=n)))
+        st.one_of(st.floats(-5, 5, allow_nan=False), _TIE_HEAVY.filter(
+            np.isfinite)), min_size=n, max_size=n)))
     size = data.draw(st.integers(1, n))
     batch = np.sort(np.random.default_rng(
         data.draw(st.integers(0, 2**32 - 1))).choice(n, size, replace=False))
     q = data.draw(st.integers(1, size))
-    in_batch = np.isin(rank_by_loss(losses), batch)
-    want = sorted(rank_by_loss(losses)[in_batch][:q].tolist())
+    rank = sorted(range(n), key=lambda i: (-losses[i], i))
+    assert rank_by_loss(losses).tolist() == rank
+    want = sorted([i for i in rank if i in batch.tolist()][:q])
+    assert want == comparison_sort_topq(losses, batch.tolist(), q)
     assert q_argmax(losses, batch, q).tolist() == want
 
 
