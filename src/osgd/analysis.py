@@ -24,7 +24,7 @@ from math import log, sqrt
 
 import numpy as np
 
-from .ordered_loss import (loss_profile, lq_subgradient,
+from .ordered_loss import (loss_profile, lq_value_and_subgradient,
                            ordered_empirical_loss, rank_weights)
 from .selection import rank_by_loss
 
@@ -131,35 +131,37 @@ def _tie_mixed_subgradient(obj, beta, X, y, gamma, extra_grad,
     return g
 
 
-def _subgradient_solve(value_fn, grad_fn, min_grad_fn, beta0, base_lr,
+def _subgradient_solve(value_fn, value_grad_fn, min_grad_fn, beta0, base_lr,
                        step_tol, grad_tol, max_iter, context,
                        coarse_iters=1500):
     """Two-phase deterministic full-batch solver.
 
     Phase 1 is classic subgradient descent with inverse-sqrt steps and
     best-iterate tracking; it makes progress even across the kinks of the
-    ordered loss.  Phase 2 polishes the best iterate with Armijo-
-    backtracked steepest descent along the tie-mixed minimum-norm
-    subgradient until the accepted step is shorter than step_tol or that
-    subgradient's norm falls below grad_tol.  A polish stall (no further
+    ordered loss.  ``value_grad_fn`` gives an iterate's value and
+    subgradient together, from one forward pass.  Phase 2 polishes the
+    best iterate with Armijo-backtracked steepest descent along the
+    tie-mixed minimum-norm subgradient until the accepted step is shorter
+    than step_tol or that subgradient's norm falls below grad_tol; its
+    trial points need only ``value_fn``.  A polish stall (no further
     float-representable decrease) returns the best iterate as is; an
     exhausted iteration budget raises ConvergenceError.
     """
     beta = np.array(beta0, dtype=np.float64)
-    best_val = value_fn(beta)
-    best_beta = beta.copy()
+    best_val, g = value_grad_fn(beta)
+    best_beta, best_g = beta.copy(), g
     guard = 10.0 * abs(best_val) + 1e3
     lr = base_lr
     for k in range(min(coarse_iters, max_iter)):
-        beta = beta - (lr / sqrt(k + 1.0)) * grad_fn(beta)
-        val = value_fn(beta)
+        beta = beta - (lr / sqrt(k + 1.0)) * g
+        val, g = value_grad_fn(beta)
         if not np.isfinite(val) or val > guard:
             lr *= 0.5  # too aggressive for this landscape; restart from best
-            beta = best_beta.copy()
+            beta, g = best_beta.copy(), best_g
             continue
         if val < best_val:
             best_val = val
-            best_beta = beta.copy()
+            best_beta, best_g = beta.copy(), g
 
     beta, val = best_beta, best_val
     g = min_grad_fn(beta)
@@ -208,14 +210,16 @@ def moreau_grad_norm(obj, theta, X, y, gamma, cfg: MoreauConfig) -> float:
     def prox_pull(beta):
         return rho * (beta - theta)
 
-    def grad(beta):
-        return lq_subgradient(obj, beta, X, y, gamma) + prox_pull(beta)
+    def value_grad(beta):
+        val, g = lq_value_and_subgradient(obj, beta, X, y, gamma)
+        d = beta - theta
+        return val + 0.5 * rho * float(d @ d), g + rho * d
 
     def min_grad(beta):
         return _tie_mixed_subgradient(obj, beta, X, y, gamma, prox_pull)
 
     beta_star, _, _ = _subgradient_solve(
-        value, grad, min_grad, theta, base_lr=1.0 / rho,
+        value, value_grad, min_grad, theta, base_lr=1.0 / rho,
         step_tol=cfg.inner_tol, grad_tol=0.0, max_iter=cfg.inner_max_iter,
         context="proximal subproblem")
     return rho * float(np.linalg.norm(theta - beta_star))
@@ -236,8 +240,8 @@ def reference_optimum(obj, X, y, gamma, theta0=None, base_lr=0.5,
     def value(beta):
         return ordered_empirical_loss(loss_profile(obj, beta, X, y), gamma)
 
-    def grad(beta):
-        return lq_subgradient(obj, beta, X, y, gamma)
+    def value_grad(beta):
+        return lq_value_and_subgradient(obj, beta, X, y, gamma)
 
     def min_grad(beta):
         return _tie_mixed_subgradient(obj, beta, X, y, gamma,
@@ -246,7 +250,7 @@ def reference_optimum(obj, X, y, gamma, theta0=None, base_lr=0.5,
     if theta0 is None:
         theta0 = np.zeros(obj.model.n_params)
     theta_star, val, gn = _subgradient_solve(
-        value, grad, min_grad, theta0, base_lr=base_lr, step_tol=0.0,
+        value, value_grad, min_grad, theta0, base_lr=base_lr, step_tol=0.0,
         grad_tol=grad_tol, max_iter=max_iter, context="reference optimum",
         coarse_iters=coarse_iters)
     return theta_star, val, gn

@@ -20,7 +20,7 @@ from .data import (gen_clusters_2d, gen_rings_2d, load_idx, load_semeion,
 
 
 def _cmd_gamma(args):
-    use_float = args.float or args.n > coeffs.EXACT_N_LIMIT
+    use_float = args.float or not coeffs.uses_exact(args.n)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["j", "gamma_exact_num", "gamma_exact_den", "gamma_float"])

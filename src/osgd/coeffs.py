@@ -124,6 +124,11 @@ def gamma_weights_float(n: int, s: int, q: int) -> np.ndarray:
     return out
 
 
+def uses_exact(n: int) -> bool:
+    """Whether gamma values for n samples come from the exact integers."""
+    return n <= EXACT_N_LIMIT
+
+
 def gamma_vector(n: int, s: int, q: int, scale: int = 1) -> np.ndarray:
     """Float64 vector scale * gamma_1..scale * gamma_n.
 
@@ -131,7 +136,7 @@ def gamma_vector(n: int, s: int, q: int, scale: int = 1) -> np.ndarray:
     (scale * N_j) / C(n, s); beyond that it is scale times the log-space
     :func:`gamma_weights_float`.
     """
-    if n <= EXACT_N_LIMIT:
+    if uses_exact(n):
         nums, den = gamma_weight_numerators(n, s, q)
         return np.array([(scale * m) / den for m in nums], dtype=np.float64)
     return scale * gamma_weights_float(n, s, q)
@@ -231,4 +236,4 @@ def gamma_rescaled_curve(n: int, s: int, q: int) -> GammaCurve:
     _check_nsq(n, s, q)
     z = np.arange(1, n + 1, dtype=np.float64) / n
     return GammaCurve(z_grid=z, values=gamma_vector(n, s, q, scale=n),
-                      approximate=n > EXACT_N_LIMIT)
+                      approximate=not uses_exact(n))

@@ -8,6 +8,7 @@ the tenth epoch, momentum 0.9, weight decay 1e-4, adaptive q.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,12 @@ DATASET_KINDS = ("clusters", "rings", "semeion", "idx", "cache")
 OPT_KINDS = ("osgd", "sgd", "oadam", "adam")
 # Minibatch SGD and Adam: the ordered step with q pinned to the batch length.
 BASELINE_KINDS = ("sgd", "adam")
+
+
+def _require_int(key, value):
+    """Reject a non-integer (a float such as 2.5 or 2.0, a bool, a string)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -65,11 +72,14 @@ class OptConfig:
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
         if self.batching not in ("shuffle", "iid"):
             raise ValueError(f"unknown batching mode {self.batching!r}")
-        if isinstance(self.q, str) and self.q != "adaptive":
-            raise ValueError(f"opt.q must be an integer or 'adaptive', "
-                             f"got {self.q!r}")
-        if self.q != "adaptive" and self.q < 1:
-            raise ValueError(f"opt.q must be at least 1, got {self.q}")
+        if self.q != "adaptive":
+            if isinstance(self.q, str):
+                raise ValueError(f"opt.q must be an integer or 'adaptive', "
+                                 f"got {self.q!r}")
+            _require_int("opt.q", self.q)
+            if self.q < 1:
+                raise ValueError(f"opt.q must be at least 1, got {self.q}")
+        _require_int("opt.batch_size", self.batch_size)
         if self.batch_size < 1:
             raise ValueError(f"opt.batch_size must be at least 1, "
                              f"got {self.batch_size}")
@@ -98,13 +108,18 @@ class RunConfig:
     opt: OptConfig = OptConfig()
 
     def __post_init__(self):
+        _require_int("epochs", self.epochs)
         if self.epochs < 0:
             raise ValueError(f"epochs must be nonnegative, got {self.epochs}")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        _require_int("eval_every", self.eval_every)
         if self.eval_every < 1:
             raise ValueError(f"eval_every must be at least 1, "
                              f"got {self.eval_every}")
+        if not (math.isfinite(self.l2) and self.l2 >= 0):
+            raise ValueError(f"reg.l2 must be finite and nonnegative, "
+                             f"got {self.l2}")
 
 
 def parse_config_text(text: str) -> dict:
@@ -182,7 +197,7 @@ def config_from_flat(flat: dict) -> RunConfig:
     )
     q_raw = pop("opt.q", "adaptive")
     if isinstance(q_raw, str) and q_raw.startswith("fixed:"):
-        q_raw = int(q_raw.split(":", 1)[1])
+        q_raw = _scalar(q_raw.split(":", 1)[1])
     opt = OptConfig(
         kind=pop("opt.kind", "osgd"),
         momentum=pop("opt.momentum", 0.9, float),

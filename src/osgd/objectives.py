@@ -56,55 +56,73 @@ class FeedforwardModel:
         self.hidden = tuple(int(h) for h in hidden)
         self.activation = activation
         self.bias = bool(bias)
+        self._act, self._dact = _ACTIVATIONS[activation]
         widths = (self.d_in, *self.hidden, self.d_out)
-        self._shapes = [(widths[i + 1], widths[i]) for i in range(len(widths) - 1)]
-        self._slices = {}
+        # per layer: (weight slice, weight shape, bias slice or None)
+        blocks = []
         off = 0
-        for i, (out, inp) in enumerate(self._shapes):
-            self._slices[f"W{i}"] = slice(off, off + out * inp)
+        for inp, out in zip(widths[:-1], widths[1:]):
+            w = slice(off, off + out * inp)
             off += out * inp
+            b = None
             if self.bias:
-                self._slices[f"b{i}"] = slice(off, off + out)
+                b = slice(off, off + out)
                 off += out
+            blocks.append((w, (out, inp), b))
+        self._blocks = tuple(blocks)
         self.n_params = off
+        self._bound = (None, None)  # (theta array, its layer views)
 
     @property
     def kind(self):
         return "linear" if not self.hidden else "mlp"
 
     def layout(self):
-        """Map from parameter-block name to its slice of the flat vector."""
-        return dict(self._slices)
+        """Map from parameter-block name (W0, b0, W1, ...) to its slice."""
+        out = {}
+        for i, (w, _, b) in enumerate(self._blocks):
+            out[f"W{i}"] = w
+            if b is not None:
+                out[f"b{i}"] = b
+        return out
 
     def init_params(self, rng):
         """Uniform init in +-1/sqrt(fan_in) per layer, weights and biases."""
         theta = np.empty(self.n_params, dtype=np.float64)
-        for i, (out, inp) in enumerate(self._shapes):
+        for w, (out, inp), b in self._blocks:
             bound = 1.0 / np.sqrt(inp)
-            theta[self._slices[f"W{i}"]] = rng.uniform(-bound, bound, out * inp)
-            if self.bias:
-                theta[self._slices[f"b{i}"]] = rng.uniform(-bound, bound, out)
+            theta[w] = rng.uniform(-bound, bound, out * inp)
+            if b is not None:
+                theta[b] = rng.uniform(-bound, bound, out)
         return theta
 
-    def _unpack(self, theta):
-        layers = []
-        for i, (out, inp) in enumerate(self._shapes):
-            W = theta[self._slices[f"W{i}"]].reshape(out, inp)
-            b = theta[self._slices[f"b{i}"]] if self.bias else None
-            layers.append((W, b))
+    def _layers(self, theta):
+        """(W, b) views into theta per layer, b None without biases.
+
+        The views of the last theta array seen are kept and reused while
+        the same array object comes back.  They alias its memory, so they
+        follow in-place updates (an optimizer state's theta is only ever
+        updated in place); any other array gets fresh views.
+        """
+        bound_theta, layers = self._bound
+        if theta is not bound_theta:
+            layers = [(theta[w].reshape(shape),
+                       None if b is None else theta[b])
+                      for w, shape, b in self._blocks]
+            self._bound = (theta, layers)
         return layers
 
     def forward(self, theta, X):
         """Logits for every row of X plus the tape needed for backward."""
-        act, _ = _ACTIVATIONS[self.activation]
-        layers = self._unpack(theta)
+        act = self._act
+        layers = self._layers(theta)
         last = len(layers) - 1
         H = X
         tape = []
         for i, (W, b) in enumerate(layers):
             Z = H @ W.T
             if b is not None:
-                Z = Z + b
+                Z += b
             tape.append((H, Z))
             H = act(Z) if i < last else Z
         return H, tape
@@ -119,14 +137,15 @@ class FeedforwardModel:
         weights must already be folded into its rows.  Walks the forward
         tape in reverse, accumulating each layer's weight and bias blocks.
         """
-        _, dact = _ACTIVATIONS[self.activation]
-        layers = self._unpack(theta)
+        dact = self._dact
+        layers = self._layers(theta)
         grad = np.zeros(self.n_params, dtype=np.float64)
         for i in range(len(layers) - 1, -1, -1):
+            w, shape, b = self._blocks[i]
             H_in, _ = tape[i]
-            grad[self._slices[f"W{i}"]] = (G.T @ H_in).ravel()
-            if self.bias:
-                grad[self._slices[f"b{i}"]] = G.sum(axis=0)
+            np.matmul(G.T, H_in, out=grad[w].reshape(shape))
+            if b is not None:
+                G.sum(axis=0, out=grad[b])
             if i > 0:
                 W, _ = layers[i]
                 G = (G @ W) * dact(H_in)  # H_in = act(Z) of layer i - 1
@@ -212,8 +231,9 @@ class Objective:
     def __init__(self, model, loss, l2=0.0):
         if loss not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {loss!r}; choose from {LOSS_KINDS}")
-        if l2 < 0:
-            raise ValueError(f"l2 coefficient must be nonnegative, got {l2}")
+        if not 0 <= l2 < np.inf:  # also rejects nan
+            raise ValueError(f"l2 coefficient must be finite and nonnegative, "
+                             f"got {l2}")
         if loss == "binary-cross-entropy" and model.d_out != 1:
             raise ValueError("binary-cross-entropy needs a scalar-output model")
         if loss in ("multinomial-cross-entropy", "multiclass-hinge") and model.d_out < 2:
@@ -267,10 +287,6 @@ class Objective:
         G *= np.asarray(weights, dtype=np.float64)[:, None]
         return self.model.backward(theta, G, tape)
 
-    def mean_grad(self, theta, X, y):
-        m = np.atleast_2d(X).shape[0]
-        return self.weighted_grad(theta, X, y, np.full(m, 1.0 / m))
-
     def per_sample_grad(self, theta, x, y):
         return self.weighted_grad(theta, np.atleast_2d(x), np.atleast_1d(y), np.ones(1))
 
@@ -300,22 +316,27 @@ class TapedBatch:
         self._logits, self._tape = obj.model.forward(theta, self._X)
         self.losses = _loss_values(obj.loss, self._logits, self._y)
 
-    def mean_grad(self, positions):
+    def mean_grad(self, positions=None):
         """Gradient of the mean loss over the rows at ``positions``.
 
-        ``positions`` are distinct and ascending.  A strict subset gets a
-        fresh forward on its own rows instead of a slice of the tape: BLAS
-        picks its kernels by row count, so rows sliced from an m-row matmul
-        can differ in the last bits from a matmul over the subset alone
-        (OpenBLAS: 256->10 and 16->1 layers at subset sizes that are not a
-        multiple of 4), and trajectories are defined by the subset forward.
+        ``positions`` are distinct and ascending; None means every row,
+        which reuses the tape.  A strict subset gets a fresh forward on its
+        own rows instead of a slice of the tape: BLAS picks its kernels by
+        row count, so rows sliced from an m-row matmul can differ in the
+        last bits from a matmul over the subset alone (OpenBLAS: 256->10
+        and 16->1 layers at subset sizes that are not a multiple of 4), and
+        trajectories are defined by the subset forward.  The subset's
+        labels were checked with the batch's.
         """
-        q = len(positions)
+        m = self.losses.shape[0]
+        q = m if positions is None else len(positions)
         weights = np.full(q, 1.0 / q)
-        if q == self.losses.shape[0]:
+        if q == m:
             return self.grad(weights)
-        return self._obj.weighted_grad(self._theta, self._X[positions],
-                                       self._y[positions], weights)
+        obj, theta = self._obj, self._theta
+        logits, tape = obj.model.forward(theta, self._X[positions])
+        return obj._grad_from_tape(theta, logits, tape, self._y[positions],
+                                   weights)
 
     def grad(self, weights):
         """sum_i weights[i] * grad of loss_i over every row, from the tape."""

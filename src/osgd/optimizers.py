@@ -13,6 +13,15 @@ reuses that forward's tape.  When q is smaller, the kept rows get a fresh
 forward of their own: a BLAS matmul over q rows may use other kernels than
 one over the whole batch, so slicing the batch forward would change the
 last bits of the trajectory (see :class:`osgd.objectives.TapedBatch`).
+At q = s there is no selection: every row is kept.
+
+What a run never changes is set up once.  The model resolves its layer
+blocks and activation when it is built and keeps the layer views of the
+last theta array it saw; the state's theta is only updated in place, so
+those views serve every step of a run.  A step checks the batch labels
+once (not again for the kept rows), adds ``l2 * theta`` as the
+regularizer's gradient without computing its value, and stores
+``last_grad_norm`` as ``sqrt(g @ g)``, bitwise ``np.linalg.norm(g)``.
 
 The unbiasedness property (the expected update equals a subgradient of
 the rank-weighted loss) concerns the plain update rule.  The momentum and
@@ -21,6 +30,7 @@ carry no analogous guarantee.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,20 +76,25 @@ def init_state(theta, q, lr) -> OptimizerState:
 
 def _topq_update_direction(state, obj, X, y, batch, q):
     batch = np.asarray(batch)
-    if q > batch.shape[0]:
-        raise ValueError(f"q={q} exceeds batch size {batch.shape[0]}")
+    m = batch.shape[0]
+    if q > m:
+        raise ValueError(f"q={q} exceeds batch size {m}")
+    theta = state.theta
     with np.errstate(over="ignore", invalid="ignore"):  # inf loss handled below
-        taped = obj.taped_batch(state.theta, X[batch], y[batch])
+        taped = obj.taped_batch(theta, X[batch], y[batch])
     if not np.isfinite(taped.losses).all():
         raise DivergenceError(state.step_count)
-    _, reg_grad = obj.regularizer(state.theta)
-    return taped.mean_grad(topq_positions(taped.losses, q)) + reg_grad
+    if q == m:  # every row is kept: no selection, backward reuses the tape
+        g = taped.mean_grad()
+    else:
+        g = taped.mean_grad(topq_positions(taped.losses, q))
+    return g + obj.l2 * theta  # the regularizer's gradient; its value is unused
 
 
 def osgd_step(state, obj, X, y, batch, q, momentum=0.0) -> OptimizerState:
     """One ordered-SGD update: theta <- theta - lr * g (heavy-ball if momentum > 0)."""
     g = _topq_update_direction(state, obj, X, y, batch, q)
-    state.last_grad_norm = float(np.linalg.norm(g))
+    state.last_grad_norm = math.sqrt(g @ g)  # = np.linalg.norm(g)
     if momentum > 0.0:
         if state.momentum_buf is None:
             state.momentum_buf = np.zeros_like(state.theta)
@@ -101,7 +116,7 @@ def ordered_adam_step(state, obj, X, y, batch, q,
                       beta1=0.9, beta2=0.999, eps=1e-8) -> OptimizerState:
     """One ordered-Adam update: top-q direction fed through standard Adam moments."""
     g = _topq_update_direction(state, obj, X, y, batch, q)
-    state.last_grad_norm = float(np.linalg.norm(g))
+    state.last_grad_norm = math.sqrt(g @ g)  # = np.linalg.norm(g)
     if state.m is None:
         state.m = np.zeros_like(state.theta)
         state.v = np.zeros_like(state.theta)
@@ -158,8 +173,9 @@ class ScheduleSpec:
     def __post_init__(self):
         if self.kind not in ("step-decay", "inverse-sqrt", "constant"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.base_lr <= 0:
-            raise ValueError(f"base_lr must be positive, got {self.base_lr}")
+        if not (math.isfinite(self.base_lr) and self.base_lr > 0):
+            raise ValueError(f"opt.schedule.base_lr must be positive and "
+                             f"finite, got {self.base_lr}")
         if not 0.0 < self.decay_factor <= 1.0:
             raise ValueError(f"decay_factor must lie in (0, 1], got {self.decay_factor}")
 

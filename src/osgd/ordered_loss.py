@@ -89,10 +89,17 @@ def lq_subgradient(obj, theta, X, y, gamma: GammaWeights) -> np.ndarray:
     Uses the module-wide subgradient selection and tie rule, so the result
     is a deterministic function of (theta, data, gamma).
     """
+    return lq_value_and_subgradient(obj, theta, X, y, gamma)[1]
+
+
+def lq_value_and_subgradient(obj, theta, X, y, gamma: GammaWeights):
+    """(L_q(theta), :func:`lq_subgradient`) from one forward pass over X."""
     taped = obj.taped_batch(theta, X, y)
-    weights = rank_weights(rank_by_loss(taped.losses), gamma)
-    _, reg_grad = obj.regularizer(theta)
-    return taped.grad(weights) + reg_grad
+    reg_value, reg_grad = obj.regularizer(theta)
+    profile = LossProfile.of(taped.losses, reg_value)
+    weights = rank_weights(profile.order, gamma)
+    return (ordered_empirical_loss(profile, gamma),
+            taped.grad(weights) + reg_grad)
 
 
 def rank_selection_counts(losses, s: int, q: int):

@@ -4,11 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from osgd.analysis import (ConvergenceError, MoreauConfig, concentration_term,
-                           moreau_grad_norm, optimality_gap, reference_optimum,
+from osgd.analysis import (ConvergenceError, MoreauConfig, _subgradient_solve,
+                           concentration_term, moreau_grad_norm,
+                           optimality_gap, reference_optimum,
                            relative_improvement, zero_one_error)
 from osgd.coeffs import gamma_weights
 from osgd.objectives import FeedforwardModel, Objective
+from osgd.ordered_loss import (loss_profile, lq_subgradient,
+                               lq_value_and_subgradient,
+                               ordered_empirical_loss)
 
 
 def quadratic_objective():
@@ -165,3 +169,71 @@ class TestRelativeImprovement:
 
     def test_zero_baseline_is_missing(self):
         assert relative_improvement(0.0, 1.0) is None
+
+
+class TestSolverForwards:
+    """The coarse phase takes value and subgradient from one forward."""
+
+    @staticmethod
+    def instance(seed=4, n=12):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, 3))
+        y = rng.integers(0, 2, n)
+        obj = Objective(FeedforwardModel(3, 1, bias=False),
+                        "binary-cross-entropy", l2=0.01)
+        return obj, X, y, gamma_weights(n, 4, 2)
+
+    @staticmethod
+    def two_forward_coarse_phase(obj, X, y, gamma, beta0, base_lr, iters):
+        """The coarse phase with separate value and subgradient calls."""
+        def value(b):
+            return ordered_empirical_loss(loss_profile(obj, b, X, y), gamma)
+
+        beta = np.array(beta0, dtype=np.float64)
+        best_val, best_beta = value(beta), beta.copy()
+        guard, lr, restarts = 10.0 * abs(best_val) + 1e3, base_lr, 0
+        for k in range(iters):
+            beta = beta - (lr / math.sqrt(k + 1.0)) * lq_subgradient(
+                obj, beta, X, y, gamma)
+            val = value(beta)
+            if not np.isfinite(val) or val > guard:
+                lr, beta, restarts = lr * 0.5, best_beta.copy(), restarts + 1
+                continue
+            if val < best_val:
+                best_val, best_beta = val, beta.copy()
+        return best_beta, best_val, restarts
+
+    @pytest.mark.parametrize("base_lr,restarts", [(0.5, 0), (3e5, 9)])
+    def test_coarse_phase_bitwise_two_forward_form(self, base_lr, restarts):
+        obj, X, y, gamma = self.instance()
+        beta0 = np.random.default_rng(1).standard_normal(3)
+        want_beta, want_val, seen = self.two_forward_coarse_phase(
+            obj, X, y, gamma, beta0, base_lr, 60)
+        assert seen == restarts
+        # a zero min-norm subgradient ends the polish phase before it steps
+        beta, val, _ = _subgradient_solve(
+            lambda b: ordered_empirical_loss(loss_profile(obj, b, X, y), gamma),
+            lambda b: lq_value_and_subgradient(obj, b, X, y, gamma),
+            np.zeros_like, beta0, base_lr=base_lr, step_tol=0.0, grad_tol=0.0,
+            max_iter=60, context="test", coarse_iters=60)
+        assert val == want_val
+        assert beta.tobytes() == want_beta.tobytes()
+
+    def test_reference_optimum_forward_count(self, monkeypatch):
+        obj, X, y, gamma = self.instance()
+        calls = []
+        forward = FeedforwardModel.forward
+
+        def counted(self, theta, X):
+            calls.append(len(X))
+            return forward(self, theta, X)
+
+        monkeypatch.setattr(FeedforwardModel, "forward", counted)
+        theta_star, _, cert = reference_optimum(obj, X, y, gamma,
+                                                coarse_iters=100)
+        # 1 at the start, 1 per coarse iteration, 1 for the min-norm
+        # subgradient at theta* = 0, where all 12 losses tie and each tied
+        # row adds a one-row gradient (214 forwards with separate calls)
+        assert calls.count(12) == 102
+        assert calls.count(1) == 12 and len(calls) == 114
+        assert not theta_star.any() and cert < 1e-6

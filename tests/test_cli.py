@@ -1,5 +1,6 @@
 """End-to-end checks of every CLI subcommand."""
 import csv
+import io
 import json
 import os
 from fractions import Fraction
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from osgd.cli import main
-from osgd.coeffs import gamma_weights
+from osgd.coeffs import EXACT_N_LIMIT, gamma_weights, gamma_weights_float
 from osgd.data import load_cache
 
 
@@ -61,6 +62,25 @@ class TestGammaCommands:
         assert rows[0]["gamma_exact_num"] == ""
         total = sum(float(r["gamma_float"]) for r in rows)
         assert total == pytest.approx(3.0, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [EXACT_N_LIMIT, EXACT_N_LIMIT + 1])
+    def test_gamma_csv_bytes_on_both_sides_of_exact_limit(self, tmp_path, n):
+        out = tmp_path / "gamma.csv"
+        assert main(["gamma", "--n", str(n), "--s", "3", "--q", "2",
+                     "--out", str(out)]) == 0
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(["j", "gamma_exact_num", "gamma_exact_den",
+                         "gamma_float"])
+        if n <= EXACT_N_LIMIT:
+            gw = gamma_weights(n, 3, 2)
+            for j, (frac, val) in enumerate(zip(gw.exact, gw.approx), start=1):
+                writer.writerow([j, frac.numerator, frac.denominator,
+                                 repr(float(val))])
+        else:
+            for j, val in enumerate(gamma_weights_float(n, 3, 2), start=1):
+                writer.writerow([j, "", "", repr(float(val))])
+        assert out.read_bytes() == want.getvalue().encode()
 
     def test_gamma_curve_columns(self, tmp_path):
         out = tmp_path / "curve.csv"

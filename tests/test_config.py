@@ -1,4 +1,6 @@
 """Config file parsing, overrides, and dataset/objective builders."""
+import re
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,35 @@ class TestRunSettingChecks:
     def test_momentum_outside_unit_interval_rejected(self, value):
         with pytest.raises(ValueError, match=r"opt.momentum must lie in \[0, 1\)"):
             config_from_flat({"opt.momentum": value})
+
+    @pytest.mark.parametrize("key,value", [("opt.q", "2.5"),
+                                           ("opt.q", "fixed:2.5"),
+                                           ("opt.batch_size", "20.5"),
+                                           ("epochs", "1.5"),
+                                           ("eval_every", "2.0")])
+    def test_non_integer_rejected(self, key, value):
+        with pytest.raises(ValueError,
+                           match=f"{re.escape(key)} must be an integer"):
+            config_from_flat({key: value})
+
+    def test_dataclasses_reject_non_integers(self):
+        with pytest.raises(ValueError, match="opt.q must be an integer"):
+            OptConfig(q=2.0)
+        with pytest.raises(ValueError, match="opt.q must be an integer"):
+            OptConfig(q=True)
+        with pytest.raises(ValueError, match="epochs must be an integer"):
+            RunConfig(epochs=1.5)
+        assert OptConfig(q=np.int64(3), batch_size=np.int64(8)).q == 3
+
+    @pytest.mark.parametrize("key,value", [("reg.l2", "nan"),
+                                           ("reg.l2", "inf"),
+                                           ("opt.schedule.base_lr", "nan"),
+                                           ("opt.schedule.base_lr", "inf"),
+                                           ("opt.lr", "inf")])
+    def test_non_finite_rejected(self, key, value):
+        name = "reg.l2" if key == "reg.l2" else "opt.schedule.base_lr"
+        with pytest.raises(ValueError, match=f"{re.escape(name)} must be"):
+            config_from_flat({key: value})
 
     @pytest.mark.parametrize("key,value", [("eval_every", "1"),
                                            ("opt.batch_size", "1"),

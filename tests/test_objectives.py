@@ -194,6 +194,11 @@ class TestRegularizer:
         with pytest.raises(ValueError):
             regularizer_value_grad(-0.1, np.ones(2))
 
+    @pytest.mark.parametrize("l2", [-0.1, float("nan"), float("inf")])
+    def test_objective_rejects_bad_coefficient(self, l2):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            Objective(FeedforwardModel(2, 1), "binary-cross-entropy", l2=l2)
+
 
 class TestAnalyticProperties:
     def test_logistic_gradient_norm_bounded_by_input_norm(self):
@@ -265,3 +270,106 @@ class TestModelStructure:
     def test_mlp_requires_hidden_widths(self):
         with pytest.raises(ValueError):
             make_model("mlp", d_in=3, d_out=2)
+
+
+class TestBoundViews:
+    """The model keeps the layer views of the last theta array it saw."""
+
+    @staticmethod
+    def setup(seed=0):
+        rng = np.random.default_rng(seed)
+        model = make_model("mlp", d_in=3, d_out=2, hidden=(5, 4),
+                           activation="tanh")
+        X = rng.standard_normal((7, 3))
+        G = rng.standard_normal((7, 2))
+        return model, model.init_params(rng), X, G
+
+    @staticmethod
+    def fresh(model, theta, X, G):
+        """Logits and gradient from a new model that never saw theta."""
+        other = make_model("mlp", d_in=model.d_in, d_out=model.d_out,
+                           hidden=model.hidden, activation=model.activation)
+        logits, tape = other.forward(theta.copy(), X)
+        return logits, other.backward(theta.copy(), G, tape)
+
+    def test_same_array_reuses_views(self):
+        model, theta, X, _ = self.setup()
+        assert model._layers(theta) is model._layers(theta)
+        assert model._layers(theta.copy()) is not model._layers(theta)
+
+    def test_in_place_updates_show_through(self):
+        model, theta, X, G = self.setup(1)
+        model.forward(theta, X)
+        for k in range(5):
+            theta -= 0.1 * (k + 1) * np.sin(theta + k)
+            logits, tape = model.forward(theta, X)
+            want_logits, want_grad = self.fresh(model, theta, X, G)
+            assert logits.tobytes() == want_logits.tobytes()
+            assert model.backward(theta, G, tape).tobytes() == \
+                want_grad.tobytes()
+
+    def test_new_arrays_never_get_stale_views(self):
+        model, theta, X, G = self.setup(2)
+        for k in range(50):
+            # the caller drops the array seen last before making the next
+            model.forward(theta - 0.05 * np.cos(theta * (k + 1)), X)
+            other = theta + 0.05 * np.sin(theta * (k + 1))
+            logits, tape = model.forward(other, X)
+            want_logits, want_grad = self.fresh(model, other, X, G)
+            assert logits.tobytes() == want_logits.tobytes()
+            assert model.backward(other, G, tape).tobytes() == \
+                want_grad.tobytes()
+
+    @staticmethod
+    def reference(model, theta, X, G):
+        """Forward and backward with fresh views and fresh result arrays."""
+        act, dact = _ACTIVATIONS[model.activation]
+        layout, n_layers = model.layout(), len(model.hidden) + 1
+        widths = (model.d_in, *model.hidden, model.d_out)
+        layers = [(theta[layout[f"W{i}"]].reshape(widths[i + 1], widths[i]),
+                   theta[layout[f"b{i}"]] if model.bias else None)
+                  for i in range(n_layers)]
+        H, tape = X, []
+        for i, (W, b) in enumerate(layers):
+            Z = H @ W.T
+            if b is not None:
+                Z = Z + b
+            tape.append(H)
+            H = act(Z) if i < n_layers - 1 else Z
+        grad = np.zeros(model.n_params)
+        for i in range(n_layers - 1, -1, -1):
+            grad[layout[f"W{i}"]] = (G.T @ tape[i]).ravel()
+            if model.bias:
+                grad[layout[f"b{i}"]] = G.sum(axis=0)
+            if i > 0:
+                G = (G @ layers[i][0]) * dact(tape[i])
+        return H, grad
+
+    @pytest.mark.parametrize("shape", [(2, 1, (16, 16), "tanh", True),
+                                       (2, 1, (16, 16), "relu", True),
+                                       (256, 10, (), "tanh", True),
+                                       (7, 3, (9, 4), "sigmoid", False)])
+    def test_bitwise_equal_to_fresh_arrays_reference(self, shape):
+        d_in, d_out, hidden, activation, bias = shape
+        model = FeedforwardModel(d_in, d_out, hidden, activation, bias)
+        rng = np.random.default_rng(9)
+        theta = model.init_params(rng)
+        for m in (1, 3, 5, 8, 40, 63, 64):
+            X = rng.standard_normal((m, d_in))
+            G = rng.standard_normal((m, d_out))
+            logits, tape = model.forward(theta, X)
+            want_logits, want_grad = self.reference(model, theta, X, G)
+            assert logits.tobytes() == want_logits.tobytes()
+            assert model.backward(theta, G, tape).tobytes() == \
+                want_grad.tobytes()
+            theta -= 0.01 * want_grad
+
+    def test_views_of_another_array_with_equal_values_are_not_shared(self):
+        model, theta, X, _ = self.setup(3)
+        twin = theta.copy()
+        model.forward(theta, X)
+        twin[:] = 0.0
+        assert model.logits(twin, X).tobytes() == \
+            self.fresh(model, twin, X, np.zeros((7, 2)))[0].tobytes()
+        assert model.logits(theta, X).tobytes() == \
+            self.fresh(model, theta, X, np.zeros((7, 2)))[0].tobytes()

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from osgd import optimizers
 from osgd.coeffs import gamma_weights
 from osgd.objectives import FeedforwardModel, Objective
 from osgd.optimizers import (DivergenceError, ScheduleSpec, adam_step,
@@ -18,16 +19,15 @@ from osgd.selection import sample_minibatch, topq_positions
 class ConstantGradObjective:
     """Stub whose per-sample gradient is a fixed vector; losses are distinct."""
 
+    l2 = 0.0
+
     def __init__(self, g):
         self.g = np.asarray(g, dtype=np.float64)
 
     def taped_batch(self, theta, X, y):
         # the mean of any set of copies of g is g
         return SimpleNamespace(losses=np.arange(len(X), dtype=np.float64),
-                               mean_grad=lambda positions: self.g.copy())
-
-    def regularizer(self, theta):
-        return 0.0, np.zeros_like(theta)
+                               mean_grad=lambda positions=None: self.g.copy())
 
 
 def logistic_setup(seed, n=40, d=4, l2=1e-3):
@@ -137,6 +137,79 @@ class TestOsgdStep:
         with pytest.raises(DivergenceError) as err:
             osgd_step(state, obj, X, y, np.array([0]), q=1)
         assert err.value.step == 0
+
+
+STEP_FUNCTIONS = {"osgd": osgd_step, "oadam": ordered_adam_step}
+
+
+class TestStepSetUp:
+    """What a step computes once, and what it no longer computes at all."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        calls = {"forward": 0, "backward": 0, "regularizer": 0,
+                 "check_labels": 0, "topq_positions": 0}
+
+        def count(owner, name, key=None):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[key or name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+
+        count(FeedforwardModel, "forward")
+        count(FeedforwardModel, "backward")
+        count(Objective, "regularizer")
+        count(Objective, "_check_labels", "check_labels")
+        count(optimizers, "topq_positions")
+        return calls
+
+    @pytest.mark.parametrize("kind", sorted(STEP_FUNCTIONS))
+    @pytest.mark.parametrize("q,forwards,selections", [(8, 1, 0), (3, 2, 1)])
+    def test_calls_per_step(self, monkeypatch, kind, q, forwards, selections):
+        _, model, loss = STEP_MODELS["mlp-tanh"]
+        rng = np.random.default_rng(5)
+        X, obj = rng.standard_normal((20, 2)), Objective(model, loss, l2=1e-3)
+        y = rng.integers(0, 2, 20)
+        state = init_state(obj.init_params(rng), q=q, lr=0.1)
+        calls = self.counting(monkeypatch)
+        STEP_FUNCTIONS[kind](state, obj, X, y, np.arange(0, 16, 2), q=q)
+        assert calls == {"forward": forwards, "backward": 1, "regularizer": 0,
+                         "check_labels": 1, "topq_positions": selections}
+
+    @pytest.mark.parametrize("kind", sorted(STEP_FUNCTIONS))
+    @pytest.mark.parametrize("q", [2, 4])
+    def test_out_of_range_label_in_batch_rejected(self, kind, q):
+        obj, theta, X, y, _ = logistic_setup(6)
+        y = y.copy()
+        y[5] = 2
+        state = init_state(theta, q=q, lr=0.1)
+        STEP_FUNCTIONS[kind](state, obj, X, y, np.array([0, 1, 2, 3]), q=q)
+        with pytest.raises(ValueError, match="label out of range"):
+            STEP_FUNCTIONS[kind](state, obj, X, y, np.array([2, 5, 7, 9]),
+                                 q=q)
+
+    @pytest.mark.parametrize("kind", sorted(STEP_FUNCTIONS))
+    @pytest.mark.parametrize("q", [1, 5, 64])
+    @pytest.mark.parametrize("name", ["mlp-relu", "linear-256-10"])
+    def test_last_grad_norm_is_bitwise_linalg_norm(self, kind, q, name):
+        d, model, loss = STEP_MODELS[name]
+        rng = np.random.default_rng(29)
+        X = rng.standard_normal((200, d))
+        obj = Objective(model, loss, l2=1e-3)
+        y = rng.integers(0, obj.n_classes, 200)
+        state = init_state(obj.init_params(rng), q=q, lr=0.05)
+        for _ in range(5):
+            batch = sample_minibatch(rng, 200, 64)
+            theta = state.theta.copy()
+            losses = obj.per_example_losses(theta, X[batch], y[batch])
+            kept = batch[topq_positions(losses, q)]
+            g = (obj.weighted_grad(theta, X[kept], y[kept], np.full(q, 1.0 / q))
+                 + obj.regularizer(theta)[1])
+            STEP_FUNCTIONS[kind](state, obj, X, y, batch, q=q)
+            assert isinstance(state.last_grad_norm, float)
+            assert state.last_grad_norm == float(np.linalg.norm(g))
 
 
 class TestOrderedAdam:

@@ -13,8 +13,8 @@ from osgd.objectives import FeedforwardModel, Objective
 from osgd.ordered_loss import (LossProfile, ResourceError,
                                average_empirical_loss,
                                expected_step_bruteforce, loss_profile,
-                               lq_subgradient, ordered_empirical_loss,
-                               rank_selection_counts)
+                               lq_subgradient, lq_value_and_subgradient,
+                               ordered_empirical_loss, rank_selection_counts)
 from osgd.selection import q_argmax, rank_by_loss
 
 
@@ -91,7 +91,8 @@ class TestLqSubgradient:
         obj, theta, X, y = logistic_instance(1)
         gamma = gamma_weights(8, 5, 5)
         _, reg_grad = obj.regularizer(theta)
-        expected = obj.mean_grad(theta, X, y) + reg_grad
+        expected = (obj.weighted_grad(theta, X, y, np.full(8, 1.0 / 8))
+                    + reg_grad)
         np.testing.assert_allclose(lq_subgradient(obj, theta, X, y, gamma),
                                    expected, rtol=1e-12)
 
@@ -131,7 +132,8 @@ class TestBruteforceOracle:
     def test_q_equals_s_is_average_gradient(self):
         obj, theta, X, y = logistic_instance(5, n=6)
         _, reg_grad = obj.regularizer(theta)
-        expected = obj.mean_grad(theta, X, y) + reg_grad
+        expected = (obj.weighted_grad(theta, X, y, np.full(6, 1.0 / 6))
+                    + reg_grad)
         got = expected_step_bruteforce(obj, theta, X, y, s=3, q=3)
         np.testing.assert_allclose(got, expected, rtol=1e-11)
 
@@ -286,6 +288,19 @@ class TestOneForward:
         got = _tie_mixed_subgradient(obj, theta, X, y, gamma, pull)
         assert calls == [10]
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_lq_value_and_subgradient(self, monkeypatch, seed):
+        obj, theta, X, y, _ = self.instance(seed)
+        gamma = gamma_weights(10, 5, 2)
+        want_value = ordered_empirical_loss(loss_profile(obj, theta, X, y),
+                                            gamma)
+        want_grad = lq_subgradient(obj, theta, X, y, gamma)
+        calls = self.count_forwards(monkeypatch)
+        value, grad = lq_value_and_subgradient(obj, theta, X, y, gamma)
+        assert calls == [10]
+        assert value == want_value
+        assert grad.tobytes() == want_grad.tobytes()
 
     def test_gamma_size_mismatch_rejected(self):
         obj, theta, X, y, _ = self.instance(0)
