@@ -9,6 +9,13 @@ j-th by loss is selected with probability
 This module computes gamma_j exactly (big-integer rationals), its
 n -> infinity rescaled limit, and the regularized incomplete beta
 function that characterizes that limit.
+
+The exact numerators come from an O(n) integer recurrence whose terms
+follow each other by an exact ratio, so only two binomials are full
+big-integer products.  The float path for large n reads every
+log-binomial from one table of ln k! and keeps the order of the float
+operations of a term-by-term evaluation, so its bits do not depend on
+how the table is shared.
 """
 from __future__ import annotations
 
@@ -71,17 +78,26 @@ def gamma_weight_numerators(n, s, q):
 
     N_j counts the s-subsets that keep the rank-j sample.  Swapping ranks j
     and j+1 maps the subsets holding only one of them onto each other with
-    the same outcome, so N_j - N_{j+1} = C(j-1, q-1) * C(n-j-1, s-q-1)
+    the same outcome, so N_j - N_{j+1} = D_j = C(j-1, q-1) * C(n-j-1, s-q-1)
     counts the subsets holding both in which exactly q-1 members outrank j.
     The last rank is kept only when q = s, so N_n = C(n-1, s-1) if q = s and
-    0 otherwise.  Exact integers, O(n) binomials.
+    0 otherwise.  D_j is nonzero only for q <= j <= n-s+q, and walking that
+    range downwards each term follows from the one above by the exact
+    integer step D_{j-1} = D_j * (j-q)(n-j) // ((j-1)(n-j-s+q+1)), so only
+    the first D_j and C(n, s) are full binomials.  Exact integers, O(n).
     """
     _check_nsq(n, s, q)
     if q == s:
         return [comb(n - 1, s - 1)] * n, comb(n, s)
     nums = [0] * n
-    for j in range(n - 1, 0, -1):
-        nums[j - 1] = nums[j] + comb(j - 1, q - 1) * comb(n - j - 1, s - q - 1)
+    top = n - s + q
+    d = comb(top - 1, q - 1)  # D_top; C(s-q-1, s-q-1) = 1
+    acc = 0
+    for j in range(top, q, -1):
+        acc += d
+        nums[j - 1] = acc
+        d = d * ((j - q) * (n - j)) // ((j - 1) * (n - j - s + q + 1))
+    nums[:q] = [acc + d] * q  # D_q is the last term; ranks above q keep all
     return nums, comb(n, s)
 
 
@@ -101,24 +117,24 @@ def gamma_weights_float(n: int, s: int, q: int) -> np.ndarray:
     """Float64 gamma vector via log-gamma, for n too large for rationals.
 
     Accurate to ~1e-12 relative; use :func:`gamma_weights` when exactness
-    matters.
+    matters.  One table ``lg[k] = ln k!`` serves every log-binomial: the
+    l-th term, ln C(j-1, l) + ln C(n-j, s-l-1) - ln C(n, s), exists for
+    l < j <= n-s+l+1 and is read there from slices of the table; outside
+    that range it is -inf and leaves the log-sum unchanged.
     """
     _check_nsq(n, s, q)
-
-    def log_comb(a, b):
-        a = np.asarray(a, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        ok = (b >= 0) & (b <= a)
-        safe_b = np.where(ok, b, 0.0)
-        val = gammaln(a + 1) - gammaln(safe_b + 1) - gammaln(a - safe_b + 1)
-        return np.where(ok, val, -np.inf)
-
-    j = np.arange(1, n + 1, dtype=np.int64)
-    log_den = log_comb(n, s)
+    lg = gammaln(np.arange(1, n + 2))  # lg[k] = ln k!
+    log_den = (lg[n] - lg[s]) - lg[n - s]
+    m = n - s + 1  # the l-th term exists on ranks j = l+1 .. l+m
+    low = lg[:m]      # ln (j-1-l)! over those ranks
+    high = low[::-1]  # ln (n-j-s+l+1)!
     total = np.full(n, -np.inf)
     for l in range(q):
-        term = log_comb(j - 1, l) + log_comb(n - j, s - l - 1) - log_den
-        total = np.logaddexp(total, term)
+        r = s - l - 1
+        head = (lg[l:l + m] - lg[l]) - low         # ln C(j-1, l)
+        tail = (lg[r:n - l][::-1] - lg[r]) - high  # ln C(n-j, s-l-1)
+        span = total[l:l + m]
+        np.logaddexp(span, (head + tail) - log_den, out=span)
     out = np.exp(total)
     out[~np.isfinite(total)] = 0.0
     return out

@@ -44,6 +44,9 @@ class DataConfig:
     def __post_init__(self):
         if self.kind not in DATASET_KINDS:
             raise ValueError(f"unknown dataset kind {self.kind!r}")
+        if not 0.0 <= self.test_fraction < 1.0:  # also rejects nan
+            raise ValueError(f"data.test_fraction must lie in [0, 1), "
+                             f"got {self.test_fraction}")
 
 
 @dataclass(frozen=True)
@@ -52,6 +55,13 @@ class ModelConfig:
     hidden: tuple[int, ...] = ()
     activation: str = "tanh"
     bias: bool = True
+
+    def __post_init__(self):
+        for width in self.hidden:
+            _require_int("model.hidden", width)
+            if width < 1:
+                raise ValueError(f"model.hidden widths must be at least 1, "
+                                 f"got {tuple(self.hidden)}")
 
 
 @dataclass(frozen=True)
@@ -83,9 +93,14 @@ class OptConfig:
         if self.batch_size < 1:
             raise ValueError(f"opt.batch_size must be at least 1, "
                              f"got {self.batch_size}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"opt.momentum must lie in [0, 1), "
-                             f"got {self.momentum}")
+        for key, beta in (("opt.momentum", self.momentum),
+                          ("opt.beta1", self.beta1),
+                          ("opt.beta2", self.beta2)):
+            if not 0.0 <= beta < 1.0:  # also rejects nan
+                raise ValueError(f"{key} must lie in [0, 1), got {beta}")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"opt.eps must be positive and finite, "
+                             f"got {self.eps}")
 
     def initial_q(self, s: int) -> int:
         """q of the first step at batch size s: s for baselines and adaptive q."""
@@ -113,6 +128,10 @@ class RunConfig:
             raise ValueError(f"epochs must be nonnegative, got {self.epochs}")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        for seed in self.seeds:
+            _require_int("seeds", seed)
+            if seed < 0:  # numpy's generators take nonnegative seeds only
+                raise ValueError(f"seeds must be nonnegative, got {seed}")
         _require_int("eval_every", self.eval_every)
         if self.eval_every < 1:
             raise ValueError(f"eval_every must be at least 1, "
@@ -157,11 +176,15 @@ def _scalar(raw: str):
     return raw
 
 
-def _int_tuple(raw: str):
-    raw = raw.strip()
-    if not raw:
-        return ()
-    return tuple(int(tok) for tok in raw.replace(",", " ").split())
+def _int_tuple(key):
+    """Parser of a comma- or space-separated integer list for ``key``."""
+    def parse(raw: str):
+        try:
+            return tuple(int(tok) for tok in raw.replace(",", " ").split())
+        except ValueError:
+            raise ValueError(f"{key} must be a list of integers, "
+                             f"got {raw!r}") from None
+    return parse
 
 
 def config_from_flat(flat: dict) -> RunConfig:
@@ -184,7 +207,7 @@ def config_from_flat(flat: dict) -> RunConfig:
     )
     model = ModelConfig(
         kind=pop("model.kind", "linear"),
-        hidden=pop("model.hidden", (), _int_tuple),
+        hidden=pop("model.hidden", (), _int_tuple("model.hidden")),
         activation=pop("model.activation", "tanh"),
         bias=pop("model.bias", True),
     )
@@ -192,7 +215,8 @@ def config_from_flat(flat: dict) -> RunConfig:
     schedule = ScheduleSpec(
         kind=pop("opt.schedule.kind", "step-decay"),
         base_lr=pop("opt.schedule.base_lr", pop("opt.lr", 0.01, float), float),
-        decay_epochs=pop("opt.schedule.decay_epochs", (9,), _int_tuple),
+        decay_epochs=pop("opt.schedule.decay_epochs", (9,),
+                         _int_tuple("opt.schedule.decay_epochs")),
         decay_factor=pop("opt.schedule.decay_factor", 0.1, float),
     )
     q_raw = pop("opt.q", "adaptive")
@@ -216,7 +240,7 @@ def config_from_flat(flat: dict) -> RunConfig:
         loss_kind=pop("loss.kind", "binary-cross-entropy", str),
         l2=pop("reg.l2", 1e-4, float),
         epochs=pop("epochs", 10),
-        seeds=pop("seeds", (0,), _int_tuple),
+        seeds=pop("seeds", (0,), _int_tuple("seeds")),
         eval_every=pop("eval_every", 1),
         outdir=pop("outdir", "runs", str),
         opt=opt,

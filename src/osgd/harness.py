@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -112,7 +112,12 @@ def _epoch_batches(rng, n, s, mode):
 
 
 def _evaluate_epoch(obj, state, Xtr, ytr, Xte, yte, s):
-    """Epoch-end metrics: one forward over the train set, one over the test set."""
+    """Epoch-end metrics from one forward over the train set, plus one over
+    the test set unless ``Xte`` is None.
+
+    ``Xte`` None means the test split holds the train split's rows; the
+    test error is then the train error, from the same predictions.
+    """
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         losses, train_preds = obj.losses_and_predictions(state.theta, Xtr, ytr)
         reg_value, _ = obj.regularizer(state.theta)
@@ -124,7 +129,8 @@ def _evaluate_epoch(obj, state, Xtr, ytr, Xte, yte, s):
     ordered = ordered_loss.ordered_empirical_loss(
         profile, _gamma_approx(Xtr.shape[0], s, state.q_current))
     train_err = analysis.error_pct(train_preds, ytr)
-    test_err = analysis.zero_one_error(obj, state.theta, Xte, yte)
+    test_err = (train_err if Xte is None
+                else analysis.zero_one_error(obj, state.theta, Xte, yte))
     return avg, ordered, 1.0 - train_err / 100.0, test_err
 
 
@@ -132,7 +138,12 @@ def run_single(cfg: RunConfig, dataset: Dataset, seed: int) -> RunResult:
     """Train one seed of the configured experiment and log per-epoch rows."""
     obj = build_objective(cfg, dataset)
     Xtr, ytr = dataset.split("train")
-    Xte, yte = dataset.split("test")
+    # a test split on the train rows (test_fraction = 0) is not forwarded
+    # again: evaluation reuses the train predictions
+    if np.array_equal(dataset.splits["train"], dataset.splits["test"]):
+        Xte = yte = None
+    else:
+        Xte, yte = dataset.split("test")
     n_tr = Xtr.shape[0]
     opt = cfg.opt
     s = min(opt.batch_size, n_tr)
@@ -228,8 +239,7 @@ def write_records_csv(records, path):
         writer = csv.writer(fh)
         writer.writerow(RECORD_COLUMNS)
         for rec in records:
-            row = asdict(rec)
-            writer.writerow([row[col] for col in RECORD_COLUMNS])
+            writer.writerow([getattr(rec, col) for col in RECORD_COLUMNS])
 
 
 def read_records_csv(path):

@@ -163,46 +163,52 @@ def make_model(kind, d_in, d_out, hidden=(), activation="tanh", bias=True):
     raise ValueError(f"unknown model kind {kind!r}")
 
 
-def _loss_values(kind, A, y):
-    m = A.shape[0]
-    rows = np.arange(m)
+def _loss_terms(kind, A, y, with_losses=True):
+    """Per-row losses of the logits A, and the pieces of them that the
+    logit gradient (:func:`_logit_grads`) reuses.  Without ``with_losses``
+    only the pieces are built, and None stands in for the losses."""
     if kind == "multinomial-cross-entropy":
+        at = (np.arange(A.shape[0]), y)  # each row's label entry
         mx = A.max(axis=1, keepdims=True)
-        lse = (mx + np.log(np.exp(A - mx).sum(axis=1, keepdims=True))).ravel()
-        return lse - A[rows, y]
+        E = np.exp(A - mx)
+        Z = E.sum(axis=1, keepdims=True)
+        losses = (mx + np.log(Z)).ravel() - A[at] if with_losses else None
+        return losses, (at, E, Z)
     if kind == "multiclass-hinge":
-        margins = 1.0 + A - A[rows, y][:, None]
-        margins[rows, y] = 0.0
-        return np.maximum(margins, 0.0).sum(axis=1)
+        at = (np.arange(A.shape[0]), y)
+        margins = 1.0 + A - A[at][:, None]
+        margins[at] = 0.0
+        losses = (np.maximum(margins, 0.0).sum(axis=1) if with_losses
+                  else None)
+        return losses, (at, margins)
     if kind == "binary-cross-entropy":
-        t = 2.0 * y - 1.0
-        return np.logaddexp(0.0, -t * A[:, 0])
+        neg_t = -(2.0 * y - 1.0)
+        z = neg_t * A[:, 0]
+        return (np.logaddexp(0.0, z) if with_losses else None), (neg_t, z)
     if kind == "squared":
-        T = _squared_targets(A.shape[1], y)
-        return 0.5 * ((A - T) ** 2).sum(axis=1)
+        R = A - _squared_targets(A.shape[1], y)
+        return (0.5 * (R ** 2).sum(axis=1) if with_losses else None), R
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
-def _loss_logit_grads(kind, A, y):
-    m = A.shape[0]
-    rows = np.arange(m)
+def _logit_grads(kind, pieces):
+    """Per-row loss gradients at the logits from :func:`_loss_terms`'s
+    pieces.  The result may be one of the pieces: never write into it."""
     if kind == "multinomial-cross-entropy":
-        mx = A.max(axis=1, keepdims=True)
-        E = np.exp(A - mx)
-        P = E / E.sum(axis=1, keepdims=True)
-        P[rows, y] -= 1.0
+        at, E, Z = pieces
+        P = E / Z
+        P[at] -= 1.0
         return P
     if kind == "multiclass-hinge":
-        margins = 1.0 + A - A[rows, y][:, None]
-        margins[rows, y] = 0.0
+        at, margins = pieces
         D = (margins > 0.0).astype(np.float64)  # 0 at the kink
-        D[rows, y] = -D.sum(axis=1)
+        D[at] = -D.sum(axis=1)
         return D
     if kind == "binary-cross-entropy":
-        t = 2.0 * y - 1.0
-        return (-t * expit(-t * A[:, 0]))[:, None]
+        neg_t, z = pieces
+        return (neg_t * expit(z))[:, None]
     if kind == "squared":
-        return A - _squared_targets(A.shape[1], y)
+        return pieces
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
@@ -261,13 +267,13 @@ class Objective:
     def per_example_losses(self, theta, X, y):
         y = self._check_labels(y)
         A = self.model.logits(theta, np.atleast_2d(X))
-        return _loss_values(self.loss, A, y)
+        return _loss_terms(self.loss, A, y)[0]
 
     def losses_and_predictions(self, theta, X, y):
         """Per-example losses and predicted classes from one forward pass."""
         y = self._check_labels(y)
         A = self.model.logits(theta, np.atleast_2d(X))
-        return _loss_values(self.loss, A, y), self._predict(A)
+        return _loss_terms(self.loss, A, y)[0], self._predict(A)
 
     def taped_batch(self, theta, X, y):
         """Forward the batch once; see :class:`TapedBatch`."""
@@ -280,12 +286,16 @@ class Objective:
         """sum_i weights[i] * grad of loss_i, in one reverse pass."""
         y = self._check_labels(y)
         A, tape = self.model.forward(theta, np.atleast_2d(X))
-        return self._grad_from_tape(theta, A, tape, y, weights)
+        _, pieces = _loss_terms(self.loss, A, y, with_losses=False)
+        weights = np.asarray(weights, dtype=np.float64)[:, None]
+        return self._grad_from_tape(theta, tape, pieces, weights)
 
-    def _grad_from_tape(self, theta, A, tape, y, weights):
-        G = _loss_logit_grads(self.loss, A, y)
-        G *= np.asarray(weights, dtype=np.float64)[:, None]
-        return self.model.backward(theta, G, tape)
+    def _grad_from_tape(self, theta, tape, pieces, scale):
+        """Backward of the logit gradients from ``pieces``
+        (:func:`_loss_terms`), each row multiplied by ``scale``: an (m, 1)
+        column of per-row weights, or one number for every row."""
+        return self.model.backward(
+            theta, _logit_grads(self.loss, pieces) * scale, tape)
 
     def per_sample_grad(self, theta, x, y):
         return self.weighted_grad(theta, np.atleast_2d(x), np.atleast_1d(y), np.ones(1))
@@ -313,32 +323,36 @@ class TapedBatch:
     def __init__(self, obj, theta, X, y):
         self._obj, self._theta = obj, theta
         self._X, self._y = np.atleast_2d(X), obj._check_labels(y)
-        self._logits, self._tape = obj.model.forward(theta, self._X)
-        self.losses = _loss_values(obj.loss, self._logits, self._y)
+        logits, self._tape = obj.model.forward(theta, self._X)
+        self.losses, self._pieces = _loss_terms(obj.loss, logits, self._y)
 
     def mean_grad(self, positions=None):
         """Gradient of the mean loss over the rows at ``positions``.
 
         ``positions`` are distinct and ascending; None means every row,
-        which reuses the tape.  A strict subset gets a fresh forward on its
-        own rows instead of a slice of the tape: BLAS picks its kernels by
-        row count, so rows sliced from an m-row matmul can differ in the
-        last bits from a matmul over the subset alone (OpenBLAS: 256->10
-        and 16->1 layers at subset sizes that are not a multiple of 4), and
-        trajectories are defined by the subset forward.  The subset's
-        labels were checked with the batch's.
+        which reuses the tape and the loss pieces.  A strict subset gets a
+        fresh forward on its own rows instead of a slice of the tape: BLAS
+        picks its kernels by row count, so rows sliced from an m-row matmul
+        can differ in the last bits from a matmul over the subset alone
+        (OpenBLAS: 256->10 and 16->1 layers at subset sizes that are not a
+        multiple of 4), and trajectories are defined by the subset forward.
+        The subset's labels were checked with the batch's.  The uniform
+        weight 1/q is applied as one number, bitwise the same as a column
+        of q copies of it.
         """
         m = self.losses.shape[0]
         q = m if positions is None else len(positions)
-        weights = np.full(q, 1.0 / q)
         if q == m:
-            return self.grad(weights)
+            return self._obj._grad_from_tape(self._theta, self._tape,
+                                             self._pieces, 1.0 / q)
         obj, theta = self._obj, self._theta
         logits, tape = obj.model.forward(theta, self._X[positions])
-        return obj._grad_from_tape(theta, logits, tape, self._y[positions],
-                                   weights)
+        _, pieces = _loss_terms(obj.loss, logits, self._y[positions],
+                                with_losses=False)
+        return obj._grad_from_tape(theta, tape, pieces, 1.0 / q)
 
     def grad(self, weights):
         """sum_i weights[i] * grad of loss_i over every row, from the tape."""
-        return self._obj._grad_from_tape(self._theta, self._logits,
-                                         self._tape, self._y, weights)
+        return self._obj._grad_from_tape(
+            self._theta, self._tape, self._pieces,
+            np.asarray(weights, dtype=np.float64)[:, None])

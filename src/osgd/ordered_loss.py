@@ -11,14 +11,13 @@ selection weights of :mod:`osgd.coeffs` over q.  Averaging the top-q
 update direction over every possible minibatch reproduces the analytic
 subgradient of L_q exactly; :func:`expected_step_bruteforce` certifies
 this by enumeration, and both forward the data once.  The enumeration
-(:func:`rank_selection_counts`) stacks the s-subsets into fixed-size
-chunks of rows and selects the top q of a whole chunk in one numpy call,
-counting the kept ids as exact integers.
+(:func:`rank_selection_counts`) builds the s-subsets as rows of numpy
+tables, selects the top q of a fixed-size block of rows in one numpy
+call, and counts the kept ids as exact integers.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
 from math import comb
 
 import numpy as np
@@ -102,6 +101,57 @@ def lq_value_and_subgradient(obj, theta, X, y, gamma: GammaWeights):
             taped.grad(weights) + reg_grad)
 
 
+def _lex_subsets(n: int, k: int) -> np.ndarray:
+    """Every k-subset of range(n) as one ascending row, rows in lexicographic
+    order: the rows of ``itertools.combinations(range(n), k)``.
+
+    The table has C(n, k) rows and the smallest unsigned integer dtype that
+    holds n - 1.  It is built one column at a time: a row whose last entry
+    is v is repeated once for each value v+1, ..., n-k+c that column c can
+    take, and those values fill the new column.
+    """
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n, got (n={n}, k={k})")
+    dtype = np.min_scalar_type(max(n - 1, 0))
+    if k == 0:
+        return np.empty((1, 0), dtype=dtype)
+    table = np.arange(n - k + 1, dtype=dtype)[:, None]
+    for c in range(1, k):
+        first = table[:, -1].astype(np.intp) + 1  # smallest value of column c
+        reps = (n - k + c + 1) - first
+        table = np.repeat(table, reps, axis=0)
+        # offset of each new row inside its parent's run of repeats
+        offset = np.arange(table.shape[0]) - np.repeat(np.cumsum(reps) - reps,
+                                                       reps)
+        column = (np.repeat(first, reps) + offset).astype(dtype)
+        table = np.concatenate((table, column[:, None]), axis=1)
+    return table
+
+
+def _subset_blocks(n: int, s: int, rows: int):
+    """The s-subsets of range(n) in lexicographic order, ``rows`` at a time
+    as (rows, s) arrays (the last block may be shorter).
+
+    Only the smaller of s and n - s is ever tabulated, so the table stays
+    at most C(n, s) x n/2 entries and its column loop short.  Above n/2 the
+    table holds the complements: they come in reverse lexicographic order
+    (the smallest element of A xor B is in the lexicographically smaller
+    of A, B, and outside its complement), and each block is rebuilt from
+    them as the entries its row does not hold.
+    """
+    if 2 * s <= n:
+        table = _lex_subsets(n, s)
+        for start in range(0, table.shape[0], rows):
+            yield table[start:start + rows]
+        return
+    table = _lex_subsets(n, n - s)[::-1]
+    for start in range(0, table.shape[0], rows):
+        held = table[start:start + rows]
+        kept = np.ones((held.shape[0], n), dtype=bool)
+        kept[np.arange(held.shape[0])[:, None], held] = False
+        yield np.nonzero(kept)[1].reshape(held.shape[0], s)
+
+
 def rank_selection_counts(losses, s: int, q: int):
     """How often each sample lands in the kept top-q set, over all s-subsets.
 
@@ -109,12 +159,12 @@ def rank_selection_counts(losses, s: int, q: int):
     ``total = C(n, s)`` batches in which sample i is selected.  Exact
     integers; ``counts[rank_by_loss(losses)[j]] / total`` equals gamma_j.
 
-    The subsets are enumerated in lexicographic order, in blocks of
-    ``_ENUM_BLOCK_ROWS`` rows stacked into one (rows, s) index array, and
-    the top q of every row are selected by one stacked :func:`q_argmax`
-    call, with the same tie rule as a single batch.  The counts never
-    read the gamma formula, so they stay an independent oracle for it.
-    Non-finite losses are rejected with their index.
+    The subsets come from numpy tables (:func:`_subset_blocks`) in blocks
+    of ``_ENUM_BLOCK_ROWS`` rows; the top q of every row of a block are
+    selected by one stacked :func:`q_argmax` call, with the same tie rule
+    as a single batch.  The counts never read the gamma formula, so they
+    stay an independent oracle for it.  Non-finite losses are rejected
+    with their index.
     """
     losses = finite_losses(losses)
     n = losses.shape[0]
@@ -127,12 +177,8 @@ def rank_selection_counts(losses, s: int, q: int):
             f"{MAX_BRUTEFORCE_SUBSETS}"
         )
     counts = np.zeros(n, dtype=np.int64)
-    subsets = combinations(range(n), s)
-    for start in range(0, total, _ENUM_BLOCK_ROWS):
-        rows = min(_ENUM_BLOCK_ROWS, total - start)
-        batches = np.fromiter(chain.from_iterable(islice(subsets, rows)),
-                              dtype=np.intp, count=rows * s).reshape(rows, s)
-        counts += np.bincount(q_argmax(losses, batches, q).ravel(),
+    for block in _subset_blocks(n, s, _ENUM_BLOCK_ROWS):
+        counts += np.bincount(q_argmax(losses, block, q).ravel(),
                               minlength=n)
     return counts, total
 

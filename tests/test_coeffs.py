@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.special import gammaln
 
 from osgd.coeffs import (EXACT_N_LIMIT, beta_cdf, gamma_asymptotic,
                          gamma_rescaled_curve, gamma_vector,
@@ -153,6 +154,79 @@ class TestGammaFloatPath:
         n = EXACT_N_LIMIT + 1
         assert gamma_vector(n, 10, 3).tobytes() == \
             gamma_weights_float(n, 10, 3).tobytes()
+
+
+def gamma_float_log_comb_loop(n, s, q):
+    """Reference: the float path as a loop of log-binomial calls, each with
+    its own gammaln passes over n (same arithmetic, more work)."""
+    def log_comb(a, b):
+        a = np.asarray(a, dtype=np.float64)
+        b = np.asarray(b, dtype=np.float64)
+        ok = (b >= 0) & (b <= a)
+        safe_b = np.where(ok, b, 0.0)
+        val = gammaln(a + 1) - gammaln(safe_b + 1) - gammaln(a - safe_b + 1)
+        return np.where(ok, val, -np.inf)
+
+    j = np.arange(1, n + 1, dtype=np.int64)
+    log_den = log_comb(n, s)
+    total = np.full(n, -np.inf)
+    for l in range(q):
+        term = log_comb(j - 1, l) + log_comb(n - j, s - l - 1) - log_den
+        total = np.logaddexp(total, term)
+    out = np.exp(total)
+    out[~np.isfinite(total)] = 0.0
+    return out
+
+
+def gamma_numerators_comb_per_step(n, s, q):
+    """Reference: N_{j-1} = N_j + C(j-1, q-1) * C(n-j-1, s-q-1), two full
+    binomials per rank."""
+    if q == s:
+        return [comb(n - 1, s - 1)] * n, comb(n, s)
+    nums = [0] * n
+    for j in range(n - 1, 0, -1):
+        nums[j - 1] = nums[j] + comb(j - 1, q - 1) * comb(n - j - 1, s - q - 1)
+    return nums, comb(n, s)
+
+
+# n = 1, s = n, q = s, q = 1, the benchmark's tuple and one past the exact
+# limit, where gamma_vector switches to the float path
+REFERENCE_GRID = [(1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2), (7, 7, 3),
+                  (7, 7, 7), (9, 4, 4), (9, 4, 1), (30, 8, 3), (64, 64, 1),
+                  (200, 32, 8), (1000, 999, 500), (10_000, 64, 32),
+                  (10_001, 64, 32), (10_001, 1, 1), (10_001, 10_001, 1),
+                  (10_001, 10, 3)]
+
+
+class TestAgainstLoopReferences:
+    """The table-driven float path and the ratio-recurrence numerators give
+    the bits of the loops they replaced."""
+
+    @pytest.mark.parametrize("n,s,q", REFERENCE_GRID)
+    def test_float_path_bitwise(self, n, s, q):
+        assert gamma_weights_float(n, s, q).tobytes() == \
+            gamma_float_log_comb_loop(n, s, q).tobytes()
+
+    @pytest.mark.parametrize("n,s,q", REFERENCE_GRID)
+    def test_numerators_equal(self, n, s, q):
+        assert gamma_weight_numerators(n, s, q) == \
+            gamma_numerators_comb_per_step(n, s, q)
+
+    def test_every_tuple_up_to_n_24(self):
+        for n in range(1, 25):
+            for s in range(1, n + 1):
+                for q in range(1, s + 1):
+                    assert gamma_weights_float(n, s, q).tobytes() == \
+                        gamma_float_log_comb_loop(n, s, q).tobytes(), (n, s, q)
+                    assert gamma_weight_numerators(n, s, q) == \
+                        gamma_numerators_comb_per_step(n, s, q), (n, s, q)
+
+    def test_curve_past_the_exact_limit_bitwise(self):
+        n, s, q = 100_000, 10, 3
+        curve = gamma_rescaled_curve(n, s, q)
+        assert curve.approximate
+        assert curve.values.tobytes() == \
+            (n * gamma_float_log_comb_loop(n, s, q)).tobytes()
 
 
 class TestGammaAsymptotic:

@@ -185,10 +185,67 @@ class TestRunSettingChecks:
         with pytest.raises(ValueError, match=f"{re.escape(name)} must be"):
             config_from_flat({key: value})
 
+    @pytest.mark.parametrize("key", ["opt.beta1", "opt.beta2"])
+    @pytest.mark.parametrize("value", ["-1", "-0.1", "1.0", "1.5", "nan"])
+    def test_adam_betas_outside_unit_interval_rejected(self, key, value):
+        with pytest.raises(ValueError,
+                           match=rf"{re.escape(key)} must lie in \[0, 1\)"):
+            config_from_flat({"opt.kind": "oadam", key: value})
+
+    @pytest.mark.parametrize("value", ["0", "-1e-8", "nan", "inf"])
+    def test_adam_eps_not_positive_and_finite_rejected(self, value):
+        with pytest.raises(ValueError,
+                           match="opt.eps must be positive and finite"):
+            config_from_flat({"opt.kind": "oadam", "opt.eps": value})
+
+    @pytest.mark.parametrize("value", ["16, -3", "0", "16, 0"])
+    def test_hidden_width_below_one_rejected(self, value):
+        with pytest.raises(ValueError,
+                           match="model.hidden widths must be at least 1"):
+            config_from_flat({"model.kind": "mlp", "model.hidden": value})
+
+    @pytest.mark.parametrize("value", ["16, x", "2.5"])
+    def test_hidden_width_non_integer_rejected(self, value):
+        with pytest.raises(ValueError,
+                           match="model.hidden must be a list of integers"):
+            config_from_flat({"model.kind": "mlp", "model.hidden": value})
+
+    @pytest.mark.parametrize("value", ["1.5", "1", "-0.25", "nan"])
+    def test_test_fraction_outside_unit_interval_rejected(self, value):
+        with pytest.raises(ValueError,
+                           match=r"data.test_fraction must lie in \[0, 1\)"):
+            config_from_flat({"data.test_fraction": value})
+
+    @pytest.mark.parametrize("value", ["0, x", "0, 1.5", "seven"])
+    def test_non_integer_seed_rejected(self, value):
+        with pytest.raises(ValueError,
+                           match="seeds must be a list of integers"):
+            config_from_flat({"seeds": value})
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seeds must be nonnegative"):
+            config_from_flat({"seeds": "0, -1"})
+
+    def test_dataclasses_reject_bad_entries(self):
+        with pytest.raises(ValueError, match="seeds must be an integer"):
+            RunConfig(seeds=(0, 1.5))
+        with pytest.raises(ValueError,
+                           match="model.hidden must be an integer"):
+            ModelConfig(kind="mlp", hidden=(16, 2.5))
+        with pytest.raises(ValueError, match="model.hidden widths"):
+            ModelConfig(kind="mlp", hidden=(16, -3))
+
     @pytest.mark.parametrize("key,value", [("eval_every", "1"),
                                            ("opt.batch_size", "1"),
                                            ("opt.q", "1"),
                                            ("opt.momentum", "0.0"),
-                                           ("opt.momentum", "0.99")])
+                                           ("opt.momentum", "0.99"),
+                                           ("opt.beta1", "0.0"),
+                                           ("opt.beta2", "0.9999"),
+                                           ("opt.eps", "1e-300"),
+                                           ("data.test_fraction", "0.0"),
+                                           ("data.test_fraction", "0.99"),
+                                           ("model.hidden", "1"),
+                                           ("seeds", "0, 7")])
     def test_edge_values_accepted(self, key, value):
         config_from_flat({key: value})

@@ -1,18 +1,22 @@
 """Runner determinism, summaries, sweeps, and the verification suite."""
+import csv
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
 
+from osgd import harness
 from osgd.config import (DataConfig, ModelConfig, OptConfig, RunConfig,
-                         build_dataset, build_objective)
+                         build_dataset, build_objective, load_config)
 from osgd.data import gen_clusters_2d
-from osgd.harness import (_check_qs_equivalence, _epoch_batches,
-                          read_records_csv, run_experiment,
+from osgd.harness import (RECORD_COLUMNS, _check_qs_equivalence,
+                          _epoch_batches, read_records_csv, run_experiment,
+                          run_single,
                           run_verification_suite, report_to_json, sweep_q,
                           write_records_csv, write_summary_csv)
-from osgd.objectives import Objective
+from osgd.objectives import FeedforwardModel, Objective
 from osgd.optimizers import (ScheduleSpec, adam_step, init_state,
                              minibatch_sgd_step, schedule_lr)
 
@@ -132,6 +136,19 @@ class TestSummaries:
         write_records_csv(result.records, path)
         assert read_records_csv(path) == result.records
 
+    def test_records_csv_bytes_match_asdict_rows(self, tmp_path):
+        records = run_experiment(tiny_config(seeds=(5, 6), epochs=3)).records
+        path = tmp_path / "r.csv"
+        write_records_csv(records, path)
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(RECORD_COLUMNS)
+            for rec in records:
+                row = dataclasses.asdict(rec)
+                writer.writerow([row[col] for col in RECORD_COLUMNS])
+        assert path.read_bytes() == ref.read_bytes()
+
     def test_summary_csv_schema(self, tmp_path):
         cfg = tiny_config(seeds=(0,), epochs=1)
         summary = run_experiment(cfg).summary()
@@ -177,6 +194,58 @@ class TestSweep:
         with pytest.raises(ValueError, match="s=12"):
             sweep_q(cfg, [4, 16], dataset=ds)
         assert sorted(sweep_q(cfg, [4, 12], dataset=ds)) == [4, 12]
+
+
+RINGS_CFG = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "configs", "rings_osgd.cfg")
+
+
+def counted_run(monkeypatch, cfg, forward_test_rows=False):
+    """run_single on seed 0 with the model forwards counted per evaluation.
+
+    ``forward_test_rows`` makes every evaluation forward the test split,
+    even when it holds the train rows (the two-forward reference).
+    """
+    per_eval = []
+    forward, evaluate = FeedforwardModel.forward, harness._evaluate_epoch
+
+    def counting_forward(self, theta, X):
+        per_eval[-1] += 1
+        return forward(self, theta, X)
+
+    def counting_evaluate(obj, state, Xtr, ytr, Xte, yte, s):
+        if forward_test_rows and Xte is None:
+            Xte, yte = Xtr, ytr
+        per_eval.append(0)
+        with monkeypatch.context() as m:
+            m.setattr(FeedforwardModel, "forward", counting_forward)
+            return evaluate(obj, state, Xtr, ytr, Xte, yte, s)
+
+    monkeypatch.setattr(harness, "_evaluate_epoch", counting_evaluate)
+    run = run_single(cfg, build_dataset(cfg.data, split_seed=0), 0)
+    monkeypatch.setattr(harness, "_evaluate_epoch", evaluate)
+    return run, per_eval
+
+
+class TestEvaluationForwards:
+    def test_train_rows_as_test_split_forward_once(self, monkeypatch):
+        cfg = load_config(RINGS_CFG, ["epochs = 6", "seeds = 0"])
+        assert cfg.data.test_fraction == 0.0
+        run, per_eval = counted_run(monkeypatch, cfg)
+        assert per_eval == [1] * cfg.epochs
+        ref, ref_per_eval = counted_run(monkeypatch, cfg,
+                                        forward_test_rows=True)
+        assert ref_per_eval == [2] * cfg.epochs
+        assert [strip_time(r) for r in run.records] == \
+            [strip_time(r) for r in ref.records]
+        assert run.final_theta.tobytes() == ref.final_theta.tobytes()
+
+    def test_distinct_splits_forward_the_test_rows(self, monkeypatch):
+        cfg = load_config(RINGS_CFG, ["epochs = 3", "seeds = 0",
+                                      "data.test_fraction = 0.25"])
+        run, per_eval = counted_run(monkeypatch, cfg)
+        assert per_eval == [2] * cfg.epochs
+        assert not run.failed
 
 
 class TestDivergence:

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from osgd.objectives import (_ACTIVATIONS, LOSS_KINDS, FeedforwardModel,
-                             Objective, make_model, regularizer_value_grad)
+                             Objective, _logit_grads, _loss_terms, make_model,
+                             regularizer_value_grad)
 
 
 def finite_difference_grad(obj, theta, x, y):
@@ -373,3 +374,111 @@ class TestBoundViews:
             self.fresh(model, twin, X, np.zeros((7, 2)))[0].tobytes()
         assert model.logits(theta, X).tobytes() == \
             self.fresh(model, theta, X, np.zeros((7, 2)))[0].tobytes()
+
+
+def ref_loss_values(kind, A, y):
+    """Reference: per-row losses, every piece computed afresh."""
+    rows = np.arange(A.shape[0])
+    if kind == "multinomial-cross-entropy":
+        mx = A.max(axis=1, keepdims=True)
+        lse = (mx + np.log(np.exp(A - mx).sum(axis=1, keepdims=True))).ravel()
+        return lse - A[rows, y]
+    if kind == "multiclass-hinge":
+        margins = 1.0 + A - A[rows, y][:, None]
+        margins[rows, y] = 0.0
+        return np.maximum(margins, 0.0).sum(axis=1)
+    if kind == "binary-cross-entropy":
+        t = 2.0 * y - 1.0
+        return np.logaddexp(0.0, -t * A[:, 0])
+    T = y.astype(np.float64)[:, None] if A.shape[1] == 1 else \
+        np.eye(A.shape[1])[y]
+    return 0.5 * ((A - T) ** 2).sum(axis=1)
+
+
+def ref_logit_grads(kind, A, y):
+    """Reference: per-row logit gradients, every piece computed afresh."""
+    rows = np.arange(A.shape[0])
+    if kind == "multinomial-cross-entropy":
+        mx = A.max(axis=1, keepdims=True)
+        E = np.exp(A - mx)
+        P = E / E.sum(axis=1, keepdims=True)
+        P[rows, y] -= 1.0
+        return P
+    if kind == "multiclass-hinge":
+        margins = 1.0 + A - A[rows, y][:, None]
+        margins[rows, y] = 0.0
+        D = (margins > 0.0).astype(np.float64)
+        D[rows, y] = -D.sum(axis=1)
+        return D
+    if kind == "binary-cross-entropy":
+        t = 2.0 * y - 1.0
+        return (-t * expit(-t * A[:, 0]))[:, None]
+    T = y.astype(np.float64)[:, None] if A.shape[1] == 1 else \
+        np.eye(A.shape[1])[y]
+    return A - T
+
+
+LOSS_SHAPES = [("multinomial-cross-entropy", 10), ("multiclass-hinge", 3),
+               ("binary-cross-entropy", 1), ("squared", 1), ("squared", 4)]
+
+
+class TestSharedLossPieces:
+    """One per-kind pass gives the losses and the pieces the gradient
+    reuses, bitwise equal to computing each from scratch."""
+
+    @pytest.mark.parametrize("kind,d_out", LOSS_SHAPES)
+    @pytest.mark.parametrize("m", [1, 3, 8, 40, 64])
+    def test_losses_and_logit_grads_bitwise(self, kind, d_out, m):
+        rng = np.random.default_rng(m * d_out)
+        A = 3.0 * rng.standard_normal((m, d_out))
+        y = rng.integers(0, max(d_out, 2), m)
+        if kind == "multiclass-hinge":
+            A[0] = 0.0  # margins exactly at the kink
+        losses, pieces = _loss_terms(kind, A, y)
+        assert losses.tobytes() == ref_loss_values(kind, A, y).tobytes()
+        grads = _logit_grads(kind, pieces)
+        assert grads.tobytes() == ref_logit_grads(kind, A, y).tobytes()
+        no_losses, pieces = _loss_terms(kind, A, y, with_losses=False)
+        assert no_losses is None
+        assert _logit_grads(kind, pieces).tobytes() == grads.tobytes()
+
+    @pytest.mark.parametrize("kind,d_out", LOSS_SHAPES)
+    @pytest.mark.parametrize("m", [1, 5, 64])
+    def test_taped_batch_gradients_bitwise(self, kind, d_out, m):
+        rng = np.random.default_rng(7 * m + d_out)
+        model = FeedforwardModel(6, d_out, (5,), "tanh")
+        obj = Objective(model, kind)
+        theta = obj.init_params(rng)
+        X = rng.standard_normal((m, 6))
+        y = rng.integers(0, max(d_out, 2), m)
+
+        def reference(rows, weights):
+            A, tape = model.forward(theta, X[rows])
+            G = ref_logit_grads(kind, A, y[rows])
+            G *= weights[:, None]
+            return model.backward(theta, G, tape)
+
+        taped = obj.taped_batch(theta, X, y)
+        everyone = np.arange(m)
+        uniform = reference(everyone, np.full(m, 1.0 / m))
+        weights = rng.random(m)
+        assert taped.mean_grad().tobytes() == uniform.tobytes()
+        assert taped.grad(weights).tobytes() == \
+            reference(everyone, weights).tobytes()
+        # the shared pieces are read, never written
+        assert taped.mean_grad().tobytes() == uniform.tobytes()
+        if m > 1:
+            kept = np.array([0, m - 1])
+            assert taped.mean_grad(kept).tobytes() == \
+                reference(kept, np.full(2, 0.5)).tobytes()
+
+    @pytest.mark.parametrize("kind", ["binary-cross-entropy", "squared"])
+    def test_scalar_output_kinds_build_no_row_index(self, kind, monkeypatch):
+        calls = []
+        arange = np.arange
+        monkeypatch.setattr(np, "arange",
+                            lambda *a, **k: calls.append(a) or arange(*a, **k))
+        A = np.linspace(-2.0, 2.0, 8)[:, None]
+        y = np.array([0, 1] * 4)
+        _logit_grads(kind, _loss_terms(kind, A, y)[1])
+        assert calls == []

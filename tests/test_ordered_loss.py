@@ -1,6 +1,6 @@
 """Ordered loss values, analytic subgradient, and the enumeration oracle."""
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, islice
 from math import comb
 
 import numpy as np
@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from osgd.coeffs import gamma_weights
 from osgd.objectives import FeedforwardModel, Objective
-from osgd.ordered_loss import (LossProfile, ResourceError,
+from osgd.ordered_loss import (MAX_BRUTEFORCE_SUBSETS, LossProfile,
+                               ResourceError, _lex_subsets,
+                               _subset_blocks,
                                average_empirical_loss,
                                expected_step_bruteforce, loss_profile,
                                lq_subgradient, lq_value_and_subgradient,
@@ -173,7 +175,74 @@ def per_subset_counts(losses, s, q):
     return counts
 
 
+def itertools_block_counts(losses, s, q, block_rows=1024):
+    """Reference: the s-subsets streamed from itertools.combinations into
+    (rows, s) blocks, each block ranked by one stacked q_argmax call."""
+    n = len(losses)
+    total = comb(n, s)
+    counts = np.zeros(n, dtype=np.int64)
+    subsets = combinations(range(n), s)
+    for start in range(0, total, block_rows):
+        rows = min(block_rows, total - start)
+        batches = np.fromiter(chain.from_iterable(islice(subsets, rows)),
+                              dtype=np.intp, count=rows * s).reshape(rows, s)
+        counts += np.bincount(q_argmax(losses, batches, q).ravel(),
+                              minlength=n)
+    return counts, total
+
+
+def itertools_table(n, s):
+    return np.fromiter(chain.from_iterable(combinations(range(n), s)),
+                       dtype=np.int64).reshape(-1, s)
+
+
+class TestSubsetTables:
+    def test_rows_are_itertools_combinations_up_to_n_19(self):
+        for n in range(1, 20):
+            for s in range(1, n + 1):
+                if comb(n, s) > MAX_BRUTEFORCE_SUBSETS:
+                    continue
+                want = itertools_table(n, s)
+                blocks = list(_subset_blocks(n, s, 1024))
+                assert [len(b) for b in blocks[:-1]] == [1024] * (
+                    len(blocks) - 1)
+                np.testing.assert_array_equal(np.concatenate(blocks), want,
+                                              err_msg=f"(n={n}, s={s})")
+                if 2 * s <= n:
+                    np.testing.assert_array_equal(_lex_subsets(n, s), want)
+
+    @pytest.mark.parametrize("n,dtype", [(1, np.uint8), (256, np.uint8),
+                                         (257, np.uint16),
+                                         (70_000, np.uint32)])
+    def test_smallest_unsigned_dtype(self, n, dtype):
+        assert _lex_subsets(n, 1).dtype == dtype
+        assert _lex_subsets(n, 0).shape == (1, 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 70_000])
+    def test_full_subset_from_the_empty_complement(self, n):
+        (block,) = _subset_blocks(n, n, 1024)
+        np.testing.assert_array_equal(block, [np.arange(n)])
+
+    @pytest.mark.parametrize("n,k", [(3, -1), (3, 4)])
+    def test_bad_sizes_rejected(self, n, k):
+        with pytest.raises(ValueError, match="need 0 <= k <= n"):
+            _lex_subsets(n, k)
+
+
 class TestSelectionCounts:
+    @pytest.mark.parametrize("n,s,q", [(19, 9, 4), (19, 9, 1), (19, 9, 9),
+                                       (17, 8, 3), (16, 16, 5), (20, 4, 2),
+                                       (12, 1, 1)])
+    def test_equal_itertools_blocks(self, n, s, q):
+        rng = np.random.default_rng(n * s + q)
+        for losses in (rng.permutation(n) + 0.5 * rng.random(n),
+                       rng.integers(0, 3, n).astype(np.float64)):
+            counts, total = rank_selection_counts(losses, s, q)
+            ref_counts, ref_total = itertools_block_counts(losses, s, q)
+            assert total == ref_total
+            assert counts.dtype == ref_counts.dtype
+            np.testing.assert_array_equal(counts, ref_counts)
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_equal_per_subset_reference(self, n):
         rng = np.random.default_rng(n)
