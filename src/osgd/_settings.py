@@ -1,0 +1,94 @@
+"""Run settings, each declared once on its config dataclass field.
+
+A setting's field holds its default, its checks and, when it is not the
+section's key prefix plus the field name, its dotted key.  Its type comes
+from its default: the type decides how config-file text is parsed and the
+type check every value meets.  The same checks run for constructor
+arguments and file values alike, and every failed check names the key.
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import field, fields, replace
+
+import numpy as np
+
+
+def is_int(v):
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _int_list(raw):
+    return tuple(int(tok) for tok in raw.replace(",", " ").split())
+
+
+# default's type -> (text parser, (test, rule) checks every value meets)
+_TYPES = {
+    bool: (lambda raw: {"true": True, "false": False}[raw.lower()],
+           (lambda v: isinstance(v, bool), "must be true or false")),
+    int: (int, (is_int, "must be an integer")),
+    float: (float, (lambda v: is_int(v) or isinstance(v, (float, np.floating)),
+                    "must be a number")),
+    str: (str, (lambda v: isinstance(v, str), "must be a string")),
+    tuple: (_int_list,
+            (lambda v: isinstance(v, tuple), "must be a list of integers"),
+            (lambda v: all(map(is_int, v)),
+             "must be an integer in every entry")),
+}
+
+AT_LEAST_1 = (lambda v: v >= 1, "must be at least 1")
+NONNEG = (lambda v: v >= 0, "must be nonnegative")
+NONNEG_ENTRIES = (lambda v: min(v, default=0) >= 0, "must be nonnegative")
+POSITIVE_FINITE = (lambda v: math.isfinite(v) and v > 0,
+                   "must be positive and finite")
+UNIT = (lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)")  # also rejects nan
+
+
+def one_of(choices):
+    return (lambda v: v in choices, f"must be one of {', '.join(choices)}")
+
+
+def setting(default, *checks, key=None, as_type=None):
+    """Field of one run setting: ``default``, then its ``(test, rule)``
+    checks.  ``as_type`` replaces the parser and type checks of the
+    default's type; ``key`` replaces the section prefix plus the field name."""
+    parse, *type_checks = as_type or _TYPES[type(default)]
+    return field(default=default, metadata={
+        "key": key, "parse": parse, "checks": (*type_checks, *checks)})
+
+
+def key_of(section, f):
+    return f.metadata.get("key") or section._prefix + f.name
+
+
+class Section:
+    """Base of a frozen config dataclass whose fields are settings or
+    sections.  Building one checks every setting, naming its key."""
+
+    _prefix = ""
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            for test, rule in f.metadata.get("checks", ()):
+                if not test(value):
+                    raise ValueError(
+                        f"{key_of(self, f)} {rule}, got {value!r}")
+
+
+def from_flat(section, flat):
+    """``section`` with each setting that ``flat`` names (popped from it)
+    parsed from text; text its type cannot parse is kept for the type
+    check to reject.  Nested sections start from ``section``'s own."""
+    changes = {}
+    for f in fields(section):
+        value, key = getattr(section, f.name), key_of(section, f)
+        if isinstance(value, Section):
+            changes[f.name] = from_flat(value, flat)
+        elif key in flat:
+            raw = flat.pop(key)
+            try:
+                changes[f.name] = f.metadata["parse"](raw)
+            except (ValueError, KeyError):
+                changes[f.name] = raw
+    return replace(section, **changes)

@@ -151,8 +151,16 @@ def _cmd_analyze(args):
         print(f"bound term: {value!r} (wrote {args.out})")
         return 0
     if args.what == "gap":
-        history = [float(row[args.column])
-                   for row in csv.DictReader(open(args.history))]
+        if not args.history:
+            print("analyze gap needs --history", file=sys.stderr)
+            return 2
+        with open(args.history, newline="") as fh:
+            reader = csv.DictReader(fh)
+            if args.column not in (reader.fieldnames or ()):
+                print(f"{args.history} has no column {args.column!r}",
+                      file=sys.stderr)
+                return 2
+            history = [float(row[args.column]) for row in reader]
         gaps = analysis.optimality_gap(history, args.star)
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)

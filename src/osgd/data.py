@@ -221,7 +221,8 @@ def load_idx(images_path, labels_path) -> Dataset:
         raise FormatError(f"{labels_path}: expected {ln} label bytes from "
                           f"offset 8, found {len(lab) - 8}")
     if ln != n:
-        raise FormatError(f"count mismatch: {n} images vs {ln} labels")
+        raise FormatError(f"{labels_path}: count mismatch: {ln} labels vs "
+                          f"{n} images in {images_path}")
 
     features = np.frombuffer(img, dtype=np.uint8, offset=16).astype(np.float64)
     features = features.reshape(n, rows * cols) / 255.0
@@ -240,10 +241,11 @@ def load_semeion(path) -> Dataset:
     """Parse the 266-column Semeion text format: 256 pixels + 10 one-hot labels.
 
     The canonical file has 1593 rows of binary pixels; any row count is
-    accepted.  Malformed or multi-hot lines fail with their line number.
+    accepted.  Malformed, non-finite or multi-hot lines fail with their line
+    number.
     """
     rows, labels = [], []
-    with open(path) as fh:
+    with open(path, "rb") as fh:  # bytes: a non-text byte is a bad token
         for lineno, line in enumerate(fh, start=1):
             tokens = line.split()
             if not tokens:
@@ -255,6 +257,10 @@ def load_semeion(path) -> Dataset:
                 vals = np.array([float(t) for t in tokens], dtype=np.float64)
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from None
+            bad = np.flatnonzero(~np.isfinite(vals))
+            if bad.size:
+                raise FormatError(f"{path}:{lineno}: column {bad[0] + 1} is "
+                                  f"not finite ({tokens[bad[0]].decode()})")
             onehot = vals[256:]
             if not (np.isin(onehot, (0.0, 1.0)).all() and onehot.sum() == 1.0):
                 raise FormatError(f"{path}:{lineno}: label block is not one-hot "

@@ -36,6 +36,13 @@ class RunRecord:
 
     ``q`` and ``lr`` are the values in effect during the epoch (lr from
     its final step); losses and errors are measured at the epoch's end.
+
+    With shuffle batching an epoch ends on a partial batch of n mod s rows
+    when s does not divide the n train rows (40 on the rings data at
+    s = 64, 8 on the clusters data), and that step keeps min(q, rows) of
+    them.  ``train_ordered_loss`` is L_q with the gamma weights of the
+    configured s = min(opt.batch_size, n), so it describes the full-size
+    batches, not the partial one.
     """
 
     seed: int

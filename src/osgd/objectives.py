@@ -21,6 +21,8 @@ LOSS_KINDS = (
     "squared",
 )
 
+MODEL_KINDS = ("linear", "mlp")
+
 # (activation, its derivative written in terms of the activation's output
 # h, so backward reads h from the tape instead of evaluating it again)
 _ACTIVATIONS = {

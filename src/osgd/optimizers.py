@@ -35,6 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._settings import (NONNEG_ENTRIES, POSITIVE_FINITE, Section, one_of,
+                        setting)
 from .selection import topq_positions
 
 
@@ -162,22 +164,16 @@ def adaptive_q_update(train_acc: float, s: int) -> int:
 
 
 @dataclass(frozen=True)
-class ScheduleSpec:
+class ScheduleSpec(Section):
     """Learning-rate schedule: step-decay, inverse-sqrt, or constant."""
 
-    kind: str = "constant"
-    base_lr: float = 0.01
-    decay_epochs: tuple[int, ...] = ()
-    decay_factor: float = 0.1
-
-    def __post_init__(self):
-        if self.kind not in ("step-decay", "inverse-sqrt", "constant"):
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if not (math.isfinite(self.base_lr) and self.base_lr > 0):
-            raise ValueError(f"opt.schedule.base_lr must be positive and "
-                             f"finite, got {self.base_lr}")
-        if not 0.0 < self.decay_factor <= 1.0:
-            raise ValueError(f"decay_factor must lie in (0, 1], got {self.decay_factor}")
+    _prefix = "opt.schedule."
+    kind: str = setting("constant",
+                        one_of(("step-decay", "inverse-sqrt", "constant")))
+    base_lr: float = setting(0.01, POSITIVE_FINITE)
+    decay_epochs: tuple[int, ...] = setting((), NONNEG_ENTRIES)
+    decay_factor: float = setting(0.1, (lambda v: 0.0 < v <= 1.0,
+                                        "must lie in (0, 1]"))
 
 
 def schedule_lr(spec: ScheduleSpec, epoch: int, step: int) -> float:

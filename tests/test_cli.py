@@ -1,8 +1,10 @@
 """End-to-end checks of every CLI subcommand."""
 import csv
+import gc
 import io
 import json
 import os
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -202,6 +204,35 @@ class TestAnalyzeCommands:
         rows = list(csv.DictReader(open(out)))
         gaps = [float(r["running_min_gap"]) for r in rows]
         assert gaps == sorted(gaps, reverse=True) or len(gaps) == 1
+
+    @pytest.fixture
+    def history(self, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_text("epoch,train_ordered_loss\n0,0.9\n1,0.5\n2,0.7\n")
+        return path
+
+    def test_gap_closes_history_file(self, tmp_path, history):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["analyze", "gap", "--history", str(history),
+                         "--star", "0.5", "--out", str(tmp_path / "g.csv")]) == 0
+            gc.collect()
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
+        with open(tmp_path / "g.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(r["running_min_gap"]) for r in rows] == [0.4, 0.0, 0.0]
+
+    def test_gap_without_history_exits_2(self, tmp_path, capsys):
+        assert main(["analyze", "gap", "--out", str(tmp_path / "g.csv")]) == 2
+        assert "--history" in capsys.readouterr().err
+
+    def test_gap_missing_column_exits_2(self, tmp_path, history, capsys):
+        assert main(["analyze", "gap", "--history", str(history),
+                     "--column", "train_loss",
+                     "--out", str(tmp_path / "g.csv")]) == 2
+        assert "no column 'train_loss'" in capsys.readouterr().err
+        assert not (tmp_path / "g.csv").exists()
 
     def test_moreau_on_saved_params(self, tmp_path, config_file, monkeypatch):
         monkeypatch.chdir(tmp_path)

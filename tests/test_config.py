@@ -1,13 +1,32 @@
 """Config file parsing, overrides, and dataset/objective builders."""
+import os
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from osgd._settings import Section, key_of
 from osgd.config import (DataConfig, ModelConfig, OptConfig, RunConfig,
                          build_dataset, build_objective, config_from_flat,
                          load_config, parse_config_text)
 from osgd.data import FormatError
+from osgd.optimizers import ScheduleSpec
+
+
+def setting_keys(section=RunConfig()):
+    """(dotted key, default) of every run setting, in declaration order."""
+    for f in fields(section):
+        value = getattr(section, f.name)
+        if isinstance(value, Section):
+            yield from setting_keys(value)
+        else:
+            yield key_of(section, f), value
+
+
+KEYS = [key for key, _ in setting_keys()]
 
 
 class TestParsing:
@@ -39,6 +58,9 @@ class TestParsing:
         assert cfg.opt.schedule.kind == "step-decay"
         assert cfg.opt.schedule.decay_epochs == (9,)
         assert cfg.opt.schedule.decay_factor == 0.1
+
+    def test_no_keys_give_the_default_config(self):
+        assert config_from_flat({}) == RunConfig()
 
     def test_fixed_q_syntax(self):
         cfg = config_from_flat({"opt.q": "fixed:8"})
@@ -249,3 +271,88 @@ class TestRunSettingChecks:
                                            ("seeds", "0, 7")])
     def test_edge_values_accepted(self, key, value):
         config_from_flat({key: value})
+
+    @pytest.mark.parametrize("key,value,rule", [
+        ("model.bias", "no", "must be true or false"),
+        ("data.stratified", "yes", "must be true or false"),
+        ("data.seed", "1.5", "must be an integer"),
+        ("data.seed", "-3", "must be nonnegative"),
+        ("model.kind", "cnn", "must be one of linear, mlp"),
+        ("model.activation", "gelu", "must be one of"),
+        ("loss.kind", "mse", "must be one of"),
+        ("opt.schedule.kind", "linear", "must be one of"),
+        ("opt.schedule.decay_factor", "1.5", r"must lie in \(0, 1\]"),
+        ("opt.schedule.decay_factor", "0", r"must lie in \(0, 1\]"),
+        ("opt.schedule.decay_epochs", "-1", "must be nonnegative"),
+        ("opt.schedule.decay_epochs", "9, 2.5", "must be a list of integers"),
+    ])
+    def test_bad_value_rejected_naming_key(self, key, value, rule):
+        with pytest.raises(ValueError, match=f"^{re.escape(key)} {rule}"):
+            config_from_flat({key: value})
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: ModelConfig(bias="no"), "model.bias must be true or false"),
+        (lambda: DataConfig(stratified=1), "data.stratified must be true"),
+        (lambda: DataConfig(seed=1.5), "data.seed must be an integer"),
+        (lambda: DataConfig(seed=-3), "data.seed must be nonnegative"),
+        (lambda: ModelConfig(kind="cnn"), "model.kind must be one of"),
+        (lambda: RunConfig(loss_kind="mse"), "loss.kind must be one of"),
+        (lambda: ScheduleSpec(kind="linear"), "opt.schedule.kind must be"),
+        (lambda: ScheduleSpec(decay_factor=2.0),
+         "opt.schedule.decay_factor must lie in"),
+        (lambda: ScheduleSpec(decay_epochs=(2.5, -1)),
+         "opt.schedule.decay_epochs must be an integer"),
+        (lambda: ScheduleSpec(decay_epochs=(3, -1)),
+         "opt.schedule.decay_epochs must be nonnegative"),
+    ])
+    def test_constructors_reject_naming_key(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            build()
+
+    def test_strict_booleans_accept_true_and_false(self):
+        cfg = config_from_flat({"model.bias": "False",
+                                "data.stratified": "false"})
+        assert cfg.model.bias is False and cfg.data.stratified is False
+
+
+VALUES = st.one_of(
+    st.integers(-3, 300).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "true", "false", "yes",
+                     "adaptive", "fixed:8", "fixed:0", "mlp", "relu",
+                     "squared", "rings", "step-decay", "iid", "oadam"]),
+    st.lists(st.integers(-3, 300), max_size=4).map(
+        lambda v: ", ".join(map(str, v))),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(KEYS + ["opt.lr"]), VALUES,
+                       max_size=6))
+def test_config_from_flat_fuzz(flat):
+    """Random settings either build or fail naming a key that fails alone."""
+    try:
+        cfg = config_from_flat(flat)
+    except ValueError as exc:
+        named = str(exc).split()[0]
+        source = named
+        if named == "opt.schedule.base_lr" and named not in flat:
+            source = "opt.lr"  # the alias feeds base_lr
+        assert source in flat, str(exc)
+        with pytest.raises(ValueError, match=f"^{re.escape(named)} "):
+            config_from_flat({source: flat[source]})
+    else:
+        assert isinstance(cfg, RunConfig)
+
+
+def test_readme_table_lists_every_key_and_default():
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    table = text.split("| key | default | accepted values |")[1].split("\n\n")[0]
+    rows = [line.split("|")[1:3] for line in table.splitlines()[2:]]
+    documented = {key.strip(" `"): default.strip(" `") for key, default in rows}
+    assert list(documented) == KEYS
+    for key, default in documented.items():
+        assert config_from_flat({key: default}) == RunConfig(), key

@@ -1,5 +1,6 @@
 """Generators, file-format parsers, splits, and the binary cache."""
 import os
+import pathlib
 import tempfile
 import struct
 
@@ -189,6 +190,16 @@ class TestSemeion:
         with pytest.raises(FormatError, match="expected 266 columns"):
             load_semeion(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_pixel_rejected_with_line(self, tmp_path, value):
+        path = tmp_path / "nonfinite.data"
+        tokens = semeion_line([0.0] * 256, 3).split()
+        tokens[5] = value
+        path.write_text(semeion_line([0.0] * 256, 1) + "\n" + " ".join(tokens))
+        with pytest.raises(FormatError, match=rf"{path.name}:2: column 6 is "
+                                              rf"not finite \({value}\)"):
+            load_semeion(path)
+
     @pytest.mark.skipif(not os.path.exists(SEMEION_PATH),
                         reason=f"canonical file not present at {SEMEION_PATH}")
     def test_canonical_file_row_count(self):
@@ -350,3 +361,91 @@ class TestCache:
         np.testing.assert_array_equal(back.splits["train"],
                                       ds.splits["train"])
         assert back.provenance == ds.provenance
+
+
+SEMEION_TOKENS = st.sampled_from(
+    [b"nan", b"inf", b"-inf", b"1e400", b"x", b"2", b"-1", b"0.5", b"1", b"0",
+     b"1,0", b"\xff", b"\x00", b"0x1", b"1_0", b"--", b"\xd9\xa3"])
+
+
+class TestParserFuzz:
+    """Mutated files either load or raise a FormatError naming the file."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 270),
+                              st.sampled_from(["set", "drop", "insert"]),
+                              SEMEION_TOKENS | st.binary(max_size=4)),
+                    max_size=6))
+    def test_semeion_line_mutations(self, edits):
+        pixels = [float(i % 2) for i in range(256)]
+        lines = [semeion_line(pixels, k).encode().split() for k in (0, 4, 9)]
+        for row, col, op, token in edits:
+            toks = lines[row]
+            col = min(col, len(toks))
+            if op == "set" and col < len(toks):
+                toks[col] = token
+            elif op == "drop" and col < len(toks):
+                del toks[col]
+            elif op == "insert":
+                toks.insert(col, token)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "fuzz.data")
+            with open(path, "wb") as fh:
+                fh.write(b"\n".join(b" ".join(toks) for toks in lines))
+            try:
+                ds = load_semeion(path)
+            except FormatError as exc:
+                assert path in str(exc)
+                return
+        assert np.isfinite(ds.features).all() and ds.n <= 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["images", "labels"]),
+           st.lists(st.tuples(st.integers(0, 40), st.integers(0, 255)),
+                    max_size=4),
+           st.integers(0, 40) | st.none(), st.binary(max_size=3),
+           st.integers(0, 5) | st.none())
+    def test_idx_byte_mutations(self, which, flips, cut, tail, count):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = pathlib.Path(tmp)
+            paths = dict(zip(("images", "labels"), write_idx_pair(
+                tmp, np.arange(24, dtype=np.uint8).reshape(3, 2, 4), [1, 0, 2])))
+            blob = bytearray(paths[which].read_bytes())
+            if count is not None:  # a consistent file with another count
+                head = 16 if which == "images" else 8
+                unit = 8 if which == "images" else 1
+                blob[4:8] = struct.pack(">I", count)
+                blob[head:] = bytes(count * unit)
+            for pos, byte in flips:  # header bytes and body bytes alike
+                if pos < len(blob):
+                    blob[pos] = byte
+            if cut is not None:
+                del blob[cut:]
+            paths[which].write_bytes(bytes(blob) + tail)
+            try:
+                ds = load_idx(paths["images"], paths["labels"])
+            except FormatError as exc:
+                assert str(paths[which]) in str(exc)
+                return
+        assert ds.n == len(ds.labels)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 6516), st.integers(0, 255)),
+                    max_size=4),
+           st.integers(0, 6517) | st.none(), st.binary(max_size=3))
+    def test_cache_byte_mutations(self, flips, cut, tail):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "fuzz.osgd")
+            save_cache(gen_clusters_2d(0), path)
+            blob = bytearray(pathlib.Path(path).read_bytes())
+            assert len(blob) == 6517
+            for pos, byte in flips:
+                blob[pos] = byte
+            if cut is not None:
+                del blob[cut:]
+            with open(path, "wb") as fh:
+                fh.write(bytes(blob) + tail)
+            try:
+                load_cache(path)
+            except FormatError as exc:
+                assert path in str(exc)

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from osgd import harness
+from osgd import harness, optimizers
 from osgd.config import (DataConfig, ModelConfig, OptConfig, RunConfig,
                          build_dataset, build_objective, load_config)
 from osgd.data import gen_clusters_2d
@@ -196,8 +196,39 @@ class TestSweep:
         assert sorted(sweep_q(cfg, [4, 12], dataset=ds)) == [4, 12]
 
 
-RINGS_CFG = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "configs", "rings_osgd.cfg")
+CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "configs")
+RINGS_CFG = os.path.join(CONFIG_DIR, "rings_osgd.cfg")
+
+
+class TestPartialBatchRegime:
+    """Shuffle batching ends each epoch on n mod s rows, and the logged
+    L_q keeps the gamma weights of the configured s."""
+
+    @pytest.mark.parametrize("cfg_file,sizes", [
+        ("rings_osgd.cfg", [64] * 15 + [40]),
+        ("clusters_osgd.cfg", [64] * 3 + [8])])
+    def test_step_rows_and_logged_lq_batch_size(self, monkeypatch, cfg_file,
+                                                sizes):
+        cfg = load_config(os.path.join(CONFIG_DIR, cfg_file),
+                          ["epochs = 2", "seeds = 0"])
+        steps, gammas = [], []
+        step, gamma = optimizers.osgd_step, harness._gamma_approx
+
+        def counting_step(state, obj, X, y, batch, q, **kw):
+            steps.append(len(batch))
+            return step(state, obj, X, y, batch, q, **kw)
+
+        def counting_gamma(n, s, q):
+            gammas.append((n, s))
+            return gamma(n, s, q)
+
+        monkeypatch.setattr(optimizers, "osgd_step", counting_step)
+        monkeypatch.setattr(harness, "_gamma_approx", counting_gamma)
+        run = run_single(cfg, build_dataset(cfg.data), 0)
+        assert not run.failed
+        assert steps == sizes * 2
+        assert gammas == [(sum(sizes), 64)] * 2
 
 
 def counted_run(monkeypatch, cfg, forward_test_rows=False):
