@@ -77,8 +77,20 @@ def _cmd_verify(args):
     return 0
 
 
+def _load_config(args):
+    """The run config of ``--config`` and ``--override``, or None after a
+    one-line error on stderr when it cannot be read or built."""
+    try:
+        return load_config(args.config, overrides=args.override)
+    except (OSError, ValueError) as exc:
+        print(f"{args.config}: {exc}", file=sys.stderr)
+        return None
+
+
 def _cmd_train(args):
-    cfg = load_config(args.config, overrides=args.override)
+    cfg = _load_config(args)
+    if cfg is None:
+        return 2
     result = harness.run_experiment(cfg)
     os.makedirs(cfg.outdir, exist_ok=True)
     records_path = os.path.join(cfg.outdir, f"{cfg.name}-records.csv")
@@ -102,7 +114,9 @@ def _cmd_train(args):
 
 
 def _cmd_sweep_q(args):
-    cfg = load_config(args.config, overrides=args.override)
+    cfg = _load_config(args)
+    if cfg is None:
+        return 2
     q_values = [int(tok) for tok in args.q_values.split(",") if tok]
     summaries = harness.sweep_q(cfg, q_values)
     os.makedirs(cfg.outdir, exist_ok=True)
@@ -173,7 +187,9 @@ def _cmd_analyze(args):
     if not (args.config and args.theta):
         print("analyze moreau needs --config and --theta", file=sys.stderr)
         return 2
-    cfg = load_config(args.config, overrides=args.override)
+    cfg = _load_config(args)
+    if cfg is None:
+        return 2
     ds = build_dataset(cfg.data, split_seed=cfg.seeds[0])
     obj = build_objective(cfg, ds)
     theta = np.load(args.theta)

@@ -24,7 +24,8 @@ from fractions import Fraction
 from math import comb, exp, lgamma, log, log1p
 
 import numpy as np
-from scipy.special import gammaln
+
+from . import _special
 
 # Above this n the float vectors of gamma_vector come from the log-space
 # path instead of the exact integers (those stay correct but get slow).
@@ -123,7 +124,7 @@ def gamma_weights_float(n: int, s: int, q: int) -> np.ndarray:
     that range it is -inf and leaves the log-sum unchanged.
     """
     _check_nsq(n, s, q)
-    lg = gammaln(np.arange(1, n + 2))  # lg[k] = ln k!
+    lg = _special.gammaln(np.arange(1, n + 2))  # lg[k] = ln k!
     log_den = (lg[n] - lg[s]) - lg[n - s]
     m = n - s + 1  # the l-th term exists on ranks j = l+1 .. l+m
     low = lg[:m]      # ln (j-1-l)! over those ranks

@@ -60,6 +60,12 @@ class ModelConfig(Section):
     activation: str = setting("tanh", one_of(tuple(_ACTIVATIONS)))
     bias: bool = setting(True)
 
+    def __post_init__(self):
+        super().__post_init__()
+        if self.kind == "mlp" and not self.hidden:
+            raise ValueError("model.kind mlp needs at least one width in "
+                             "model.hidden, got none")
+
 
 @dataclass(frozen=True)
 class OptConfig(Section):

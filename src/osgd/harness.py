@@ -112,8 +112,13 @@ def _gamma_approx(n, s, q):
 def _epoch_batches(rng, n, s, mode):
     if mode == "shuffle":
         perm = rng.permutation(n)
-        # chunks sorted ascending so the tie rule sees original index order
-        return [np.sort(perm[i:i + s]) for i in range(0, n, s)]
+        # chunks sorted ascending so the tie rule sees original index order:
+        # the n // s full chunks in one call, the n mod s tail on its own
+        k = n // s
+        batches = list(np.sort(perm[:k * s].reshape(k, s), axis=1))
+        if n % s:
+            batches.append(np.sort(perm[k * s:]))
+        return batches
     # iid: fresh uniform s-subset per step, floor(n/s) steps per epoch
     return [selection.sample_minibatch(rng, n, s) for _ in range(max(1, n // s))]
 

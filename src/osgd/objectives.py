@@ -12,7 +12,8 @@ deterministic: max(0, .) and relu use derivative 0 at exactly 0.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
+
+from . import _special
 
 LOSS_KINDS = (
     "multinomial-cross-entropy",
@@ -24,7 +25,8 @@ LOSS_KINDS = (
 MODEL_KINDS = ("linear", "mlp")
 
 # (activation, its derivative written in terms of the activation's output
-# h, so backward reads h from the tape instead of evaluating it again)
+# h, so backward reads h from the tape instead of evaluating it again).
+# A sigmoid model binds scipy's expit itself when it is built.
 _ACTIVATIONS = {
     "relu": (
         lambda z: np.maximum(z, 0.0),
@@ -35,7 +37,7 @@ _ACTIVATIONS = {
         lambda h: 1.0 - h ** 2,
     ),
     "sigmoid": (
-        expit,
+        lambda z: _special.expit(z),
         lambda h: h * (1.0 - h),
     ),
 }
@@ -59,6 +61,8 @@ class FeedforwardModel:
         self.activation = activation
         self.bias = bool(bias)
         self._act, self._dact = _ACTIVATIONS[activation]
+        if activation == "sigmoid":
+            self._act = _special.expit  # loads scipy.special, if not yet
         widths = (self.d_in, *self.hidden, self.d_out)
         # per layer: (weight slice, weight shape, bias slice or None)
         blocks = []
@@ -208,7 +212,7 @@ def _logit_grads(kind, pieces):
         return D
     if kind == "binary-cross-entropy":
         neg_t, z = pieces
-        return (neg_t * expit(z))[:, None]
+        return (neg_t * _special.expit(z))[:, None]
     if kind == "squared":
         return pieces
     raise ValueError(f"unknown loss kind {kind!r}")
@@ -246,6 +250,8 @@ class Objective:
             raise ValueError("binary-cross-entropy needs a scalar-output model")
         if loss in ("multinomial-cross-entropy", "multiclass-hinge") and model.d_out < 2:
             raise ValueError(f"{loss} needs at least two output units")
+        if loss == "binary-cross-entropy":
+            _special.expit  # its gradient's; loads scipy.special here, not in a step
         self.model = model
         self.loss = loss
         self.l2 = float(l2)

@@ -34,6 +34,11 @@ opt.schedule.base_lr = 0.05
 """
 
 
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 @pytest.fixture
 def config_file(tmp_path):
     path = tmp_path / "run.cfg"
@@ -46,7 +51,7 @@ class TestGammaCommands:
         out = tmp_path / "gamma.csv"
         assert main(["gamma", "--n", "5", "--s", "3", "--q", "2",
                      "--out", str(out)]) == 0
-        rows = list(csv.DictReader(open(out)))
+        rows = read_rows(out)
         assert [r["j"] for r in rows] == ["1", "2", "3", "4", "5"]
         got = [Fraction(int(r["gamma_exact_num"]), int(r["gamma_exact_den"]))
                for r in rows]
@@ -60,7 +65,7 @@ class TestGammaCommands:
         out = tmp_path / "gamma-float.csv"
         assert main(["gamma", "--n", "50", "--s", "10", "--q", "3", "--float",
                      "--out", str(out)]) == 0
-        rows = list(csv.DictReader(open(out)))
+        rows = read_rows(out)
         assert rows[0]["gamma_exact_num"] == ""
         total = sum(float(r["gamma_float"]) for r in rows)
         assert total == pytest.approx(3.0, rel=1e-9)
@@ -88,7 +93,7 @@ class TestGammaCommands:
         out = tmp_path / "curve.csv"
         assert main(["gamma-curve", "--n", "100", "--s", "10", "--q", "3",
                      "--out", str(out)]) == 0
-        rows = list(csv.DictReader(open(out)))
+        rows = read_rows(out)
         assert list(rows[0]) == ["z", "n_gamma", "gamma_limit", "beta_gap"]
         interior = [r for r in rows if r["beta_gap"] != ""]
         assert all(abs(float(r["beta_gap"])) < 1e-9 for r in interior)
@@ -116,9 +121,9 @@ class TestTrainCommands:
         monkeypatch.chdir(tmp_path)
         assert main(["train", "--config", str(config_file),
                      "--override", "outdir = out"]) == 0
-        rows = list(csv.DictReader(open(tmp_path / "out/cli-smoke-records.csv")))
+        rows = read_rows(tmp_path / "out/cli-smoke-records.csv")
         assert {r["seed"] for r in rows} == {"0", "1"}
-        summary = list(csv.DictReader(open(tmp_path / "out/cli-smoke-summary.csv")))
+        summary = read_rows(tmp_path / "out/cli-smoke-summary.csv")
         assert summary[0]["config_id"] == "cli-smoke"
 
     def test_train_save_params(self, config_file, tmp_path, monkeypatch):
@@ -135,7 +140,7 @@ class TestTrainCommands:
                      "--q-values", "1,20",
                      "--override", "outdir = out",
                      "--override", "seeds = 0"]) == 0
-        rows = list(csv.DictReader(open(tmp_path / "out/cli-smoke-sweep-q.csv")))
+        rows = read_rows(tmp_path / "out/cli-smoke-sweep-q.csv")
         assert len(rows) == 2
 
     def test_sweep_q_checks_q_against_train_rows(self, config_file, tmp_path,
@@ -157,6 +162,24 @@ class TestTrainCommands:
                   "--q-values", "1,5,20", "--override", "opt.kind = sgd",
                   "--override", "outdir = out", "--override", "seeds = 0"])
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["train"],
+    ["sweep-q", "--q-values", "1,20"],
+    ["analyze", "moreau", "--theta", "theta.npy", "--out", "moreau.csv"]],
+    ids=["train", "sweep-q", "analyze-moreau"])
+def test_config_error_is_one_line_and_exit_2(config_file, tmp_path,
+                                             monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    assert main([*command, "--config", str(config_file),
+                 "--override", "outdir = out",
+                 "--override", "model.bias = no"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "model.bias must be true or false, got 'no'" in err
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "moreau.csv").exists()
 
 
 class TestDataCommands:
@@ -189,7 +212,7 @@ class TestAnalyzeCommands:
         assert main(["analyze", "bound-term", "--M", "1", "--s", "64",
                      "--q", "4", "--n", "1000", "--delta", "0.05",
                      "--out", str(out)]) == 0
-        row = list(csv.DictReader(open(out)))[0]
+        row = read_rows(out)[0]
         assert float(row["bound_term"]) == pytest.approx(0.6192364096327919)
 
     def test_gap_from_history_csv(self, tmp_path, config_file, monkeypatch):
@@ -201,7 +224,7 @@ class TestAnalyzeCommands:
                      "--history", str(tmp_path / "out/cli-smoke-records.csv"),
                      "--column", "train_ordered_loss", "--star", "0.0",
                      "--out", str(out)]) == 0
-        rows = list(csv.DictReader(open(out)))
+        rows = read_rows(out)
         gaps = [float(r["running_min_gap"]) for r in rows]
         assert gaps == sorted(gaps, reverse=True) or len(gaps) == 1
 
@@ -244,5 +267,5 @@ class TestAnalyzeCommands:
                      "--theta", str(tmp_path / "out/cli-smoke-seed0-theta.npy"),
                      "--rho-hat", "10.0", "--inner-tol", "1e-6",
                      "--out", str(out)]) == 0
-        row = list(csv.DictReader(open(out)))[0]
+        row = read_rows(out)[0]
         assert float(row["moreau_grad_norm"]) >= 0.0

@@ -309,6 +309,20 @@ class TestRunSettingChecks:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             build()
 
+    @pytest.mark.parametrize("build", [
+        lambda: config_from_flat({"model.kind": "mlp"}),
+        lambda: config_from_flat({"model.kind": "mlp", "model.hidden": ""}),
+        lambda: ModelConfig(kind="mlp"),
+        lambda: RunConfig(model=ModelConfig(kind="mlp", activation="relu"))])
+    def test_mlp_without_hidden_widths_rejected_naming_kind(self, build):
+        with pytest.raises(ValueError, match=r"^model\.kind mlp needs at least "
+                                             r"one width in model\.hidden"):
+            build()
+
+    def test_mlp_with_hidden_widths_builds(self):
+        cfg = config_from_flat({"model.kind": "mlp", "model.hidden": "16"})
+        assert cfg.model.hidden == (16,)
+
     def test_strict_booleans_accept_true_and_false(self):
         cfg = config_from_flat({"model.bias": "False",
                                 "data.stratified": "false"})

@@ -230,6 +230,17 @@ class TestPartialBatchRegime:
         assert steps == sizes * 2
         assert gammas == [(sum(sizes), 64)] * 2
 
+    @pytest.mark.parametrize("n,s", [(1000, 64), (192, 64), (256, 64),
+                                     (40, 64), (1, 1), (7, 3), (0, 5)])
+    def test_shuffle_batches_equal_per_chunk_sorts(self, n, s):
+        # the per-chunk loop that one sort over the full chunks replaced
+        perm = np.random.default_rng(n).permutation(n)
+        want = [np.sort(perm[i:i + s]) for i in range(0, n, s)]
+        got = _epoch_batches(np.random.default_rng(n), n, s, "shuffle")
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
 
 def counted_run(monkeypatch, cfg, forward_test_rows=False):
     """run_single on seed 0 with the model forwards counted per evaluation.
