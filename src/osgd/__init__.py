@@ -12,13 +12,12 @@ from .coeffs import (GammaCurve, GammaWeights, beta_cdf, gamma_asymptotic,
                      gamma_rescaled_curve, gamma_weights, gamma_weights_float)
 from .config import (DataConfig, ModelConfig, OptConfig, RunConfig,
                      build_dataset, build_objective, load_config)
-from .data import (ClustersSpec, Dataset, FormatError, RingsSpec,
-                   gen_clusters_2d, gen_rings_2d, load_cache, load_idx,
-                   load_semeion, save_cache, split_dataset)
+from .data import (Dataset, FormatError, gen_clusters_2d, gen_rings_2d,
+                   load_cache, load_idx, load_semeion, save_cache,
+                   split_dataset)
 from .harness import (ExperimentResult, RunRecord, RunResult, run_experiment,
                       run_single, run_verification_suite, sweep_q)
-from .objectives import (FeedforwardModel, Objective, make_model,
-                         regularizer_value_grad)
+from .objectives import FeedforwardModel, Objective, make_model
 from .optimizers import (DivergenceError, OptimizerState, ScheduleSpec,
                          adam_step, adaptive_q_update, init_state,
                          minibatch_sgd_step, ordered_adam_step, osgd_step,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import os
 import sys
 
@@ -69,7 +70,7 @@ def _cmd_verify(args):
               f"{worst:.3e}")
         return 0 if worst <= harness.UNBIASEDNESS_TOL else 1
     report = harness.run_verification_suite(corrupt=args.corrupt)
-    print(harness.report_to_json(report))
+    print(json.dumps(report, indent=2))
     if not report["all_passed"]:
         failing = [c["name"] for c in report["checks"] if not c["passed"]]
         print(f"FAILED checks: {', '.join(failing)}", file=sys.stderr)
@@ -77,20 +78,8 @@ def _cmd_verify(args):
     return 0
 
 
-def _load_config(args):
-    """The run config of ``--config`` and ``--override``, or None after a
-    one-line error on stderr when it cannot be read or built."""
-    try:
-        return load_config(args.config, overrides=args.override)
-    except (OSError, ValueError) as exc:
-        print(f"{args.config}: {exc}", file=sys.stderr)
-        return None
-
-
 def _cmd_train(args):
-    cfg = _load_config(args)
-    if cfg is None:
-        return 2
+    cfg = load_config(args.config, overrides=args.override)
     result = harness.run_experiment(cfg)
     os.makedirs(cfg.outdir, exist_ok=True)
     records_path = os.path.join(cfg.outdir, f"{cfg.name}-records.csv")
@@ -114,9 +103,7 @@ def _cmd_train(args):
 
 
 def _cmd_sweep_q(args):
-    cfg = _load_config(args)
-    if cfg is None:
-        return 2
+    cfg = load_config(args.config, overrides=args.override)
     q_values = [int(tok) for tok in args.q_values.split(",") if tok]
     summaries = harness.sweep_q(cfg, q_values)
     os.makedirs(cfg.outdir, exist_ok=True)
@@ -187,9 +174,7 @@ def _cmd_analyze(args):
     if not (args.config and args.theta):
         print("analyze moreau needs --config and --theta", file=sys.stderr)
         return 2
-    cfg = _load_config(args)
-    if cfg is None:
-        return 2
+    cfg = load_config(args.config, overrides=args.override)
     ds = build_dataset(cfg.data, split_seed=cfg.seeds[0])
     obj = build_objective(cfg, ds)
     theta = np.load(args.theta)
@@ -289,8 +274,15 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one subcommand.  An input it cannot read or use (a missing or
+    malformed file, a bad config key or value) is one line on stderr and
+    exit status 2."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (OSError, ValueError) as exc:  # FormatError is a ValueError
+        print(f"osgd {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

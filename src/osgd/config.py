@@ -20,9 +20,8 @@ import numpy as np
 
 from ._settings import (AT_LEAST_1, NONNEG, NONNEG_ENTRIES, POSITIVE_FINITE,
                         UNIT, Section, from_flat, is_int, one_of, setting)
-from .data import (ClustersSpec, Dataset, RingsSpec, gen_clusters_2d,
-                   gen_rings_2d, load_cache, load_idx, load_semeion,
-                   split_dataset)
+from .data import (Dataset, gen_clusters_2d, gen_rings_2d, load_cache,
+                   load_idx, load_semeion, split_dataset)
 from .objectives import (_ACTIVATIONS, LOSS_KINDS, MODEL_KINDS, Objective,
                          make_model)
 from .optimizers import ScheduleSpec
@@ -148,9 +147,9 @@ def build_dataset(dc: DataConfig, split_seed=None) -> Dataset:
     with ``split_seed`` (the runner passes the run seed), else ``dc.seed``.
     """
     if dc.kind == "clusters":
-        ds = gen_clusters_2d(dc.seed, ClustersSpec())
+        ds = gen_clusters_2d(dc.seed)
     elif dc.kind == "rings":
-        ds = gen_rings_2d(dc.seed, RingsSpec())
+        ds = gen_rings_2d(dc.seed)
     elif dc.kind == "semeion":
         ds = load_semeion(dc.path)
     elif dc.kind == "idx":

@@ -7,8 +7,9 @@ only 40 of the 1000 points.  Row groups ("majority"/"subcluster",
 "inner"/"outer") are kept on the dataset so experiments can score those
 regions separately.
 
-Default geometry constants are part of the versioned source on purpose:
-the qualitative comparisons in the acceptance suite depend on them.
+The geometry tables (``CLUSTERS_2D``, ``RINGS_2D``) are part of the
+versioned source on purpose: the qualitative comparisons in the acceptance
+suite and the benchmark digests depend on their exact draws.
 """
 from __future__ import annotations
 
@@ -66,121 +67,66 @@ class Dataset:
                        seed=self.seed)
 
 
-@dataclass(frozen=True)
-class ClusterComponent:
-    center: tuple[float, float]
-    count: int
-    sigma: float
-    label: int
-    kind: str  # "majority" or "subcluster"
+# Class-imbalanced blobs, one row per component: centre, count, sigma,
+# label, group.  Two majority blobs are linearly separable; each class has
+# one small mid-field sub-cluster on the wrong side of the natural
+# average-loss boundary.
+CLUSTERS_2D = (
+    ((-2.5, 0.0), 90, 0.45, 0, "majority"),
+    ((1.1, 0.85), 10, 0.18, 0, "subcluster"),
+    ((2.5, 0.0), 90, 0.45, 1, "majority"),
+    ((-1.1, -0.85), 10, 0.18, 1, "subcluster"),
+)
+
+# Concentric rings, one row per ring: count, radius, label, group.  The two
+# inner rings hold 40 of the 1000 points, well apart from each other and far
+# inside the outer pair, so a small network can represent the alternating
+# bands while the count imbalance hides the inner structure from the
+# average loss at the standard step size.
+RINGS_2D = (
+    (20, 0.5, 0, "inner"),
+    (20, 2.0, 1, "inner"),
+    (480, 5.0, 0, "outer"),
+    (480, 6.5, 1, "outer"),
+)
+RINGS_NOISE_SIGMA = 0.15  # standard deviation of the radial noise
 
 
-@dataclass(frozen=True)
-class ClustersSpec:
-    """Two majority blobs plus one small mid-field sub-cluster per class.
-
-    Defaults give a linearly separable majority structure whose sub-clusters
-    sit on the wrong side of the natural average-loss boundary.
-    """
-
-    n_total: int = 200
-    components: tuple[ClusterComponent, ...] = (
-        ClusterComponent(center=(-2.5, 0.0), count=90, sigma=0.45,
-                         label=0, kind="majority"),
-        ClusterComponent(center=(1.1, 0.85), count=10, sigma=0.18,
-                         label=0, kind="subcluster"),
-        ClusterComponent(center=(2.5, 0.0), count=90, sigma=0.45,
-                         label=1, kind="majority"),
-        ClusterComponent(center=(-1.1, -0.85), count=10, sigma=0.18,
-                         label=1, kind="subcluster"),
-    )
-
-    def __post_init__(self):
-        total = sum(c.count for c in self.components)
-        if total != self.n_total:
-            raise ValueError(f"component counts sum to {total}, "
-                             f"expected n_total={self.n_total}")
-        labels = {c.label for c in self.components}
-        majority = sum(1 for c in self.components if c.kind == "majority")
-        if majority < 2:
-            raise ValueError("need at least two majority clusters")
-        for lbl in labels:
-            if not any(c.label == lbl and c.kind == "subcluster"
-                       for c in self.components):
-                raise ValueError(f"class {lbl} has no sub-cluster component")
-
-
-@dataclass(frozen=True)
-class RingsSpec:
-    """Four concentric rings; the inner pair carries only 40 of 1000 points.
-
-    Default radii keep the two inner rings well separated from each other
-    and far inside the outer pair, so a small network can represent the
-    alternating bands while the count imbalance still makes the inner
-    structure invisible to the average loss at the standard step size.
-    """
-
-    n_total: int = 1000
-    inner_counts: tuple[int, int] = (20, 20)
-    outer_counts: tuple[int, int] = (480, 480)
-    radii: tuple[float, float, float, float] = (0.5, 2.0, 5.0, 6.5)
-    noise_sigma: float = 0.15
-    ring_classes: tuple[int, int, int, int] = (0, 1, 0, 1)
-
-    def __post_init__(self):
-        if sum(self.inner_counts) != 40:
-            raise ValueError(f"inner counts must sum to 40, "
-                             f"got {sum(self.inner_counts)}")
-        if sum(self.outer_counts) != 960:
-            raise ValueError(f"outer counts must sum to 960, "
-                             f"got {sum(self.outer_counts)}")
-        if sum(self.inner_counts) + sum(self.outer_counts) != self.n_total:
-            raise ValueError("ring counts must sum to n_total")
-        if not all(a < b for a, b in zip(self.radii, self.radii[1:])):
-            raise ValueError(f"radii must be strictly increasing, got {self.radii}")
-
-
-def gen_clusters_2d(seed: int, spec: ClustersSpec = ClustersSpec()) -> Dataset:
-    """Gaussian blob mixture; deterministic function of (seed, spec)."""
+def gen_clusters_2d(seed: int) -> Dataset:
+    """Gaussian blob mixture of :data:`CLUSTERS_2D`; deterministic in seed."""
     rng = np.random.default_rng(seed)
-    rows, labels, kinds = [], [], []
-    for comp in spec.components:
-        pts = np.asarray(comp.center) + comp.sigma * rng.standard_normal((comp.count, 2))
-        rows.append(pts)
-        labels.extend([comp.label] * comp.count)
-        kinds.extend([comp.kind] * comp.count)
-    kinds = np.array(kinds)
-    return Dataset(
-        features=np.vstack(rows),
-        labels=np.array(labels, dtype=np.int64),
-        n_classes=2,
-        groups={"majority": np.flatnonzero(kinds == "majority"),
-                "subcluster": np.flatnonzero(kinds == "subcluster")},
-        provenance=f"gen_clusters_2d(seed={seed})",
-        seed=seed,
-    )
+    return _geometry_dataset(f"gen_clusters_2d(seed={seed})", seed, [
+        (np.asarray(center) + sigma * rng.standard_normal((count, 2)),
+         label, group)
+        for center, count, sigma, label, group in CLUSTERS_2D])
 
 
-def gen_rings_2d(seed: int, spec: RingsSpec = RingsSpec()) -> Dataset:
-    """Concentric noisy rings; uniform angles, Gaussian radial noise."""
+def gen_rings_2d(seed: int) -> Dataset:
+    """Noisy rings of :data:`RINGS_2D`: uniform angles, Gaussian radial
+    noise; deterministic in seed."""
     rng = np.random.default_rng(seed)
-    counts = (*spec.inner_counts, *spec.outer_counts)
-    rows, labels, region = [], [], []
-    for ring, (count, radius, cls) in enumerate(
-            zip(counts, spec.radii, spec.ring_classes)):
+    blocks = []
+    for count, radius, label, group in RINGS_2D:
         angles = rng.uniform(0.0, 2.0 * np.pi, count)
-        r = radius + spec.noise_sigma * rng.standard_normal(count)
-        rows.append(np.column_stack([r * np.cos(angles), r * np.sin(angles)]))
-        labels.extend([cls] * count)
-        region.extend(["inner" if ring < 2 else "outer"] * count)
-    region = np.array(region)
+        r = radius + RINGS_NOISE_SIGMA * rng.standard_normal(count)
+        blocks.append((np.column_stack([r * np.cos(angles), r * np.sin(angles)]),
+                       label, group))
+    return _geometry_dataset(f"gen_rings_2d(seed={seed})", seed, blocks)
+
+
+def _geometry_dataset(provenance, seed, blocks):
+    """Two-class dataset of (points, label, group) blocks stacked in order;
+    groups are named in order of first appearance."""
+    counts = [len(pts) for pts, _, _ in blocks]
+    owner = np.repeat([group for _, _, group in blocks], counts)
     return Dataset(
-        features=np.vstack(rows),
-        labels=np.array(labels, dtype=np.int64),
+        features=np.vstack([pts for pts, _, _ in blocks]),
+        labels=np.repeat(np.array([label for _, label, _ in blocks],
+                                  dtype=np.int64), counts),
         n_classes=2,
-        groups={"inner": np.flatnonzero(region == "inner"),
-                "outer": np.flatnonzero(region == "outer")},
-        provenance=f"gen_rings_2d(seed={seed})",
+        groups={g: np.flatnonzero(owner == g)
+                for g in dict.fromkeys(group for _, _, group in blocks)},
+        provenance=provenance,
         seed=seed,
     )
 

@@ -9,11 +9,11 @@ column varies.
 from __future__ import annotations
 
 import csv
-import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import lru_cache
+from typing import get_type_hints
 
 import numpy as np
 
@@ -23,9 +23,6 @@ from .config import (BASELINE_KINDS, DataConfig, ModelConfig, OptConfig,
 from .data import Dataset, gen_clusters_2d
 from .optimizers import DivergenceError, adaptive_q_update, schedule_lr
 
-RECORD_COLUMNS = ("seed", "epoch", "step", "q", "lr", "train_avg_loss",
-                  "train_ordered_loss", "train_acc", "test_error_pct",
-                  "epoch_seconds")
 SUMMARY_COLUMNS = ("config_id", "mean_test_err", "std_test_err",
                    "rel_improvement_pct")
 
@@ -55,6 +52,9 @@ class RunRecord:
     train_acc: float
     test_error_pct: float
     epoch_seconds: float
+
+
+RECORD_COLUMNS = tuple(f.name for f in fields(RunRecord))
 
 
 @dataclass
@@ -255,19 +255,12 @@ def write_records_csv(records, path):
 
 
 def read_records_csv(path):
+    """RunRecords from a file of :func:`write_records_csv`, each column
+    parsed by its field's type."""
+    types = get_type_hints(RunRecord)
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        out = []
-        for row in reader:
-            out.append(RunRecord(
-                seed=int(row["seed"]), epoch=int(row["epoch"]),
-                step=int(row["step"]), q=int(row["q"]), lr=float(row["lr"]),
-                train_avg_loss=float(row["train_avg_loss"]),
-                train_ordered_loss=float(row["train_ordered_loss"]),
-                train_acc=float(row["train_acc"]),
-                test_error_pct=float(row["test_error_pct"]),
-                epoch_seconds=float(row["epoch_seconds"])))
-        return out
+        return [RunRecord(**{col: types[col](row[col]) for col in RECORD_COLUMNS})
+                for row in csv.DictReader(fh)]
 
 
 def write_summary_csv(summaries, path):
@@ -497,7 +490,3 @@ def run_verification_suite(corrupt=None) -> dict:
         report["all_passed"] &= bool(passed)
     report["all_passed"] = bool(report["all_passed"])
     return report
-
-
-def report_to_json(report) -> str:
-    return json.dumps(report, indent=2)

@@ -224,14 +224,6 @@ def _squared_targets(d_out, y):
     return np.eye(d_out, dtype=np.float64)[y]
 
 
-def regularizer_value_grad(l2, theta):
-    """L2 penalty R(theta) = (l2/2) ||theta||^2 and its gradient l2 * theta."""
-    if l2 < 0:
-        raise ValueError(f"l2 coefficient must be nonnegative, got {l2}")
-    theta = np.asarray(theta, dtype=np.float64)
-    return 0.5 * l2 * float(theta @ theta), l2 * theta
-
-
 class Objective:
     """A predictor, a per-sample loss, and an L2 regularizer.
 
@@ -309,7 +301,9 @@ class Objective:
         return self.weighted_grad(theta, np.atleast_2d(x), np.atleast_1d(y), np.ones(1))
 
     def regularizer(self, theta):
-        return regularizer_value_grad(self.l2, theta)
+        """L2 penalty R(theta) = (l2/2) ||theta||^2 and its gradient l2 * theta."""
+        theta = np.asarray(theta, dtype=np.float64)
+        return 0.5 * self.l2 * float(theta @ theta), self.l2 * theta
 
     def predictions(self, theta, X):
         """Predicted class per row; logit ties go to the smaller class index."""

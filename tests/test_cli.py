@@ -144,23 +144,36 @@ class TestTrainCommands:
         assert len(rows) == 2
 
     def test_sweep_q_checks_q_against_train_rows(self, config_file, tmp_path,
-                                                 monkeypatch):
+                                                 monkeypatch, capsys):
         # clusters has 200 train rows, so s = 200 whatever the batch size
         monkeypatch.chdir(tmp_path)
-        with pytest.raises(ValueError, match="s=200"):
-            main(["sweep-q", "--config", str(config_file),
-                  "--q-values", "4096",
-                  "--override", "opt.batch_size = 4096",
-                  "--override", "outdir = out", "--override", "seeds = 0"])
+        assert main(["sweep-q", "--config", str(config_file),
+                     "--q-values", "4096",
+                     "--override", "opt.batch_size = 4096",
+                     "--override", "outdir = out",
+                     "--override", "seeds = 0"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "s=200" in err
         assert not (tmp_path / "out").exists()
 
     def test_sweep_q_rejects_baseline_kind(self, config_file, tmp_path,
-                                           monkeypatch):
+                                           monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        with pytest.raises(ValueError, match="sgd always steps at q = s"):
-            main(["sweep-q", "--config", str(config_file),
-                  "--q-values", "1,5,20", "--override", "opt.kind = sgd",
-                  "--override", "outdir = out", "--override", "seeds = 0"])
+        assert main(["sweep-q", "--config", str(config_file),
+                     "--q-values", "1,5,20", "--override", "opt.kind = sgd",
+                     "--override", "outdir = out",
+                     "--override", "seeds = 0"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "sgd always steps at q = s" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_q_rejects_a_non_integer_q(self, config_file, tmp_path,
+                                             monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep-q", "--config", str(config_file),
+                     "--q-values", "1,x", "--override", "outdir = out"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'x'" in err
         assert not (tmp_path / "out").exists()
 
 
@@ -204,6 +217,22 @@ class TestDataCommands:
                      "--out", str(out)]) == 0
         ds = load_cache(out)
         assert ds.labels.tolist() == [9]
+
+    @pytest.mark.parametrize("body, message", [
+        (None, "No such file"),
+        ("1 0 1\n", "semeion.data:1: expected 266 columns, got 3")],
+        ids=["missing", "malformed"])
+    def test_import_semeion_bad_file_is_one_line_and_exit_2(
+            self, tmp_path, capsys, body, message):
+        src = tmp_path / "semeion.data"
+        if body is not None:
+            src.write_text(body)
+        out = tmp_path / "semeion.osgd"
+        assert main(["data", "import-semeion", "--path", str(src),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+        assert not out.exists()
 
 
 class TestAnalyzeCommands:

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from osgd.data import (ClusterComponent, ClustersSpec, Dataset, FormatError,
-                       RingsSpec, gen_clusters_2d, gen_rings_2d, load_cache,
-                       load_idx, load_semeion, save_cache, split_dataset)
+from osgd.data import (RINGS_2D, RINGS_NOISE_SIGMA, Dataset, FormatError,
+                       gen_clusters_2d, gen_rings_2d, load_cache, load_idx,
+                       load_semeion, save_cache, split_dataset)
 
 SEMEION_PATH = os.environ.get("OSGD_SEMEION_PATH", "data/semeion.data")
 
@@ -34,31 +34,6 @@ class TestClusters:
         c = gen_clusters_2d(6)
         assert not np.array_equal(a.features, c.features)
 
-    def test_label_histogram_matches_spec_counts(self):
-        spec = ClustersSpec()
-        ds = gen_clusters_2d(1, spec)
-        for comp in spec.components:
-            member = [i for i, k in enumerate(ds.labels) if k == comp.label]
-            assert len(member) == sum(c.count for c in spec.components
-                                      if c.label == comp.label)
-
-    def test_count_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="sum"):
-            ClustersSpec(components=(
-                ClusterComponent((0, 0), 100, 0.5, 0, "majority"),
-                ClusterComponent((1, 1), 90, 0.5, 1, "majority"),
-                ClusterComponent((0, 1), 5, 0.2, 0, "subcluster"),
-                ClusterComponent((1, 0), 6, 0.2, 1, "subcluster"),
-            ))
-
-    def test_missing_subcluster_rejected(self):
-        with pytest.raises(ValueError, match="sub-cluster"):
-            ClustersSpec(components=(
-                ClusterComponent((0, 0), 95, 0.5, 0, "majority"),
-                ClusterComponent((1, 1), 95, 0.5, 1, "majority"),
-                ClusterComponent((0, 1), 10, 0.2, 0, "subcluster"),
-            ))
-
 
 class TestRings:
     def test_totals(self):
@@ -70,31 +45,25 @@ class TestRings:
         assert counts.sum() == 1000
 
     def test_inner_points_inside_outer_radius_margin(self):
-        spec = RingsSpec()
+        outer_radius = min(r for _, r, _, group in RINGS_2D if group == "outer")
         for seed in range(5):
-            ds = gen_rings_2d(seed, spec)
+            ds = gen_rings_2d(seed)
             radii = np.linalg.norm(ds.features[ds.groups["inner"]], axis=1)
-            assert radii.max() < spec.radii[2] - 3.0 * spec.noise_sigma
+            assert radii.max() < outer_radius - 3.0 * RINGS_NOISE_SIGMA
 
     def test_seeded_determinism(self):
         a, b = gen_rings_2d(7), gen_rings_2d(7)
         np.testing.assert_array_equal(a.features, b.features)
 
     def test_classes_alternate_per_ring(self):
-        spec = RingsSpec()
-        ds = gen_rings_2d(2, spec)
-        # ring blocks are contiguous in generation order
+        ds = gen_rings_2d(2)
+        # ring blocks are contiguous in table order, classes alternating
+        assert [label for _, _, label, _ in RINGS_2D] == [0, 1, 0, 1]
         start = 0
-        for count, cls in zip((*spec.inner_counts, *spec.outer_counts),
-                              spec.ring_classes):
-            assert (ds.labels[start:start + count] == cls).all()
+        for count, _, label, _ in RINGS_2D:
+            assert (ds.labels[start:start + count] == label).all()
             start += count
-
-    def test_bad_counts_rejected(self):
-        with pytest.raises(ValueError):
-            RingsSpec(inner_counts=(30, 20))
-        with pytest.raises(ValueError):
-            RingsSpec(radii=(0.5, 0.4, 1.0, 2.0))
+        assert start == ds.n
 
 
 def geometry_digest(ds):

@@ -13,8 +13,7 @@ from osgd.config import (DataConfig, ModelConfig, OptConfig, RunConfig,
 from osgd.data import gen_clusters_2d
 from osgd.harness import (RECORD_COLUMNS, _check_qs_equivalence,
                           _epoch_batches, read_records_csv, run_experiment,
-                          run_single,
-                          run_verification_suite, report_to_json, sweep_q,
+                          run_single, run_verification_suite, sweep_q,
                           write_records_csv, write_summary_csv)
 from osgd.objectives import FeedforwardModel, Objective
 from osgd.optimizers import (ScheduleSpec, adam_step, init_state,
@@ -328,7 +327,7 @@ class TestVerificationSuite:
 
     def test_report_schema_roundtrips_through_json(self):
         report = run_verification_suite()
-        back = json.loads(report_to_json(report))
+        back = json.loads(json.dumps(report, indent=2))
         assert back == report
         assert set(back) == {"checks", "all_passed"}
         for check in back["checks"]:

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from osgd.objectives import (_ACTIVATIONS, LOSS_KINDS, FeedforwardModel,
-                             Objective, _logit_grads, _loss_terms, make_model,
-                             regularizer_value_grad)
+                             Objective, _logit_grads, _loss_terms, make_model)
 
 
 def finite_difference_grad(obj, theta, x, y):
@@ -171,14 +170,19 @@ class TestGradients:
         np.testing.assert_allclose(combined, manual, rtol=1e-12)
 
 
+def regularizer(l2, theta):
+    return Objective(FeedforwardModel(2, 1), "binary-cross-entropy",
+                     l2=l2).regularizer(theta)
+
+
 class TestRegularizer:
     def test_zero_coefficient(self):
-        val, grad = regularizer_value_grad(0.0, np.array([3.0, -4.0]))
+        val, grad = regularizer(0.0, np.array([3.0, -4.0]))
         assert val == 0.0
         np.testing.assert_array_equal(grad, np.zeros(2))
 
     def test_closed_form(self):
-        val, grad = regularizer_value_grad(2.0, np.array([1.0, -1.0]))
+        val, grad = regularizer(2.0, np.array([1.0, -1.0]))
         assert val == pytest.approx(2.0)
         np.testing.assert_allclose(grad, [2.0, -2.0])
 
@@ -187,13 +191,9 @@ class TestRegularizer:
                                          max_size=8))
     def test_value_gradient_identity(self, l2, theta):
         theta = np.array(theta)
-        val, grad = regularizer_value_grad(l2, theta)
+        val, grad = regularizer(l2, theta)
         assert val == pytest.approx(float(grad @ grad) / (2.0 * l2), rel=1e-9,
                                     abs=1e-12)
-
-    def test_negative_coefficient_rejected(self):
-        with pytest.raises(ValueError):
-            regularizer_value_grad(-0.1, np.ones(2))
 
     @pytest.mark.parametrize("l2", [-0.1, float("nan"), float("inf")])
     def test_objective_rejects_bad_coefficient(self, l2):
