@@ -130,16 +130,14 @@ def _evaluate_epoch(obj, state, Xtr, ytr, Xte, yte, s):
     ``Xte`` None means the test split holds the train split's rows; the
     test error is then the train error, from the same predictions.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        losses, train_preds = obj.losses_and_predictions(state.theta, Xtr, ytr)
-        reg_value, _ = obj.regularizer(state.theta)
+    losses, train_preds = obj.losses_and_predictions(state.theta, Xtr, ytr)
+    reg_value, _ = obj.regularizer(state.theta)
     if not (np.isfinite(losses).all() and np.isfinite(reg_value)):
         raise DivergenceError(state.step_count,
                               "non-finite training objective in evaluation")
-    profile = ordered_loss.LossProfile.of(losses, reg_value)
-    avg = ordered_loss.average_empirical_loss(profile)
-    ordered = ordered_loss.ordered_empirical_loss(
-        profile, _gamma_approx(Xtr.shape[0], s, state.q_current))
+    avg = float(losses.mean()) + reg_value
+    ordered = ordered_loss.lq_value(
+        losses, reg_value, _gamma_approx(Xtr.shape[0], s, state.q_current))
     train_err = analysis.error_pct(train_preds, ytr)
     test_err = (train_err if Xte is None
                 else analysis.zero_one_error(obj, state.theta, Xte, yte))
@@ -147,9 +145,15 @@ def _evaluate_epoch(obj, state, Xtr, ytr, Xte, yte, s):
 
 
 def run_single(cfg: RunConfig, dataset: Dataset, seed: int) -> RunResult:
-    """Train one seed of the configured experiment and log per-epoch rows."""
+    """Train one seed of the configured experiment and log per-epoch rows.
+
+    The train labels are checked once, and numpy's overflow warnings are
+    silenced once around the epoch loop, where a non-finite loss raises
+    :class:`DivergenceError` instead.
+    """
     obj = build_objective(cfg, dataset)
     Xtr, ytr = dataset.split("train")
+    ytr = obj._checked_labels(ytr)
     # a test split on the train rows (test_fraction = 0) is not forwarded
     # again: evaluation reuses the train predictions
     if np.array_equal(dataset.splits["train"], dataset.splits["test"]):
@@ -183,25 +187,26 @@ def run_single(cfg: RunConfig, dataset: Dataset, seed: int) -> RunResult:
             state.q_current = min(adaptive_q_update(train_acc, s), s)
 
     try:
-        if cfg.epochs == 0:
-            epoch_end(0, 0.0, emit=True)
-        for epoch in range(cfg.epochs):
-            t0 = time.perf_counter()
-            for batch in _epoch_batches(rng, n_tr, s, opt.batching):
-                state.lr_current = schedule_lr(opt.schedule, epoch,
-                                               state.step_count)
-                q_eff = min(state.q_current, len(batch))
-                if heavy_ball:
-                    optimizers.osgd_step(state, obj, Xtr, ytr, batch, q_eff,
-                                         momentum=opt.momentum)
-                else:
-                    optimizers.ordered_adam_step(state, obj, Xtr, ytr, batch,
-                                                 q_eff, beta1=opt.beta1,
-                                                 beta2=opt.beta2, eps=opt.eps)
-            elapsed = time.perf_counter() - t0
-            epoch_end(epoch, elapsed,
-                      emit=(epoch + 1) % cfg.eval_every == 0
-                      or epoch == cfg.epochs - 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if cfg.epochs == 0:
+                epoch_end(0, 0.0, emit=True)
+            for epoch in range(cfg.epochs):
+                t0 = time.perf_counter()
+                for batch in _epoch_batches(rng, n_tr, s, opt.batching):
+                    state.lr_current = schedule_lr(opt.schedule, epoch,
+                                                   state.step_count)
+                    q_eff = min(state.q_current, len(batch))
+                    if heavy_ball:
+                        optimizers.osgd_step(state, obj, Xtr, ytr, batch,
+                                             q_eff, momentum=opt.momentum)
+                    else:
+                        optimizers.ordered_adam_step(
+                            state, obj, Xtr, ytr, batch, q_eff,
+                            beta1=opt.beta1, beta2=opt.beta2, eps=opt.eps)
+                elapsed = time.perf_counter() - t0
+                epoch_end(epoch, elapsed,
+                          emit=(epoch + 1) % cfg.eval_every == 0
+                          or epoch == cfg.epochs - 1)
     except DivergenceError as exc:
         return RunResult(seed=seed, records=records, failed=True,
                          error=str(exc))

@@ -264,14 +264,32 @@ class Objective:
             )
         return y
 
+    def _checked_labels(self, y):
+        """A read-only copy of the labels ``y``, checked once as a whole.
+
+        This objective takes it, and rows drawn from it (``labels[batch]``,
+        which keep its type), without checking them again.  It is checked
+        against this objective's classes only.
+        """
+        labels = self._check_labels(np.array(y)).view(_CheckedLabels)
+        labels.setflags(write=False)
+        return labels
+
+    def _labels(self, y):
+        """``y`` as a plain array, checked unless it comes from
+        :meth:`_checked_labels`."""
+        if type(y) is _CheckedLabels:
+            return y.view(np.ndarray)
+        return self._check_labels(y)
+
     def per_example_losses(self, theta, X, y):
-        y = self._check_labels(y)
+        y = self._labels(y)
         A = self.model.logits(theta, np.atleast_2d(X))
         return _loss_terms(self.loss, A, y)[0]
 
     def losses_and_predictions(self, theta, X, y):
         """Per-example losses and predicted classes from one forward pass."""
-        y = self._check_labels(y)
+        y = self._labels(y)
         A = self.model.logits(theta, np.atleast_2d(X))
         return _loss_terms(self.loss, A, y)[0], self._predict(A)
 
@@ -284,7 +302,7 @@ class Objective:
 
     def weighted_grad(self, theta, X, y, weights):
         """sum_i weights[i] * grad of loss_i, in one reverse pass."""
-        y = self._check_labels(y)
+        y = self._labels(y)
         A, tape = self.model.forward(theta, np.atleast_2d(X))
         _, pieces = _loss_terms(self.loss, A, y, with_losses=False)
         weights = np.asarray(weights, dtype=np.float64)[:, None]
@@ -315,16 +333,24 @@ class Objective:
         return A.argmax(axis=1)
 
 
+class _CheckedLabels(np.ndarray):
+    """Class labels that an :class:`Objective` checked as a whole
+    (:meth:`Objective._checked_labels`); indexing keeps the type."""
+
+
 class TapedBatch:
     """Per-row losses of one forward pass over a batch, with its tape.
 
-    :meth:`mean_grad` differentiates the mean loss over a subset of the
-    rows, reusing the tape when the subset is the whole batch.
+    The batch labels are checked when the batch is taped, unless they
+    were drawn from labels the objective checked whole
+    (:meth:`Objective._checked_labels`).  :meth:`mean_grad` differentiates
+    the mean loss over a subset of the rows, reusing the tape when the
+    subset is the whole batch.
     """
 
     def __init__(self, obj, theta, X, y):
         self._obj, self._theta = obj, theta
-        self._X, self._y = np.atleast_2d(X), obj._check_labels(y)
+        self._X, self._y = np.atleast_2d(X), obj._labels(y)
         logits, self._tape = obj.model.forward(theta, self._X)
         self.losses, self._pieces = _loss_terms(obj.loss, logits, self._y)
 

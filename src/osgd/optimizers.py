@@ -18,8 +18,13 @@ At q = s there is no selection: every row is kept.
 What a run never changes is set up once.  The model resolves its layer
 blocks and activation when it is built and keeps the layer views of the
 last theta array it saw; the state's theta is only updated in place, so
-those views serve every step of a run.  A step checks the batch labels
-once (not again for the kept rows), adds ``l2 * theta`` as the
+those views serve every step of a run.  The runner checks its train
+labels once per run and hands the steps that read-only copy
+(``Objective._checked_labels``); any other label array is checked per
+batch, once (not again for the kept rows).  The runner also silences
+numpy's overflow warnings once around its epoch loop, so a direct step
+call whose loss overflows may warn before it raises
+:class:`DivergenceError`.  A step adds ``l2 * theta`` as the
 regularizer's gradient without computing its value, and stores
 ``last_grad_norm`` as ``sqrt(g @ g)``, bitwise ``np.linalg.norm(g)``.
 
@@ -82,8 +87,7 @@ def _topq_update_direction(state, obj, X, y, batch, q):
     if q > m:
         raise ValueError(f"q={q} exceeds batch size {m}")
     theta = state.theta
-    with np.errstate(over="ignore", invalid="ignore"):  # inf loss handled below
-        taped = obj.taped_batch(theta, X[batch], y[batch])
+    taped = obj.taped_batch(theta, X[batch], y[batch])
     if not np.isfinite(taped.losses).all():
         raise DivergenceError(state.step_count)
     if q == m:  # every row is kept: no selection, backward reuses the tape

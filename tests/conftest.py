@@ -1,6 +1,19 @@
-"""Shared pytest hooks: acceptance criteria print one summary line each."""
+"""Shared pytest hooks and fixtures: acceptance criteria print one summary
+line each; a synthetic stand-in for the Semeion digits."""
+import numpy as np
+
+from osgd.data import Dataset
 
 ACCEPTANCE_RESULTS = {}
+
+
+def stand_in_digits(seed=0, n=1593):
+    """Semeion-shaped stand-in: n x 256 binary pixels, 10 classes."""
+    rng = np.random.default_rng(seed)
+    W = rng.standard_normal((10, 256))
+    X = (rng.random((n, 256)) < 0.3).astype(np.float64)
+    y = (X @ W.T + 2.0 * rng.standard_normal((n, 10))).argmax(axis=1)
+    return Dataset(features=X, labels=y, n_classes=10)
 
 
 def record_acceptance(number, status, detail=""):

@@ -22,7 +22,7 @@ from osgd.coeffs import (beta_cdf, gamma_asymptotic, gamma_rescaled_curve,
                          gamma_weights)
 from osgd.config import (DataConfig, ModelConfig, OptConfig, RunConfig,
                          build_objective)
-from osgd.data import Dataset, gen_clusters_2d, gen_rings_2d, load_semeion, \
+from osgd.data import gen_clusters_2d, gen_rings_2d, load_semeion, \
     split_dataset
 from osgd.harness import _epoch_batches, run_single
 from osgd.objectives import FeedforwardModel, Objective, make_model
@@ -32,7 +32,7 @@ from osgd.ordered_loss import (expected_step_bruteforce, loss_profile,
                                lq_subgradient, ordered_empirical_loss)
 from osgd.selection import q_argmax, sample_minibatch
 
-from conftest import record_acceptance
+from conftest import record_acceptance, stand_in_digits
 
 SEMEION_PATH = os.environ.get("OSGD_SEMEION_PATH", "data/semeion.data")
 SEMEION_PRESENT = os.path.exists(SEMEION_PATH)
@@ -413,14 +413,6 @@ def test_acceptance_8_semeion_rows():
 # 9. Exact q = s trajectory equivalence
 # --------------------------------------------------------------------------
 
-def _stand_in_digits(seed=0):
-    rng = np.random.default_rng(seed)
-    W = rng.standard_normal((10, 256))
-    X = (rng.random((1593, 256)) < 0.3).astype(np.float64)
-    y = (X @ W.T + 2.0 * rng.standard_normal((1593, 10))).argmax(axis=1)
-    return Dataset(features=X, labels=y, n_classes=10)
-
-
 def _equivalence_config(opt_kind, q):
     return RunConfig(
         name=f"accept9-{opt_kind}",
@@ -439,7 +431,7 @@ def test_acceptance_9_q_equals_s_bit_identical():
         ds_full = load_semeion(SEMEION_PATH)
         source = "semeion"
     else:
-        ds_full = _stand_in_digits()
+        ds_full = stand_in_digits()
         source = "synthetic stand-in (canonical file absent)"
     ds = split_dataset(ds_full, 0.2, seed=0, stratified=True)
     s = 64

@@ -1,13 +1,15 @@
 """Runner determinism, summaries, sweeps, and the verification suite."""
 import csv
 import dataclasses
+import hashlib
 import json
 import os
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from osgd import harness, optimizers
+from osgd import data, harness, optimizers, ordered_loss, selection
 from osgd.config import (DataConfig, ModelConfig, OptConfig, RunConfig,
                          build_dataset, build_objective, load_config)
 from osgd.data import gen_clusters_2d
@@ -16,8 +18,10 @@ from osgd.harness import (RECORD_COLUMNS, _check_qs_equivalence,
                           run_single, run_verification_suite, sweep_q,
                           write_records_csv, write_summary_csv)
 from osgd.objectives import FeedforwardModel, Objective
-from osgd.optimizers import (ScheduleSpec, adam_step, init_state,
-                             minibatch_sgd_step, schedule_lr)
+from osgd.optimizers import (ScheduleSpec, adam_step, adaptive_q_update,
+                             init_state, minibatch_sgd_step, schedule_lr)
+
+from conftest import stand_in_digits
 
 
 def tiny_config(kind="osgd", q="adaptive", seeds=(0,), epochs=3, name="tiny"):
@@ -93,6 +97,92 @@ class TestBaselines:
                                                            rel=1e-12)
         assert run.final_theta.tobytes() == \
             baseline_theta(cfg, 4, kind).tobytes()
+
+
+def pinned_case(name, kind):
+    """(config, dataset) of one records-pin run: momentum 0.9, every epoch
+    logged.  The rings MLP keeps a fixed q = 5 (its accuracy stays below
+    the adaptive rule's first threshold in 10 epochs); the others shrink
+    q adaptively."""
+    opt = dict(kind=kind, q="adaptive", batch_size=64, momentum=0.9)
+    if name == "rings-mlp":
+        cfg = RunConfig(
+            name=name, data=DataConfig(kind="rings", seed=0),
+            model=ModelConfig(kind="mlp", hidden=(16, 16), activation="tanh"),
+            loss_kind="binary-cross-entropy", l2=1e-4, epochs=10, seeds=(0,),
+            opt=OptConfig(**{**opt, "q": 5}, schedule=ScheduleSpec(
+                kind="constant", base_lr=0.2)))
+        return cfg, build_dataset(cfg.data, split_seed=0)
+    if name == "clusters-linear":
+        cfg = RunConfig(
+            name=name, data=DataConfig(kind="clusters", seed=0),
+            model=ModelConfig(kind="linear"), loss_kind="binary-cross-entropy",
+            l2=1e-4, epochs=12, seeds=(0,),
+            opt=OptConfig(**opt, schedule=ScheduleSpec(kind="constant",
+                                                       base_lr=0.05)))
+        return cfg, build_dataset(cfg.data, split_seed=0)
+    cfg = RunConfig(
+        name=name, data=DataConfig(kind="semeion"),
+        model=ModelConfig(kind="linear"), loss_kind=name, l2=1e-4,
+        epochs=10, seeds=(0,),
+        opt=OptConfig(**opt, schedule=ScheduleSpec(
+            kind="step-decay", base_lr=0.05, decay_epochs=(6,),
+            decay_factor=0.1)))
+    return cfg, data.split_dataset(stand_in_digits(3, n=250), 0.2, seed=3,
+                                   stratified=True)
+
+
+# sha256 over every logged column but epoch_seconds, one run per case.
+# They hold for one numpy/BLAS build: BLAS kernels set the last bits of a
+# trajectory, so a different build may need them (and bench/digests.json)
+# recorded again.
+PINNED_RECORDS = {
+    ("rings-mlp", "sgd"):
+        "c704b29ca29e79ae910b5b9e4bb4358e44fef354585f641e3a0387e5d344d285",
+    ("rings-mlp", "osgd"):
+        "13c57ea0e8e1c581723fe5b69a1c0bacc6fcf210672b4cfa8b253bbae4e6971d",
+    ("rings-mlp", "oadam"):
+        "69b6ecfe39821ba6e931692d463ce7bf91fcd547bb7f1f3bd7750a45faad48e6",
+    ("clusters-linear", "sgd"):
+        "a76fab415c0bfb3d283054d91b792a007a13109bc2e3dbfb4df034bc1231da3d",
+    ("clusters-linear", "osgd"):
+        "fbc66d82fba3338ab44ca4e955d9f348b96c05345d624432fb0873e37a9efcee",
+    ("clusters-linear", "oadam"):
+        "1ef373121c077561e49aded049930d7aa75abcb33f6971c15d638077d5c94e90",
+    ("multinomial-cross-entropy", "sgd"):
+        "358c82394a3c4c974b37ed3dfec3172d190f624395866dc6fc23fe9e48e7179c",
+    ("multinomial-cross-entropy", "osgd"):
+        "04f6dd4a2cd564497465df58f158081579d4ce0433f0cfdc11f4d1a40a3f1cdb",
+    ("multinomial-cross-entropy", "oadam"):
+        "a8f44bbdce78a6d89f7e36fa3cd212430c11121985e255b4542b35144e1e3f5e",
+    ("multiclass-hinge", "sgd"):
+        "5df0c3ff549ca3d2e31691262b33ffb8af155e772ecc4a78920091ebdf0ac41a",
+    ("multiclass-hinge", "osgd"):
+        "3859a7e2a40ab4edd9c3d411897462562750c624b20c3ce4eba0c1730f8b4c32",
+    ("multiclass-hinge", "oadam"):
+        "1cfe33d0a1c79532d880e92547e98eff8909d1c5ed7d1895d2fef8aa2be2732e",
+    ("squared", "sgd"):
+        "5fc199a6a7ef990fb044441a44ab75a4b159480e84b464664b5f4a85caf937db",
+    ("squared", "osgd"):
+        "2fa784bc3c408cb1f85170cbd91e8223bacce85fe38262a6b0c30f17b3bfda6c",
+    ("squared", "oadam"):
+        "7a1c87ac20526cc7c18ef4d5911bee203c6ff0f3ccab9c6464463d904296f594",
+}
+
+
+class TestRecordsPin:
+    """Every logged number, bit for bit: the benchmark digests pin only the
+    final theta, so they cannot see a change in, say, the logged L_q."""
+
+    @pytest.mark.parametrize("name,kind", sorted(PINNED_RECORDS))
+    def test_logged_records_are_pinned(self, name, kind):
+        cfg, ds = pinned_case(name, kind)
+        run = run_single(cfg, ds, 0)
+        assert not run.failed
+        h = hashlib.sha256()
+        for rec in run.records:
+            h.update(repr(strip_time(rec)).encode())
+        assert h.hexdigest() == PINNED_RECORDS[name, kind]
 
 
 class TestSummaries:
@@ -287,6 +377,107 @@ class TestEvaluationForwards:
         run, per_eval = counted_run(monkeypatch, cfg)
         assert per_eval == [2] * cfg.epochs
         assert not run.failed
+
+
+class TestLoggedMetrics:
+    """The logged L_q and q mean what their definitions say."""
+
+    @staticmethod
+    def tied_instance():
+        """12 train rows (= test rows) in 2-D, rows 6-11 repeating rows
+        0-5, so every loss is tied with another."""
+        rng = np.random.default_rng(17)
+        X = np.tile(rng.standard_normal((6, 2)), (2, 1))
+        y = np.tile(rng.integers(0, 2, 6), 2)
+        ds = data.Dataset(features=X, labels=y, n_classes=2)
+        return ds.with_splits({"train": np.arange(12), "test": np.arange(12)})
+
+    @pytest.mark.parametrize("epochs", [0, 2])
+    @pytest.mark.parametrize("q", [1, 2, 4])
+    def test_logged_lq_is_the_enumerated_mean_top_q_loss(self, epochs, q):
+        ds, s = self.tied_instance(), 4
+        cfg = RunConfig(
+            name="tied", data=DataConfig(kind="clusters"),
+            model=ModelConfig(kind="linear"), loss_kind="binary-cross-entropy",
+            l2=0.1, epochs=epochs, seeds=(0,),
+            opt=OptConfig(kind="osgd", q=q, batch_size=s, momentum=0.9,
+                          schedule=ScheduleSpec(kind="constant", base_lr=0.3)))
+        run = run_single(cfg, ds, 0)
+        obj = build_objective(cfg, ds)
+        losses = obj.per_example_losses(run.final_theta, ds.features, ds.labels)
+        assert np.unique(losses).size == 6  # six tied pairs
+        tops = [np.sort(losses[list(batch)])[::-1][:q].mean()
+                for batch in combinations(range(12), s)]
+        want = float(np.mean(tops)) + obj.regularizer(run.final_theta)[0]
+        rec = run.records[-1]
+        assert rec.q == q
+        assert rec.train_ordered_loss == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["osgd", "oadam"])
+    def test_adaptive_q_follows_the_previous_epochs_accuracy(self, kind):
+        cfg, ds = pinned_case("clusters-linear", kind)
+        assert cfg.eval_every == 1
+        run = run_single(cfg, ds, 0)
+        s = min(cfg.opt.batch_size, len(ds.splits["train"]))
+        qs = [rec.q for rec in run.records]
+        assert qs[0] == s and len(set(qs)) > 2
+        for prev, rec in zip(run.records, run.records[1:]):
+            assert rec.q == min(adaptive_q_update(prev.train_acc, s), s)
+
+
+class TestPerRunSetUp:
+    """What a run checks once instead of on every step and evaluation."""
+
+    def test_labels_checked_once_and_no_ranking_in_evaluation(
+            self, monkeypatch):
+        cfg = load_config(RINGS_CFG, ["epochs = 2", "seeds = 0"])
+        checked, ranked, evaluating = [], [], [False]
+        check, evaluate = Objective._check_labels, harness._evaluate_epoch
+        rank = selection.rank_by_loss
+
+        def counting_check(self, y):
+            checked.append(len(y))
+            return check(self, y)
+
+        def flagged_evaluate(*args):
+            evaluating[0] = True
+            try:
+                return evaluate(*args)
+            finally:
+                evaluating[0] = False
+
+        def counting_rank(losses):
+            ranked.append(evaluating[0])
+            return rank(losses)
+
+        monkeypatch.setattr(Objective, "_check_labels", counting_check)
+        monkeypatch.setattr(harness, "_evaluate_epoch", flagged_evaluate)
+        monkeypatch.setattr(selection, "rank_by_loss", counting_rank)
+        monkeypatch.setattr(ordered_loss, "rank_by_loss", counting_rank)
+        ds = build_dataset(cfg.data, split_seed=0)
+        run = run_single(cfg, ds, 0)
+        assert not run.failed and run.records[-1].step == 2 * 16
+        assert checked == [len(ds.splits["train"])]
+        assert ranked.count(True) == 0
+
+    def test_out_of_range_train_label_fails_before_the_first_update(
+            self, monkeypatch):
+        cfg = load_config(RINGS_CFG, ["epochs = 2", "seeds = 0"])
+        ds = build_dataset(cfg.data, split_seed=0)
+        labels = ds.labels.copy()
+        labels[ds.splits["train"][-1]] = 2  # the data has 3 classes, the
+        # binary cross-entropy objective 2
+        ds = dataclasses.replace(ds, labels=labels, n_classes=3)
+        steps, step = [], optimizers.osgd_step
+
+        def counting_step(*args, **kwargs):
+            steps.append(1)
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(optimizers, "osgd_step", counting_step)
+        with pytest.raises(ValueError, match="label out of range"):
+            run_single(cfg, ds, 0)
+        assert steps == []
 
 
 class TestDivergence:

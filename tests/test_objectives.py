@@ -112,6 +112,26 @@ class TestLossValues:
         with pytest.raises(ValueError, match="label out of range"):
             obj.per_sample_loss(np.zeros(model.n_params), np.ones(2), 3)
 
+    def test_labels_checked_whole_are_a_read_only_copy(self, monkeypatch):
+        model = make_model("linear", d_in=2, d_out=3)
+        obj = Objective(model, "multinomial-cross-entropy")
+        y = np.array([0, 1, 2, 1, 0])
+        labels = obj._checked_labels(y)
+        y[0] = 7  # the copy keeps the checked values
+        assert labels.tolist() == [0, 1, 2, 1, 0]
+        with pytest.raises(ValueError, match="read-only"):
+            labels[0] = 7
+        with pytest.raises(ValueError, match="label out of range"):
+            obj._checked_labels(y)
+        checks = []
+        monkeypatch.setattr(Objective, "_check_labels",
+                            lambda self, y: checks.append(y) or y)
+        theta, X = np.zeros(model.n_params), np.ones((2, 2))
+        taped = obj.taped_batch(theta, X, labels[[1, 2]])
+        assert checks == [] and type(taped._y) is np.ndarray
+        obj.taped_batch(theta, X, np.array([1, 2]))
+        assert len(checks) == 1
+
 
 class TestGradients:
     @pytest.mark.parametrize("kind,act,loss,d_out", all_combos())
