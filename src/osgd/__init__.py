@@ -22,10 +22,9 @@ from .optimizers import (DivergenceError, OptimizerState, ScheduleSpec,
                          adam_step, adaptive_q_update, init_state,
                          minibatch_sgd_step, ordered_adam_step, osgd_step,
                          schedule_lr)
-from .ordered_loss import (LossProfile, ResourceError, average_empirical_loss,
-                           expected_step_bruteforce, loss_profile,
-                           lq_subgradient, ordered_empirical_loss,
-                           rank_selection_counts)
+from .ordered_loss import (ResourceError, expected_step_bruteforce,
+                           loss_profile, lq_subgradient,
+                           ordered_empirical_loss, rank_selection_counts)
 from .selection import q_argmax, rank_by_loss, sample_minibatch
 
 __version__ = "0.1.0"

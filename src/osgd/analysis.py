@@ -139,16 +139,19 @@ def _subgradient_solve(value_fn, value_grad_fn, min_grad_fn, beta0, base_lr,
     Phase 1 is classic subgradient descent with inverse-sqrt steps and
     best-iterate tracking; it makes progress even across the kinks of the
     ordered loss.  ``value_grad_fn`` gives an iterate's value and
-    subgradient together, from one forward pass.  Phase 2 polishes the
-    best iterate with Armijo-backtracked steepest descent along the
-    tie-mixed minimum-norm subgradient until the accepted step is shorter
-    than step_tol or that subgradient's norm falls below grad_tol; its
-    trial points need only ``value_fn``.  A polish stall (no further
-    float-representable decrease) returns the best iterate as is; an
-    exhausted iteration budget raises ConvergenceError.
+    subgradient (None where the value is not finite) from one forward
+    pass.  Phase 2 polishes the best iterate with Armijo-backtracked
+    steepest descent along the tie-mixed minimum-norm subgradient until
+    the accepted step is shorter than step_tol or that subgradient's norm
+    falls below grad_tol; its trial points need only ``value_fn``.  A
+    polish stall (no further float-representable decrease) returns the
+    best iterate as is; an exhausted iteration budget raises
+    ConvergenceError.
     """
     beta = np.array(beta0, dtype=np.float64)
     best_val, g = value_grad_fn(beta)
+    if g is None:
+        raise ValueError(f"{context}: objective not finite at the start")
     best_beta, best_g = beta.copy(), g
     guard = 10.0 * abs(best_val) + 1e3
     lr = base_lr
@@ -203,9 +206,9 @@ def moreau_grad_norm(obj, theta, X, y, gamma, cfg: MoreauConfig) -> float:
     rho = cfg.rho_hat
 
     def value(beta):
-        prof = loss_profile(obj, beta, X, y)
         d = beta - theta
-        return ordered_empirical_loss(prof, gamma) + 0.5 * rho * float(d @ d)
+        return (ordered_empirical_loss(*loss_profile(obj, beta, X, y), gamma)
+                + 0.5 * rho * float(d @ d))
 
     def prox_pull(beta):
         return rho * (beta - theta)
@@ -213,7 +216,8 @@ def moreau_grad_norm(obj, theta, X, y, gamma, cfg: MoreauConfig) -> float:
     def value_grad(beta):
         val, g = lq_value_and_subgradient(obj, beta, X, y, gamma)
         d = beta - theta
-        return val + 0.5 * rho * float(d @ d), g + rho * d
+        return (val + 0.5 * rho * float(d @ d),
+                None if g is None else g + rho * d)
 
     def min_grad(beta):
         return _tie_mixed_subgradient(obj, beta, X, y, gamma, prox_pull)
@@ -238,7 +242,7 @@ def reference_optimum(obj, X, y, gamma, theta0=None, base_lr=0.5,
     """
 
     def value(beta):
-        return ordered_empirical_loss(loss_profile(obj, beta, X, y), gamma)
+        return ordered_empirical_loss(*loss_profile(obj, beta, X, y), gamma)
 
     def value_grad(beta):
         return lq_value_and_subgradient(obj, beta, X, y, gamma)

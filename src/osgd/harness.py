@@ -12,7 +12,7 @@ import csv
 import time
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import get_type_hints
 
 import numpy as np
@@ -136,7 +136,7 @@ def _evaluate_epoch(obj, state, Xtr, ytr, Xte, yte, s):
         raise DivergenceError(state.step_count,
                               "non-finite training objective in evaluation")
     avg = float(losses.mean()) + reg_value
-    ordered = ordered_loss.lq_value(
+    ordered = ordered_loss.ordered_empirical_loss(
         losses, reg_value, _gamma_approx(Xtr.shape[0], s, state.q_current))
     train_err = analysis.error_pct(train_preds, ytr)
     test_err = (train_err if Xte is None
@@ -147,9 +147,10 @@ def _evaluate_epoch(obj, state, Xtr, ytr, Xte, yte, s):
 def run_single(cfg: RunConfig, dataset: Dataset, seed: int) -> RunResult:
     """Train one seed of the configured experiment and log per-epoch rows.
 
-    The train labels are checked once, and numpy's overflow warnings are
-    silenced once around the epoch loop, where a non-finite loss raises
-    :class:`DivergenceError` instead.
+    The train labels are checked once, the update rule is bound once from
+    ``cfg.opt``, and numpy's overflow warnings are silenced once around the
+    epoch loop, where a non-finite loss raises :class:`DivergenceError`
+    instead.
     """
     obj = build_objective(cfg, dataset)
     Xtr, ytr = dataset.split("train")
@@ -164,7 +165,11 @@ def run_single(cfg: RunConfig, dataset: Dataset, seed: int) -> RunResult:
     opt = cfg.opt
     s = min(opt.batch_size, n_tr)
     adaptive = opt.q == "adaptive" and opt.kind not in BASELINE_KINDS
-    heavy_ball = opt.kind in ("osgd", "sgd")
+    if opt.kind in ("osgd", "sgd"):
+        update = partial(optimizers.heavy_ball, momentum=opt.momentum)
+    else:
+        update = partial(optimizers.adam, beta1=opt.beta1, beta2=opt.beta2,
+                         eps=opt.eps)
 
     rng = np.random.default_rng(seed)
     theta = obj.init_params(rng)
@@ -195,14 +200,9 @@ def run_single(cfg: RunConfig, dataset: Dataset, seed: int) -> RunResult:
                 for batch in _epoch_batches(rng, n_tr, s, opt.batching):
                     state.lr_current = schedule_lr(opt.schedule, epoch,
                                                    state.step_count)
-                    q_eff = min(state.q_current, len(batch))
-                    if heavy_ball:
-                        optimizers.osgd_step(state, obj, Xtr, ytr, batch,
-                                             q_eff, momentum=opt.momentum)
-                    else:
-                        optimizers.ordered_adam_step(
-                            state, obj, Xtr, ytr, batch, q_eff,
-                            beta1=opt.beta1, beta2=opt.beta2, eps=opt.eps)
+                    optimizers.osgd_step(state, obj, Xtr, ytr, batch,
+                                         min(state.q_current, len(batch)),
+                                         update=update)
                 elapsed = time.perf_counter() - t0
                 epoch_end(epoch, elapsed,
                           emit=(epoch + 1) % cfg.eval_every == 0
@@ -443,10 +443,11 @@ def _check_qs_equivalence():
     rng = np.random.default_rng(5)
     state = optimizers.init_state(obj.init_params(rng), opt.batch_size,
                                   opt.schedule.base_lr)  # constant schedule
+    update = partial(optimizers.heavy_ball, momentum=opt.momentum)
     for _ in range(base.epochs):
         for batch in _epoch_batches(rng, ds.n, opt.batch_size, opt.batching):
             optimizers.minibatch_sgd_step(state, obj, ds.features, ds.labels,
-                                          batch, momentum=opt.momentum)
+                                          batch, update=update)
     if osgd_run.final_theta is None or \
             osgd_run.final_theta.tobytes() != state.theta.tobytes():
         return False, "q=s ordered run diverged from the minibatch SGD loop"

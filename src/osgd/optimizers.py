@@ -1,36 +1,36 @@
 """Top-q minibatch optimizers, learning-rate schedules, and the adaptive q rule.
 
-Each step computes the per-sample losses of the drawn batch, keeps the q
-largest-loss members (ties toward the smaller index), and applies the
-average gradient of the kept members plus the regularizer gradient.  With
-q equal to the batch size this is exactly minibatch SGD / Adam: the
-baseline step functions delegate to the ordered ones, and the runner runs
-the baselines as the ordered step at q = s, so the q = s trajectories are
-bit-identical by construction.
+:func:`osgd_step` is the one step: an estimator fed to an update rule.
+It forwards the drawn batch once, keeps the q largest-loss members (ties
+toward the smaller index), and forms the top-q direction g, their
+average gradient plus the regularizer gradient ``l2 * theta`` (whose
+value it does not compute).  ``update(state, g)`` applies g:
+:func:`heavy_ball` (plain SGD when momentum is 0) or :func:`adam`, whose
+buffers live on :class:`OptimizerState`; the runner binds the rule and
+its hyperparameters once per run.  With q equal to the batch size this
+is exactly minibatch SGD / Adam: :func:`minibatch_sgd_step`,
+:func:`ordered_adam_step` and :func:`adam_step` are one-line calls of
+:func:`osgd_step`, so the q = s trajectories are bit-identical by
+construction.
 
-A step forwards the batch once.  When q equals the batch length, backward
-reuses that forward's tape.  When q is smaller, the kept rows get a fresh
-forward of their own: a BLAS matmul over q rows may use other kernels than
-one over the whole batch, so slicing the batch forward would change the
-last bits of the trajectory (see :class:`osgd.objectives.TapedBatch`).
-At q = s there is no selection: every row is kept.
+At q = s there is no selection, and backward reuses the batch forward's
+tape.  At q < s the kept rows get a fresh forward of their own: a BLAS
+matmul over q rows may use other kernels than one over the whole batch,
+so slicing the batch forward would change the last bits of the
+trajectory (see :class:`osgd.objectives.TapedBatch`).
 
-What a run never changes is set up once.  The model resolves its layer
-blocks and activation when it is built and keeps the layer views of the
-last theta array it saw; the state's theta is only updated in place, so
-those views serve every step of a run.  The runner checks its train
-labels once per run and hands the steps that read-only copy
-(``Objective._checked_labels``); any other label array is checked per
-batch, once (not again for the kept rows).  The runner also silences
-numpy's overflow warnings once around its epoch loop, so a direct step
-call whose loss overflows may warn before it raises
-:class:`DivergenceError`.  A step adds ``l2 * theta`` as the
-regularizer's gradient without computing its value, and stores
-``last_grad_norm`` as ``sqrt(g @ g)``, bitwise ``np.linalg.norm(g)``.
+The model keeps the layer views of the last theta array it saw, and the
+state's theta is only updated in place, so those views serve every step
+of a run.  A step checks its batch's labels once, unless they are the
+runner's read-only, already checked train labels
+(``Objective._checked_labels``).  The runner silences numpy's overflow
+warnings around its epoch loop, so a direct step call whose loss
+overflows may warn before it raises :class:`DivergenceError`.
+``last_grad_norm`` is ``sqrt(g @ g)``, bitwise ``np.linalg.norm(g)``.
 
 The unbiasedness property (the expected update equals a subgradient of
-the rank-weighted loss) concerns the plain update rule.  The momentum and
-Adam variants reuse the same top-q direction as empirical extensions and
+the rank-weighted loss) concerns g and so the plain SGD rule.  Heavy-ball
+with momentum > 0 and Adam apply the same g as empirical extensions and
 carry no analogous guarantee.
 """
 from __future__ import annotations
@@ -75,13 +75,43 @@ class OptimizerState:
 def init_state(theta, q, lr) -> OptimizerState:
     if q < 1:
         raise ValueError(f"q must be at least 1, got {q}")
-    if lr <= 0:
-        raise ValueError(f"learning rate must be positive, got {lr}")
+    if not (lr > 0 and math.isfinite(lr)):
+        raise ValueError(
+            f"learning rate must be positive and finite, got {lr}")
     return OptimizerState(theta=np.array(theta, dtype=np.float64),
                           q_current=int(q), lr_current=float(lr))
 
 
-def _topq_update_direction(state, obj, X, y, batch, q):
+def heavy_ball(state, g, momentum=0.0) -> None:
+    """theta <- theta - lr * g, through a heavy-ball buffer if momentum > 0."""
+    if momentum > 0.0:
+        if state.momentum_buf is None:
+            state.momentum_buf = np.zeros_like(state.theta)
+        state.momentum_buf *= momentum
+        state.momentum_buf += g
+        state.theta -= state.lr_current * state.momentum_buf
+    else:
+        state.theta -= state.lr_current * g
+
+
+def adam(state, g, beta1=0.9, beta2=0.999, eps=1e-8) -> None:
+    """The Adam update of g, bias-corrected at timestep step_count + 1."""
+    if state.m is None:
+        state.m = np.zeros_like(state.theta)
+        state.v = np.zeros_like(state.theta)
+    state.m *= beta1
+    state.m += (1.0 - beta1) * g
+    state.v *= beta2
+    state.v += (1.0 - beta2) * g * g
+    t = state.step_count + 1
+    m_hat = state.m / (1.0 - beta1 ** t)
+    v_hat = state.v / (1.0 - beta2 ** t)
+    state.theta -= state.lr_current * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def osgd_step(state, obj, X, y, batch, q, update=heavy_ball) -> OptimizerState:
+    """One ordered step: the top-q direction g of ``batch``, fed to
+    ``update(state, g)``."""
     batch = np.asarray(batch)
     m = batch.shape[0]
     if q > m:
@@ -94,55 +124,27 @@ def _topq_update_direction(state, obj, X, y, batch, q):
         g = taped.mean_grad()
     else:
         g = taped.mean_grad(topq_positions(taped.losses, q))
-    return g + obj.l2 * theta  # the regularizer's gradient; its value is unused
-
-
-def osgd_step(state, obj, X, y, batch, q, momentum=0.0) -> OptimizerState:
-    """One ordered-SGD update: theta <- theta - lr * g (heavy-ball if momentum > 0)."""
-    g = _topq_update_direction(state, obj, X, y, batch, q)
+    g = g + obj.l2 * theta  # the regularizer's gradient; its value is unused
     state.last_grad_norm = math.sqrt(g @ g)  # = np.linalg.norm(g)
-    if momentum > 0.0:
-        if state.momentum_buf is None:
-            state.momentum_buf = np.zeros_like(state.theta)
-        state.momentum_buf *= momentum
-        state.momentum_buf += g
-        state.theta -= state.lr_current * state.momentum_buf
-    else:
-        state.theta -= state.lr_current * g
+    update(state, g)
     state.step_count += 1
     return state
 
 
-def minibatch_sgd_step(state, obj, X, y, batch, momentum=0.0) -> OptimizerState:
-    """Baseline SGD step: ordered step with q equal to the batch size."""
-    return osgd_step(state, obj, X, y, batch, q=len(batch), momentum=momentum)
+def minibatch_sgd_step(state, obj, X, y, batch,
+                       update=heavy_ball) -> OptimizerState:
+    """Baseline step: the ordered step with q equal to the batch size."""
+    return osgd_step(state, obj, X, y, batch, len(batch), update=update)
 
 
-def ordered_adam_step(state, obj, X, y, batch, q,
-                      beta1=0.9, beta2=0.999, eps=1e-8) -> OptimizerState:
-    """One ordered-Adam update: top-q direction fed through standard Adam moments."""
-    g = _topq_update_direction(state, obj, X, y, batch, q)
-    state.last_grad_norm = math.sqrt(g @ g)  # = np.linalg.norm(g)
-    if state.m is None:
-        state.m = np.zeros_like(state.theta)
-        state.v = np.zeros_like(state.theta)
-    state.m *= beta1
-    state.m += (1.0 - beta1) * g
-    state.v *= beta2
-    state.v += (1.0 - beta2) * g * g
-    t = state.step_count + 1
-    m_hat = state.m / (1.0 - beta1 ** t)
-    v_hat = state.v / (1.0 - beta2 ** t)
-    state.theta -= state.lr_current * m_hat / (np.sqrt(v_hat) + eps)
-    state.step_count = t
-    return state
+def ordered_adam_step(state, obj, X, y, batch, q) -> OptimizerState:
+    """The ordered step through :func:`adam` with its default moments."""
+    return osgd_step(state, obj, X, y, batch, q, update=adam)
 
 
-def adam_step(state, obj, X, y, batch,
-              beta1=0.9, beta2=0.999, eps=1e-8) -> OptimizerState:
+def adam_step(state, obj, X, y, batch) -> OptimizerState:
     """Baseline Adam step: ordered Adam with q equal to the batch size."""
-    return ordered_adam_step(state, obj, X, y, batch, q=len(batch),
-                             beta1=beta1, beta2=beta2, eps=eps)
+    return osgd_step(state, obj, X, y, batch, len(batch), update=adam)
 
 
 def adaptive_q_update(train_acc: float, s: int) -> int:

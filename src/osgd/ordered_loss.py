@@ -4,20 +4,23 @@ The ordered empirical loss over n samples is
 
     L_q(theta) = (1/q) * sum_j gamma_j * L_(j)(theta) + R(theta),
 
-where L_(1) >= L_(2) >= ... are the per-sample losses in the order of
-:func:`osgd.selection.rank_by_loss`, the order the top-q step selects by,
-and gamma_j / q are the per-sample weights of :func:`rank_weights`, the
-selection weights of :mod:`osgd.coeffs` over q.  Averaging the top-q
-update direction over every possible minibatch reproduces the analytic
-subgradient of L_q exactly; :func:`expected_step_bruteforce` certifies
-this by enumeration, and both forward the data once.  The enumeration
-(:func:`rank_selection_counts`) builds the s-subsets as rows of numpy
-tables, selects the top q of a fixed-size block of rows by their rank
-places in one numpy call, and counts the kept samples as exact integers.
+where L_(1) >= L_(2) >= ... are the per-sample losses sorted by value and
+gamma_j are the selection weights of :mod:`osgd.coeffs`.  Its value is
+computed in one place, :func:`ordered_empirical_loss`, from the losses
+and R(theta) alone: tied losses are equal, so the value needs no rank
+order.  :func:`loss_profile` forwards a model for those two inputs.  The
+analytic subgradient weights each sample's gradient by gamma_j / q at its
+place j in :func:`osgd.selection.rank_by_loss`, the order the top-q step
+selects by (:func:`rank_weights`).  Averaging the top-q update direction
+over every possible minibatch reproduces that subgradient exactly;
+:func:`expected_step_bruteforce` certifies this by enumeration, and both
+forward the data once.  The enumeration (:func:`rank_selection_counts`)
+builds the s-subsets as rows of numpy tables, keeps in each row the q
+samples with the smallest places in one ``rank_by_loss`` order, and
+counts the kept samples as exact integers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -38,38 +41,15 @@ class ResourceError(RuntimeError):
     """Raised when an exhaustive enumeration would exceed the subset cap."""
 
 
-@dataclass(frozen=True)
-class LossProfile:
-    """Per-sample losses with their rank permutation and regularizer value."""
-
-    per_sample: np.ndarray
-    order: np.ndarray
-    reg_value: float
-
-    @classmethod
-    def of(cls, losses, reg_value) -> LossProfile:
-        """Profile of given per-sample losses, ranked with the tie rule."""
-        return cls(per_sample=losses, order=rank_by_loss(losses),
-                   reg_value=reg_value)
-
-
-def loss_profile(obj, theta, X, y) -> LossProfile:
+def loss_profile(obj, theta, X, y):
+    """``(losses, reg_value)``: the per-sample losses of X and the
+    regularizer value at theta, the inputs of :func:`ordered_empirical_loss`."""
     losses = obj.per_example_losses(theta, X, y)
     reg_value, _ = obj.regularizer(theta)
-    return LossProfile.of(losses, reg_value)
+    return losses, reg_value
 
 
-def average_empirical_loss(profile: LossProfile) -> float:
-    """Mean per-sample loss plus the regularizer value."""
-    return float(profile.per_sample.mean()) + profile.reg_value
-
-
-def ordered_empirical_loss(profile: LossProfile, gamma: GammaWeights) -> float:
-    """(1/q) * sum_j gamma_j * L_(j) plus the regularizer value."""
-    return lq_value(profile.per_sample, profile.reg_value, gamma)
-
-
-def lq_value(losses, reg_value, gamma: GammaWeights) -> float:
+def ordered_empirical_loss(losses, reg_value, gamma: GammaWeights) -> float:
     """(1/q) * sum_j gamma_j * L_(j) plus ``reg_value``, from the sorted
     values of ``losses`` alone: tied losses are equal, so the rank order
     is not needed."""
@@ -96,19 +76,28 @@ def lq_subgradient(obj, theta, X, y, gamma: GammaWeights) -> np.ndarray:
     """Analytic subgradient (1/q) * sum_j gamma_j * g_(j) + grad R.
 
     Uses the module-wide subgradient selection and tie rule, so the result
-    is a deterministic function of (theta, data, gamma).
+    is a deterministic function of (theta, data, gamma).  A non-finite
+    L_q is rejected.
     """
-    return lq_value_and_subgradient(obj, theta, X, y, gamma)[1]
+    value, grad = lq_value_and_subgradient(obj, theta, X, y, gamma)
+    if grad is None:
+        raise ValueError(f"L_q = {value} is not finite; run has diverged")
+    return grad
 
 
 def lq_value_and_subgradient(obj, theta, X, y, gamma: GammaWeights):
-    """(L_q(theta), :func:`lq_subgradient`) from one forward pass over X."""
+    """(L_q(theta), :func:`lq_subgradient`) from one forward pass over X.
+
+    Where L_q is not finite (a loss or the regularizer overflowed) it has
+    no subgradient, and the second entry is None.
+    """
     taped = obj.taped_batch(theta, X, y)
     reg_value, reg_grad = obj.regularizer(theta)
-    profile = LossProfile.of(taped.losses, reg_value)
-    weights = rank_weights(profile.order, gamma)
-    return (ordered_empirical_loss(profile, gamma),
-            taped.grad(weights) + reg_grad)
+    value = ordered_empirical_loss(taped.losses, reg_value, gamma)
+    if not np.isfinite(value):
+        return value, None
+    weights = rank_weights(rank_by_loss(taped.losses), gamma)
+    return value, taped.grad(weights) + reg_grad
 
 
 def _lex_subsets(n: int, k: int) -> np.ndarray:

@@ -26,7 +26,7 @@ from osgd.data import gen_clusters_2d, gen_rings_2d, load_semeion, \
     split_dataset
 from osgd.harness import _epoch_batches, run_single
 from osgd.objectives import FeedforwardModel, Objective, make_model
-from osgd.optimizers import (ScheduleSpec, adam_step, init_state,
+from osgd.optimizers import (ScheduleSpec, adam_step, heavy_ball, init_state,
                              minibatch_sgd_step, osgd_step, schedule_lr)
 from osgd.ordered_loss import (expected_step_bruteforce, loss_profile,
                                lq_subgradient, ordered_empirical_loss)
@@ -194,7 +194,7 @@ def test_acceptance_4_convex_gap_decay():
             state.lr_current = schedule_lr(spec, 0, t)
             osgd_step(state, obj, X, y, sample_minibatch(rng, n, s), q)
             history.append(ordered_empirical_loss(
-                loss_profile(obj, state.theta, X, y), gamma))
+                *loss_profile(obj, state.theta, X, y), gamma))
         gaps = optimality_gap(history, lq_star)
         ratios.append(gaps[9_999] / gaps[99])
         most_negative = min(most_negative, float(gaps.min()))
@@ -457,12 +457,13 @@ def _plain_baseline_theta(cfg, ds, kind):
     X, y = ds.split("train")
     rng = np.random.default_rng(0)
     state = init_state(obj.init_params(rng), 64, cfg.opt.schedule.base_lr)
+    momentum = functools.partial(heavy_ball, momentum=0.9)
     for epoch in range(cfg.epochs):
         for batch in _epoch_batches(rng, len(y), 64, cfg.opt.batching):
             state.lr_current = schedule_lr(cfg.opt.schedule, epoch,
                                            state.step_count)
             if kind == "sgd":
-                minibatch_sgd_step(state, obj, X, y, batch, momentum=0.9)
+                minibatch_sgd_step(state, obj, X, y, batch, update=momentum)
             else:
                 adam_step(state, obj, X, y, batch)
     return state.theta

@@ -187,7 +187,7 @@ class TestSolverForwards:
     def two_forward_coarse_phase(obj, X, y, gamma, beta0, base_lr, iters):
         """The coarse phase with separate value and subgradient calls."""
         def value(b):
-            return ordered_empirical_loss(loss_profile(obj, b, X, y), gamma)
+            return ordered_empirical_loss(*loss_profile(obj, b, X, y), gamma)
 
         beta = np.array(beta0, dtype=np.float64)
         best_val, best_beta = value(beta), beta.copy()
@@ -212,7 +212,8 @@ class TestSolverForwards:
         assert seen == restarts
         # a zero min-norm subgradient ends the polish phase before it steps
         beta, val, _ = _subgradient_solve(
-            lambda b: ordered_empirical_loss(loss_profile(obj, b, X, y), gamma),
+            lambda b: ordered_empirical_loss(*loss_profile(obj, b, X, y),
+                                             gamma),
             lambda b: lq_value_and_subgradient(obj, b, X, y, gamma),
             np.zeros_like, beta0, base_lr=base_lr, step_tol=0.0, grad_tol=0.0,
             max_iter=60, context="test", coarse_iters=60)
@@ -237,3 +238,34 @@ class TestSolverForwards:
         assert calls.count(12) == 102
         assert calls.count(1) == 12 and len(calls) == 114
         assert not theta_star.any() and cert < 1e-6
+
+
+class TestOverflowingCoarseStep:
+    """A coarse iterate whose loss overflows halves the step size and
+    restarts from the best iterate; it does not end the solve."""
+
+    @staticmethod
+    def instance():
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((12, 3))
+        y = rng.integers(0, 2, 12)
+        obj = Objective(FeedforwardModel(3, 1, bias=False), "squared", l2=0.1)
+        return obj, X, y, gamma_weights(12, 4, 2)
+
+    def test_reference_optimum_restarts_after_overflow(self):
+        obj, X, y, gamma = self.instance()
+        _, val_star, cert_star = reference_optimum(obj, X, y, gamma)
+        assert cert_star < 1e-6
+        with np.errstate(over="ignore", invalid="ignore"):
+            theta, val, cert = reference_optimum(obj, X, y, gamma,
+                                                 base_lr=1e160)
+        assert np.isfinite(theta).all() and math.isfinite(val)
+        # l2 = 0.1 makes L_q strongly convex: cert bounds the gap
+        assert val_star - 1e-9 <= val <= val_star + cert ** 2 / (2 * 0.1)
+
+    def test_overflowing_start_rejected(self):
+        obj, X, y, gamma = self.instance()
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="not finite at the start"):
+            reference_optimum(obj, X, y, gamma,
+                              theta0=np.array([1e300, 0.0, 0.0]))

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import os
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -19,7 +20,8 @@ from osgd.harness import (RECORD_COLUMNS, _check_qs_equivalence,
                           write_records_csv, write_summary_csv)
 from osgd.objectives import FeedforwardModel, Objective
 from osgd.optimizers import (ScheduleSpec, adam_step, adaptive_q_update,
-                             init_state, minibatch_sgd_step, schedule_lr)
+                             heavy_ball, init_state, minibatch_sgd_step,
+                             schedule_lr)
 
 from conftest import stand_in_digits
 
@@ -47,23 +49,26 @@ def strip_time(record):
 def baseline_theta(cfg, seed, kind):
     """Final theta of a loop of the one-line baseline step (``"sgd"``:
     minibatch_sgd_step, ``"adam"``: adam_step) over the batches the runner
-    draws for ``cfg`` at ``seed``."""
+    draws for ``cfg`` at ``seed``.  ``adam_step`` has Adam's default
+    moments, which ``cfg`` must keep."""
     ds = build_dataset(cfg.data, split_seed=seed)
     obj = build_objective(cfg, ds)
     X, y = ds.split("train")
     s = min(cfg.opt.batch_size, len(y))
     rng = np.random.default_rng(seed)
     state = init_state(obj.init_params(rng), s, cfg.opt.schedule.base_lr)
+    momentum = partial(heavy_ball, momentum=cfg.opt.momentum)
+    if kind == "adam":
+        assert (cfg.opt.beta1, cfg.opt.beta2, cfg.opt.eps) == (0.9, 0.999,
+                                                               1e-8)
     for epoch in range(cfg.epochs):
         for batch in _epoch_batches(rng, len(y), s, cfg.opt.batching):
             state.lr_current = schedule_lr(cfg.opt.schedule, epoch,
                                            state.step_count)
             if kind == "sgd":
-                minibatch_sgd_step(state, obj, X, y, batch,
-                                   momentum=cfg.opt.momentum)
+                minibatch_sgd_step(state, obj, X, y, batch, update=momentum)
             else:
-                adam_step(state, obj, X, y, batch, beta1=cfg.opt.beta1,
-                          beta2=cfg.opt.beta2, eps=cfg.opt.eps)
+                adam_step(state, obj, X, y, batch)
     return state.theta
 
 
@@ -97,6 +102,31 @@ class TestBaselines:
                                                            rel=1e-12)
         assert run.final_theta.tobytes() == \
             baseline_theta(cfg, 4, kind).tobytes()
+
+
+STEP_NAMES = ("osgd_step", "minibatch_sgd_step", "ordered_adam_step",
+              "adam_step")
+
+
+class TestOneStepCall:
+    @pytest.mark.parametrize("kind", ["sgd", "osgd", "adam", "oadam"])
+    def test_every_kind_steps_through_osgd_step(self, monkeypatch, kind):
+        calls = dict.fromkeys(STEP_NAMES, 0)
+
+        def counted(name, step):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return step(*args, **kwargs)
+            return call
+
+        for name in STEP_NAMES:
+            monkeypatch.setattr(optimizers, name,
+                                counted(name, getattr(optimizers, name)))
+        run = run_single(tiny_config(kind=kind, epochs=2),
+                         build_dataset(DataConfig(kind="clusters", seed=11)), 0)
+        assert not run.failed
+        assert calls == {**dict.fromkeys(STEP_NAMES, 0),
+                         "osgd_step": run.records[-1].step}
 
 
 def pinned_case(name, kind):
@@ -143,12 +173,16 @@ PINNED_RECORDS = {
         "13c57ea0e8e1c581723fe5b69a1c0bacc6fcf210672b4cfa8b253bbae4e6971d",
     ("rings-mlp", "oadam"):
         "69b6ecfe39821ba6e931692d463ce7bf91fcd547bb7f1f3bd7750a45faad48e6",
+    ("rings-mlp", "adam"):
+        "6356f764f0bc127958e4b552822d75ea21eadcbeaee389f3245acd8d98d36061",
     ("clusters-linear", "sgd"):
         "a76fab415c0bfb3d283054d91b792a007a13109bc2e3dbfb4df034bc1231da3d",
     ("clusters-linear", "osgd"):
         "fbc66d82fba3338ab44ca4e955d9f348b96c05345d624432fb0873e37a9efcee",
     ("clusters-linear", "oadam"):
         "1ef373121c077561e49aded049930d7aa75abcb33f6971c15d638077d5c94e90",
+    ("clusters-linear", "adam"):
+        "290c54e6f15dbb0bee75f193882a23521dd1cc265319159783dfb458505e677e",
     ("multinomial-cross-entropy", "sgd"):
         "358c82394a3c4c974b37ed3dfec3172d190f624395866dc6fc23fe9e48e7179c",
     ("multinomial-cross-entropy", "osgd"):

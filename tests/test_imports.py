@@ -1,4 +1,5 @@
-"""scipy.special is imported only by the paths that use it.
+"""scipy.special is imported only by the paths that use it, and a bare
+``import osgd`` exposes the listed public names.
 
 Each case runs in a fresh interpreter, since a module once imported stays
 in ``sys.modules``.  Runs without binary cross-entropy, a sigmoid or the
@@ -61,3 +62,39 @@ def test_paths_without_scipy_never_import_it(code):
 ], ids=["bce-objective", "sigmoid-model", "gamma-weights-float"])
 def test_paths_with_scipy_import_it_when_built_or_called(code):
     assert loads_scipy_special(code)
+
+
+# The package's public names after a bare ``import osgd``.  The list is
+# the checked record of their number: a change that adds or removes a
+# public name edits it.
+PUBLIC_NAMES = [
+    "ConvergenceError", "DataConfig", "Dataset", "DivergenceError",
+    "ExperimentResult", "FeedforwardModel", "FormatError", "GammaCurve",
+    "GammaWeights", "ModelConfig", "MoreauConfig", "Objective",
+    "OptConfig", "OptimizerState", "ResourceError", "RunConfig",
+    "RunRecord", "RunResult", "ScheduleSpec", "adam_step",
+    "adaptive_q_update", "analysis", "beta_cdf", "build_dataset",
+    "build_objective", "coeffs", "concentration_term", "config", "data",
+    "expected_step_bruteforce", "gamma_asymptotic", "gamma_rescaled_curve",
+    "gamma_weights", "gamma_weights_float", "gen_clusters_2d",
+    "gen_rings_2d", "harness", "init_state", "load_cache", "load_config",
+    "load_idx", "load_semeion", "loss_profile", "lq_subgradient",
+    "make_model", "minibatch_sgd_step", "moreau_grad_norm", "objectives",
+    "optimality_gap", "optimizers", "ordered_adam_step",
+    "ordered_empirical_loss", "ordered_loss", "osgd_step", "q_argmax",
+    "rank_by_loss", "rank_selection_counts", "reference_optimum",
+    "relative_improvement", "run_experiment", "run_single",
+    "run_verification_suite", "sample_minibatch", "save_cache",
+    "schedule_lr", "selection", "split_dataset", "sweep_q",
+    "zero_one_error",
+]
+
+
+def test_public_names_are_the_listed_ones():
+    script = (f"import sys\nsys.path.insert(0, {SRC!r})\nimport osgd\n"
+              f"print(*(n for n in dir(osgd) if not n.startswith('_')))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(proc.stdout.split()) == PUBLIC_NAMES
+    assert len(PUBLIC_NAMES) == 69

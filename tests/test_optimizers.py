@@ -1,5 +1,6 @@
 """Update rules, schedules, the adaptive q rule, and trajectory equivalences."""
 import math
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,12 +9,14 @@ import pytest
 from osgd import optimizers
 from osgd.coeffs import gamma_weights
 from osgd.objectives import FeedforwardModel, Objective
-from osgd.optimizers import (DivergenceError, ScheduleSpec, adam_step,
-                             adaptive_q_update, init_state,
+from osgd.optimizers import (DivergenceError, ScheduleSpec, adam, adam_step,
+                             adaptive_q_update, heavy_ball, init_state,
                              minibatch_sgd_step, ordered_adam_step, osgd_step,
                              schedule_lr)
 from osgd.ordered_loss import lq_subgradient
 from osgd.selection import sample_minibatch, topq_positions
+
+MOMENTUM_09 = partial(heavy_ball, momentum=0.9)
 
 
 class ConstantGradObjective:
@@ -108,8 +111,8 @@ class TestOsgdStep:
         for _ in range(50):
             batch_a = sample_minibatch(rng_a, 40, 5)
             batch_b = sample_minibatch(rng_b, 40, 5)
-            osgd_step(a, obj, X, y, batch_a, q=5, momentum=0.9)
-            minibatch_sgd_step(b, obj, X, y, batch_b, momentum=0.9)
+            osgd_step(a, obj, X, y, batch_a, q=5, update=MOMENTUM_09)
+            minibatch_sgd_step(b, obj, X, y, batch_b, update=MOMENTUM_09)
         np.testing.assert_array_equal(a.theta, b.theta)
 
     def test_momentum_two_steps_heavy_ball(self):
@@ -119,8 +122,8 @@ class TestOsgdStep:
         theta0 = np.array([0.0, 0.0, 0.0])
         state = init_state(theta0.copy(), q=2, lr=0.1)
         batch = np.array([0, 1, 2])
-        osgd_step(state, obj, X, y, batch, q=2, momentum=0.9)
-        osgd_step(state, obj, X, y, batch, q=2, momentum=0.9)
+        osgd_step(state, obj, X, y, batch, q=2, update=MOMENTUM_09)
+        osgd_step(state, obj, X, y, batch, q=2, update=MOMENTUM_09)
         expected = theta0 - 0.1 * (1.0 * g) - 0.1 * (1.9 * g)
         np.testing.assert_allclose(state.theta, expected, rtol=1e-14)
 
@@ -129,6 +132,11 @@ class TestOsgdStep:
         state = init_state(theta, q=4, lr=0.1)
         with pytest.raises(ValueError):
             osgd_step(state, obj, X, y, np.array([0, 1, 2]), q=4)
+
+    @pytest.mark.parametrize("lr", [0.0, -0.1, math.nan, math.inf, -math.inf])
+    def test_init_state_rejects_bad_learning_rate(self, lr):
+        with pytest.raises(ValueError, match="positive and finite"):
+            init_state(np.zeros(3), q=1, lr=lr)
 
     def test_divergence_raises_with_step_index(self):
         obj = Objective(FeedforwardModel(1, 1, bias=False), "squared")
@@ -249,6 +257,25 @@ class TestOrderedAdam:
         assert state.theta[0] == pytest.approx(th, rel=1e-13)
 
 
+    def test_bound_moments_reach_the_rule(self):
+        obj = Objective(FeedforwardModel(1, 1, bias=False), "squared")
+        X, y = np.array([[1.0]]), np.array([0])
+        eta, b1, b2, eps = 0.1, 0.5, 0.9, 1e-3
+        update = partial(adam, beta1=b1, beta2=b2, eps=eps)
+        state = init_state(np.array([2.0]), q=1, lr=eta)
+        osgd_step(state, obj, X, y, np.array([0]), q=1, update=update)
+        osgd_step(state, obj, X, y, np.array([0]), q=1, update=update)
+
+        th, m, v = 2.0, 0.0, 0.0
+        for t in (1, 2):
+            g = th
+            m, v = b1 * m + (1 - b1) * g, b2 * v + (1 - b2) * g * g
+            th -= eta * (m / (1 - b1 ** t)) / (math.sqrt(v / (1 - b2 ** t))
+                                               + eps)
+        assert state.step_count == 2
+        assert state.theta[0] == pytest.approx(th, rel=1e-13)
+
+
 class TestAdaptiveQ:
     @pytest.mark.parametrize("acc,s,expected", [
         (0.50, 64, 64), (0.79, 64, 64),
@@ -355,6 +382,6 @@ def test_convex_descent_on_quadratic():
         osgd_step(state, obj, X, y, batch, q)
         if step % 100 == 0:
             values.append(ordered_empirical_loss(
-                loss_profile(obj, state.theta, X, y), gamma))
+                *loss_profile(obj, state.theta, X, y), gamma))
     assert values[-1] < values[0] * 0.05
     assert values[-1] < min(values[:5])

@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 
 from osgd.coeffs import gamma_weights
 from osgd.objectives import FeedforwardModel, Objective
-from osgd.ordered_loss import (MAX_BRUTEFORCE_SUBSETS, LossProfile,
-                               ResourceError, _lex_subsets,
-                               _subset_blocks,
-                               average_empirical_loss,
+from osgd.ordered_loss import (MAX_BRUTEFORCE_SUBSETS, ResourceError,
+                               _lex_subsets, _subset_blocks,
                                expected_step_bruteforce, loss_profile,
                                lq_subgradient, lq_value_and_subgradient,
                                ordered_empirical_loss, rank_selection_counts)
@@ -21,9 +19,9 @@ from osgd.selection import q_argmax, rank_by_loss
 
 
 def profile_from(losses, reg=0.0):
-    losses = np.asarray(losses, dtype=np.float64)
-    return LossProfile(per_sample=losses, order=rank_by_loss(losses),
-                       reg_value=reg)
+    """``(losses, reg)``, the arguments of ordered_empirical_loss before
+    gamma, as :func:`loss_profile` returns them."""
+    return np.asarray(losses, dtype=np.float64), reg
 
 
 def logistic_instance(seed, n=8, d=3, l2=0.05, distinct=True):
@@ -40,37 +38,45 @@ def logistic_instance(seed, n=8, d=3, l2=0.05, distinct=True):
 
 
 class TestAverageLoss:
+    """At q = s, L_q is the average loss the runner logs beside it,
+    ``losses.mean() + reg``."""
+
     def test_simple_mean(self):
-        assert average_empirical_loss(profile_from([1.0, 2.0, 3.0])) == 2.0
+        losses, reg = profile_from([1.0, 2.0, 3.0])
+        assert losses.mean() + reg == 2.0
+        assert ordered_empirical_loss(losses, reg, gamma_weights(3, 2, 2)) \
+            == pytest.approx(2.0, rel=1e-15)
 
     def test_constant_plus_regularizer(self):
-        assert average_empirical_loss(profile_from([4.0] * 7, reg=0.25)) == 4.25
+        losses, reg = profile_from([4.0] * 7, reg=0.25)
+        assert losses.mean() + reg == 4.25
+        assert ordered_empirical_loss(losses, reg, gamma_weights(7, 3, 3)) \
+            == pytest.approx(4.25, rel=1e-15)
 
     def test_equals_ordered_loss_when_q_is_s(self):
-        losses = np.array([0.3, 1.9, 0.2, 1.1, 0.8])
-        prof = profile_from(losses, reg=0.1)
+        losses, reg = profile_from([0.3, 1.9, 0.2, 1.1, 0.8], reg=0.1)
         gamma = gamma_weights(5, 3, 3)
-        assert ordered_empirical_loss(prof, gamma) == pytest.approx(
-            average_empirical_loss(prof), rel=1e-14)
+        assert ordered_empirical_loss(losses, reg, gamma) == pytest.approx(
+            float(losses.mean()) + reg, rel=1e-14)
 
 
 class TestOrderedLoss:
     def test_max_loss_when_full_batch_top_one(self):
         prof = profile_from([1.0, 3.0, 2.0])
-        assert ordered_empirical_loss(prof, gamma_weights(3, 3, 1)) == 3.0
+        assert ordered_empirical_loss(*prof, gamma_weights(3, 3, 1)) == 3.0
 
     def test_max_loss_plus_regularizer_when_full_batch_top_one(self):
         prof = profile_from([1.0, 3.0, 2.0], reg=0.75)
-        assert ordered_empirical_loss(prof, gamma_weights(3, 3, 1)) == 3.75
+        assert ordered_empirical_loss(*prof, gamma_weights(3, 3, 1)) == 3.75
 
     def test_enumerated_weighting(self):
         prof = profile_from([4.0, 3.0, 2.0, 1.0])
-        val = ordered_empirical_loss(prof, gamma_weights(4, 2, 1))
+        val = ordered_empirical_loss(*prof, gamma_weights(4, 2, 1))
         assert val == pytest.approx(10.0 / 3.0, rel=1e-14)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            ordered_empirical_loss(profile_from([1.0, 2.0]),
+            ordered_empirical_loss(*profile_from([1.0, 2.0]),
                                    gamma_weights(3, 2, 1))
 
     @settings(max_examples=60, deadline=None)
@@ -82,9 +88,9 @@ class TestOrderedLoss:
         q = data.draw(st.integers(1, s))
         gamma = gamma_weights(n, s, q)
         perm = data.draw(st.permutations(range(n)))
-        base = ordered_empirical_loss(profile_from(losses), gamma)
+        base = ordered_empirical_loss(*profile_from(losses), gamma)
         shuffled = ordered_empirical_loss(
-            profile_from([losses[i] for i in perm]), gamma)
+            *profile_from([losses[i] for i in perm]), gamma)
         assert shuffled == pytest.approx(base, rel=1e-12, abs=1e-12)
 
 
@@ -280,11 +286,10 @@ class TestSelectionCounts:
 
 def test_loss_profile_roundtrip():
     obj, theta, X, y = logistic_instance(6)
-    prof = loss_profile(obj, theta, X, y)
-    assert prof.per_sample.shape == (8,)
-    assert sorted(prof.order.tolist()) == list(range(8))
-    reg_value, _ = obj.regularizer(theta)
-    assert prof.reg_value == reg_value
+    losses, reg_value = loss_profile(obj, theta, X, y)
+    assert losses.shape == (8,)
+    assert losses.tobytes() == obj.per_example_losses(theta, X, y).tobytes()
+    assert reg_value == obj.regularizer(theta)[0]
 
 
 class TestOneForward:
@@ -362,7 +367,7 @@ class TestOneForward:
     def test_lq_value_and_subgradient(self, monkeypatch, seed):
         obj, theta, X, y, _ = self.instance(seed)
         gamma = gamma_weights(10, 5, 2)
-        want_value = ordered_empirical_loss(loss_profile(obj, theta, X, y),
+        want_value = ordered_empirical_loss(*loss_profile(obj, theta, X, y),
                                             gamma)
         want_grad = lq_subgradient(obj, theta, X, y, gamma)
         calls = self.count_forwards(monkeypatch)
@@ -370,6 +375,17 @@ class TestOneForward:
         assert calls == [10]
         assert value == want_value
         assert grad.tobytes() == want_grad.tobytes()
+
+    def test_non_finite_value_has_no_subgradient(self):
+        obj, theta, X, y, _ = self.instance(0)
+        X = X.copy()
+        X[3] = np.inf
+        gamma = gamma_weights(10, 5, 2)
+        with np.errstate(all="ignore"):
+            value, grad = lq_value_and_subgradient(obj, theta, X, y, gamma)
+            assert not np.isfinite(value) and grad is None
+            with pytest.raises(ValueError, match="not finite"):
+                lq_subgradient(obj, theta, X, y, gamma)
 
     def test_gamma_size_mismatch_rejected(self):
         obj, theta, X, y, _ = self.instance(0)
