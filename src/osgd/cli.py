@@ -93,9 +93,12 @@ def _cmd_train(args):
                 np.save(os.path.join(cfg.outdir,
                                      f"{cfg.name}-seed{run.seed}-theta.npy"),
                         run.final_theta)
+    completed = len(summary["final_test_errors"])
+    over = (f"{len(cfg.seeds)}" if completed == len(cfg.seeds)
+            else f"{completed} of {len(cfg.seeds)}")
     print(f"{cfg.name}: mean test error "
           f"{summary['mean_test_err']:.3f} ({summary['std_test_err']:.3f}) "
-          f"over {len(cfg.seeds)} seed(s)")
+          f"over {over} seed(s)")
     if summary["failed_seeds"]:
         print(f"failed seeds: {summary['failed_seeds']}", file=sys.stderr)
     print(f"wrote {records_path} and {summary_path}")

@@ -103,7 +103,7 @@ class FeedforwardModel:
         return theta
 
     def _layers(self, theta):
-        """(W, b) views into theta per layer, b None without biases.
+        """(W, W.T, b) views into theta per layer, b None without biases.
 
         The views of the last theta array seen are kept and reused while
         the same array object comes back.  They alias its memory, so they
@@ -112,9 +112,10 @@ class FeedforwardModel:
         """
         bound_theta, layers = self._bound
         if theta is not bound_theta:
-            layers = [(theta[w].reshape(shape),
-                       None if b is None else theta[b])
-                      for w, shape, b in self._blocks]
+            layers = []
+            for w, shape, b in self._blocks:
+                W = theta[w].reshape(shape)
+                layers.append((W, W.T, None if b is None else theta[b]))
             self._bound = (theta, layers)
         return layers
 
@@ -125,8 +126,8 @@ class FeedforwardModel:
         last = len(layers) - 1
         H = X
         tape = []
-        for i, (W, b) in enumerate(layers):
-            Z = H @ W.T
+        for i, (_, WT, b) in enumerate(layers):
+            Z = H @ WT
             if b is not None:
                 Z += b
             tape.append((H, Z))
@@ -141,21 +142,22 @@ class FeedforwardModel:
 
         G is the (m, d_out) gradient at the logits; per-example loss
         weights must already be folded into its rows.  Walks the forward
-        tape in reverse, accumulating each layer's weight and bias blocks.
+        tape in reverse, forming each layer's weight and bias blocks, and
+        joins them in packing order with one ``concatenate``.
         """
         dact = self._dact
         layers = self._layers(theta)
-        grad = np.zeros(self.n_params, dtype=np.float64)
+        blocks = []  # b_L, W_L, ..., b_0, W_0
         for i in range(len(layers) - 1, -1, -1):
-            w, shape, b = self._blocks[i]
             H_in, _ = tape[i]
-            np.matmul(G.T, H_in, out=grad[w].reshape(shape))
-            if b is not None:
-                G.sum(axis=0, out=grad[b])
+            if self.bias:
+                blocks.append(np.add.reduce(G, axis=0))  # G.sum, unwrapped
+            blocks.append((G.T @ H_in).ravel())
             if i > 0:
-                W, _ = layers[i]
+                W = layers[i][0]
                 G = (G @ W) * dact(H_in)  # H_in = act(Z) of layer i - 1
-        return grad
+        blocks.reverse()
+        return np.concatenate(blocks)
 
 
 def make_model(kind, d_in, d_out, hidden=(), activation="tanh", bias=True):
@@ -169,10 +171,20 @@ def make_model(kind, d_in, d_out, hidden=(), activation="tanh", bias=True):
     raise ValueError(f"unknown model kind {kind!r}")
 
 
+# -(2y - 1) for the labels y = 0, 1: the binary cross-entropy sign
+_BCE_SIGN = np.array([1.0, -1.0])
+
+
 def _loss_terms(kind, A, y, with_losses=True):
     """Per-row losses of the logits A, and the pieces of them that the
     logit gradient (:func:`_logit_grads`) reuses.  Without ``with_losses``
-    only the pieces are built, and None stands in for the losses."""
+    only the pieces are built, and None stands in for the losses.
+
+    ``y`` holds checked integer labels.  The binary cross-entropy sign
+    -(2y - 1) is read from a table: for y in {0, 1} that arithmetic gives
+    exactly 1.0 or -1.0, so the table gives the same bits with one call
+    instead of three.
+    """
     if kind == "multinomial-cross-entropy":
         at = (np.arange(A.shape[0]), y)  # each row's label entry
         mx = A.max(axis=1, keepdims=True)
@@ -188,7 +200,7 @@ def _loss_terms(kind, A, y, with_losses=True):
                   else None)
         return losses, (at, margins)
     if kind == "binary-cross-entropy":
-        neg_t = -(2.0 * y - 1.0)
+        neg_t = _BCE_SIGN.take(y)
         z = neg_t * A[:, 0]
         return (np.logaddexp(0.0, z) if with_losses else None), (neg_t, z)
     if kind == "squared":
@@ -216,6 +228,13 @@ def _logit_grads(kind, pieces):
     if kind == "squared":
         return pieces
     raise ValueError(f"unknown loss kind {kind!r}")
+
+
+def _rows(X):
+    """X as a 2-D array of rows; a 2-D array passes as it is."""
+    if isinstance(X, np.ndarray) and X.ndim == 2:
+        return X
+    return np.atleast_2d(X)
 
 
 def _squared_targets(d_out, y):
@@ -257,6 +276,8 @@ class Objective:
 
     def _check_labels(self, y):
         y = np.asarray(y)
+        if y.dtype.kind not in "biu":  # the losses index by label
+            raise ValueError(f"labels must be integers, got dtype {y.dtype}")
         if y.size and (y.min() < 0 or y.max() >= self.n_classes):
             raise ValueError(
                 f"label out of range [0, {self.n_classes}): "
@@ -267,9 +288,9 @@ class Objective:
     def _checked_labels(self, y):
         """A read-only copy of the labels ``y``, checked once as a whole.
 
-        This objective takes it, and rows drawn from it (``labels[batch]``,
-        which keep its type), without checking them again.  It is checked
-        against this objective's classes only.
+        This objective takes it, and rows drawn from it (``labels[batch]``
+        or ``labels.take(batch)``, which keep its type), without checking
+        them again.  It is checked against this objective's classes only.
         """
         labels = self._check_labels(np.array(y)).view(_CheckedLabels)
         labels.setflags(write=False)
@@ -284,13 +305,13 @@ class Objective:
 
     def per_example_losses(self, theta, X, y):
         y = self._labels(y)
-        A = self.model.logits(theta, np.atleast_2d(X))
+        A = self.model.logits(theta, _rows(X))
         return _loss_terms(self.loss, A, y)[0]
 
     def losses_and_predictions(self, theta, X, y):
         """Per-example losses and predicted classes from one forward pass."""
         y = self._labels(y)
-        A = self.model.logits(theta, np.atleast_2d(X))
+        A = self.model.logits(theta, _rows(X))
         return _loss_terms(self.loss, A, y)[0], self._predict(A)
 
     def taped_batch(self, theta, X, y):
@@ -303,7 +324,7 @@ class Objective:
     def weighted_grad(self, theta, X, y, weights):
         """sum_i weights[i] * grad of loss_i, in one reverse pass."""
         y = self._labels(y)
-        A, tape = self.model.forward(theta, np.atleast_2d(X))
+        A, tape = self.model.forward(theta, _rows(X))
         _, pieces = _loss_terms(self.loss, A, y, with_losses=False)
         weights = np.asarray(weights, dtype=np.float64)[:, None]
         return self._grad_from_tape(theta, tape, pieces, weights)
@@ -325,7 +346,7 @@ class Objective:
 
     def predictions(self, theta, X):
         """Predicted class per row; logit ties go to the smaller class index."""
-        return self._predict(self.model.logits(theta, np.atleast_2d(X)))
+        return self._predict(self.model.logits(theta, _rows(X)))
 
     def _predict(self, A):
         if self.model.d_out == 1:
@@ -335,7 +356,8 @@ class Objective:
 
 class _CheckedLabels(np.ndarray):
     """Class labels that an :class:`Objective` checked as a whole
-    (:meth:`Objective._checked_labels`); indexing keeps the type."""
+    (:meth:`Objective._checked_labels`); indexing and ``take`` keep the
+    type."""
 
 
 class TapedBatch:
@@ -350,7 +372,7 @@ class TapedBatch:
 
     def __init__(self, obj, theta, X, y):
         self._obj, self._theta = obj, theta
-        self._X, self._y = np.atleast_2d(X), obj._labels(y)
+        self._X, self._y = _rows(X), obj._labels(y)
         logits, self._tape = obj.model.forward(theta, self._X)
         self.losses, self._pieces = _loss_terms(obj.loss, logits, self._y)
 
@@ -364,9 +386,11 @@ class TapedBatch:
         can differ in the last bits from a matmul over the subset alone
         (OpenBLAS: 256->10 and 16->1 layers at subset sizes that are not a
         multiple of 4), and trajectories are defined by the subset forward.
-        The subset's labels were checked with the batch's.  The uniform
-        weight 1/q is applied as one number, bitwise the same as a column
-        of q copies of it.
+        The kept rows and labels are gathered with ``take``, which copies
+        the same rows as fancy indexing with less dispatch per call.  The
+        subset's labels were checked with the batch's.  The uniform weight
+        1/q is applied as one number, bitwise the same as a column of q
+        copies of it.
         """
         m = self.losses.shape[0]
         q = m if positions is None else len(positions)
@@ -374,8 +398,9 @@ class TapedBatch:
             return self._obj._grad_from_tape(self._theta, self._tape,
                                              self._pieces, 1.0 / q)
         obj, theta = self._obj, self._theta
-        logits, tape = obj.model.forward(theta, self._X[positions])
-        _, pieces = _loss_terms(obj.loss, logits, self._y[positions],
+        logits, tape = obj.model.forward(theta,
+                                         self._X.take(positions, axis=0))
+        _, pieces = _loss_terms(obj.loss, logits, self._y.take(positions),
                                 with_losses=False)
         return obj._grad_from_tape(theta, tape, pieces, 1.0 / q)
 

@@ -33,10 +33,13 @@ def _rank_order(values) -> np.ndarray:
 def topq_positions(values: np.ndarray, q: int) -> np.ndarray:
     """Positions of the q largest entries, ascending; ties toward the
     smaller position."""
-    m = np.shape(values)[0]
+    values = np.asarray(values, dtype=np.float64)
+    m = values.shape[0]
     if not 0 < q <= m:
         raise ValueError(f"need 1 <= q <= len(values) = {m}, got q={q}")
-    return np.sort(_rank_order(values)[:q])
+    kept = (-values).argsort(kind="stable")[:q]  # the order of _rank_order
+    kept.sort()
+    return kept
 
 
 def q_argmax(values: np.ndarray, batch: np.ndarray, q: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 """End-to-end checks of every CLI subcommand."""
 import csv
+import dataclasses
 import gc
 import io
 import json
@@ -10,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from osgd import harness
 from osgd.cli import main
 from osgd.coeffs import EXACT_N_LIMIT, gamma_weights, gamma_weights_float
 from osgd.data import load_cache
@@ -125,6 +127,26 @@ class TestTrainCommands:
         assert {r["seed"] for r in rows} == {"0", "1"}
         summary = read_rows(tmp_path / "out/cli-smoke-summary.csv")
         assert summary[0]["config_id"] == "cli-smoke"
+        assert "over 2 seed(s)" in capsys.readouterr().out
+
+    def test_train_summary_counts_completed_seeds(self, config_file, tmp_path,
+                                                  monkeypatch, capsys):
+        # seed 1 trains on features scaled by 1e300: its logits overflow
+        run_single = harness.run_single
+
+        def seed_1_diverges(cfg, dataset, seed):
+            if seed == 1:
+                dataset = dataclasses.replace(
+                    dataset, features=dataset.features * 1e300)
+            return run_single(cfg, dataset, seed)
+
+        monkeypatch.setattr(harness, "run_single", seed_1_diverges)
+        monkeypatch.chdir(tmp_path)
+        assert main(["train", "--config", str(config_file),
+                     "--override", "outdir = out"]) == 0
+        out, err = capsys.readouterr()
+        assert "over 1 of 2 seed(s)" in out
+        assert "failed seeds: [1]" in err
 
     def test_train_save_params(self, config_file, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -5,12 +5,15 @@ import hashlib
 import json
 import os
 from functools import partial
-from itertools import combinations
+from itertools import combinations, permutations
+from math import factorial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from osgd import data, harness, optimizers, ordered_loss, selection
+from osgd import (coeffs, data, harness, optimizers, ordered_loss,
+                  selection)
 from osgd.config import (DataConfig, ModelConfig, OptConfig, RunConfig,
                          build_dataset, build_objective, load_config)
 from osgd.data import gen_clusters_2d
@@ -457,6 +460,67 @@ class TestLoggedMetrics:
         assert qs[0] == s and len(set(qs)) > 2
         for prev, rec in zip(run.records, run.records[1:]):
             assert rec.q == min(adaptive_q_update(prev.train_acc, s), s)
+
+
+class TestShuffleBatchingIdentity:
+    """Shuffle batching keeps ranks at the gamma weights' exact rates.
+
+    Over all n! permutations, each full chunk of ``_epoch_batches`` is a
+    uniform s-subset (each one s!(n-s)! times) and the n mod s tail a
+    uniform r-subset, so rank j is kept (n // s) s!(n-s)! N_j(n, s, q)
+    times over the full chunks and r!(n-r)! N_j(n, r, min(q, r)) times in
+    the tail, with N_j the gamma numerators.
+    """
+
+    @staticmethod
+    def chunks(perms, s):
+        """The sorted full chunks of every permutation, stacked, and the
+        sorted tails, as :func:`_epoch_batches` cuts one permutation."""
+        k = perms.shape[1] // s
+        full = np.sort(perms[:, :k * s].reshape(-1, s), axis=1)
+        return full, np.sort(perms[:, k * s:], axis=1)
+
+    @staticmethod
+    def kept_rank_counts(values, stack, q):
+        """How often each rank (1 = largest value, ties toward the smaller
+        index) is among the q kept members of a row of ``stack``."""
+        n = len(values)
+        rank = np.empty(n, dtype=np.int64)
+        rank[selection.rank_by_loss(values)] = np.arange(n)
+        kept = selection.q_argmax(values, stack, q)
+        return [int(c) for c in np.bincount(rank[kept].ravel(), minlength=n)]
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])
+    def test_kept_rank_counts_are_the_gamma_numerators(self, tied):
+        cases = 0
+        for n in range(1, 9):
+            rng = np.random.default_rng(n)
+            values = (rng.integers(0, 3, n) if tied
+                      else rng.permutation(n)).astype(np.float64)
+            perms = np.array(list(permutations(range(n))))
+            for s in range(1, n + 1):
+                k, r = divmod(n, s)
+                full, tail = self.chunks(perms, s)
+                for i in range(0, len(perms), 997):  # the runner cuts alike
+                    stub = SimpleNamespace(permutation=lambda _: perms[i])
+                    want = [*full[i * k:(i + 1) * k], *tail[i:i + 1]]
+                    assert [b.tolist() for b in
+                            _epoch_batches(stub, n, s, "shuffle")] == \
+                        [w.tolist() for w in want if w.size]
+                for q in range(1, s + 1):
+                    nums, _ = coeffs.gamma_weight_numerators(n, s, q)
+                    unit = k * factorial(s) * factorial(n - s)
+                    assert self.kept_rank_counts(values, full, q) == \
+                        [unit * c for c in nums]
+                    cases += 1
+                    if r:
+                        nums, _ = coeffs.gamma_weight_numerators(
+                            n, r, min(q, r))
+                        unit = factorial(r) * factorial(n - r)
+                        assert self.kept_rank_counts(
+                            values, tail, min(q, r)) == [unit * c for c in nums]
+                        cases += 1
+        assert cases == 184  # 120 (n, s, q) full-chunk cases, 64 tails
 
 
 class TestPerRunSetUp:

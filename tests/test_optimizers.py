@@ -5,10 +5,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from osgd import optimizers
 from osgd.coeffs import gamma_weights
-from osgd.objectives import FeedforwardModel, Objective
+from osgd.objectives import _ACTIVATIONS, FeedforwardModel, Objective
 from osgd.optimizers import (DivergenceError, ScheduleSpec, adam, adam_step,
                              adaptive_q_update, heavy_ball, init_state,
                              minibatch_sgd_step, ordered_adam_step, osgd_step,
@@ -87,6 +88,99 @@ def test_step_bit_identical_to_two_forward_reference(name, q):
         assert state.theta.tobytes() == ref.tobytes(), (lo, hi, q_eff)
 
 
+class TestTrimmedStepReference:
+    """The step equals, byte for byte, one written out with fancy-index
+    gathers, (arange, y) label pairs, the arithmetic sign -(2y - 1), a
+    zero-filled gradient written block by block, and ``g + l2 * theta``.
+    The q values are ones at which a BLAS matmul over the kept rows can
+    pick other kernels than one over the whole batch."""
+
+    @staticmethod
+    def forward(model, theta, X):
+        layout, act = model.layout(), _ACTIVATIONS[model.activation][0]
+        widths = (model.d_in, *model.hidden, model.d_out)
+        H, tape = X, []
+        for i in range(len(widths) - 1):
+            W = theta[layout[f"W{i}"]].reshape(widths[i + 1], widths[i])
+            Z = H @ W.T
+            Z += theta[layout[f"b{i}"]]
+            tape.append((H, W))
+            H = act(Z) if i < len(widths) - 2 else Z
+        return H, tape
+
+    @staticmethod
+    def backward(model, G, tape):
+        layout, dact = model.layout(), _ACTIVATIONS[model.activation][1]
+        grad = np.zeros(model.n_params)
+        for i in range(len(tape) - 1, -1, -1):
+            H_in, W = tape[i]
+            np.matmul(G.T, H_in, out=grad[layout[f"W{i}"]].reshape(W.shape))
+            G.sum(axis=0, out=grad[layout[f"b{i}"]])
+            if i > 0:
+                G = (G @ W) * dact(H_in)
+        return grad
+
+    @staticmethod
+    def loss_terms(kind, A, y):
+        """Per-row losses and logit gradients of the logits A."""
+        at = (np.arange(A.shape[0]), y)
+        if kind == "binary-cross-entropy":
+            neg_t = -(2.0 * y - 1.0)
+            z = neg_t * A[:, 0]
+            return np.logaddexp(0.0, z), (neg_t * expit(z))[:, None]
+        if kind == "multinomial-cross-entropy":
+            mx = A.max(axis=1, keepdims=True)
+            E = np.exp(A - mx)
+            Z = E.sum(axis=1, keepdims=True)
+            P = E / Z
+            P[at] -= 1.0
+            return (mx + np.log(Z)).ravel() - A[at], P
+        if kind == "multiclass-hinge":
+            margins = 1.0 + A - A[at][:, None]
+            margins[at] = 0.0
+            D = (margins > 0.0).astype(np.float64)
+            D[at] = -D.sum(axis=1)
+            return np.maximum(margins, 0.0).sum(axis=1), D
+        R = A - np.eye(A.shape[1])[y]
+        return 0.5 * (R ** 2).sum(axis=1), R
+
+    def step(self, obj, theta, X, y, batch, q, lr):
+        model, Xb, yb = obj.model, X[batch], y[batch]
+        A, tape = self.forward(model, theta, Xb)
+        losses, G = self.loss_terms(obj.loss, A, yb)
+        if q < len(batch):
+            positions = np.sort(np.argsort(-losses, kind="stable")[:q])
+            A, tape = self.forward(model, theta, Xb[positions])
+            _, G = self.loss_terms(obj.loss, A, yb[positions])
+        g = self.backward(model, G * (1.0 / q), tape)
+        g = g + obj.l2 * theta
+        return theta - lr * g
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 5, 7, 63, 64])
+    @pytest.mark.parametrize("d_in,model,loss", [
+        (2, FeedforwardModel(2, 1, (16, 16), "tanh"), "binary-cross-entropy"),
+        (256, FeedforwardModel(256, 10), "multinomial-cross-entropy"),
+        (256, FeedforwardModel(256, 10), "multiclass-hinge"),
+        (256, FeedforwardModel(256, 10), "squared")],
+        ids=["bce-mlp", "mce-linear", "hinge-linear", "squared-linear"])
+    def test_theta_bytes_equal_the_reference(self, d_in, model, loss, q):
+        rng = np.random.default_rng(q)
+        n = 168  # two batches of 64 rows, then a tail batch of 40
+        X = rng.standard_normal((n, d_in)) if d_in == 2 else \
+            (rng.random((n, d_in)) < 0.3).astype(np.float64)
+        obj = Objective(model, loss, l2=1e-3)
+        y = obj._checked_labels(rng.integers(0, obj.n_classes, n))
+        theta = obj.init_params(rng)
+        state, ref = init_state(theta.copy(), q=q, lr=0.1), theta.copy()
+        perm = rng.permutation(n)
+        for lo, hi in [(0, 64), (64, 128), (128, 168)]:
+            batch = np.sort(perm[lo:hi])
+            q_eff = min(q, len(batch))
+            ref = self.step(obj, ref, X, y, batch, q_eff, 0.1)
+            osgd_step(state, obj, X, y, batch, q_eff)
+            assert state.theta.tobytes() == ref.tobytes(), (lo, hi, q_eff)
+
+
 class TestOsgdStep:
     def test_single_plain_step_formula(self):
         obj, theta, X, y, _ = logistic_setup(0)
@@ -142,8 +236,10 @@ class TestOsgdStep:
         obj = Objective(FeedforwardModel(1, 1, bias=False), "squared")
         X, y = np.array([[1.0]]), np.array([0])
         state = init_state(np.array([1e200]), q=1, lr=0.1)
-        with pytest.raises(DivergenceError) as err:
-            osgd_step(state, obj, X, y, np.array([0]), q=1)
+        # outside the runner's np.errstate, the overflow warns first
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(DivergenceError) as err:
+                osgd_step(state, obj, X, y, np.array([0]), q=1)
         assert err.value.step == 0
 
 
