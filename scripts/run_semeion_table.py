@@ -2,10 +2,11 @@
 """Desk-scale error-rate table on the Semeion digits: ordered vs baseline.
 
 Runs linear multinomial logistic regression and a linear multiclass SVM
-with the standard hyper-parameters (s=64, lr 0.01 dropped 10x entering the
-tenth epoch, momentum 0.9, weight decay 1e-4, adaptive q) over ten seeded
-trials each, with a fresh 80/20 stratified split per seed, and prints a
-mean (std) comparison table with relative improvements.
+with the standard hyper-parameters of configs/semeion_logistic_osgd.cfg
+(s=64, lr 0.01 dropped 10x entering the tenth epoch, momentum 0.9, weight
+decay 1e-4, adaptive q) over ten seeded trials each, with a fresh 80/20
+stratified split per seed, and prints a mean (std) comparison table with
+relative improvements.
 
 Needs the canonical 1593-row file, e.g. data/semeion.data.
 
@@ -18,29 +19,25 @@ import sys
 
 import numpy as np
 
+CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs",
+                      "semeion_logistic_osgd.cfg")
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from osgd.config import DataConfig, ModelConfig, OptConfig, RunConfig
+from osgd.config import load_config
 from osgd.data import load_semeion, split_dataset
 from osgd.harness import (format_comparison_table, run_single,
                           write_records_csv)
-from osgd.optimizers import ScheduleSpec
 
 
 def run_rows(ds_full, loss_kind, opt_kind, seeds, epochs, outdir):
-    cfg = RunConfig(
-        name=f"semeion-{loss_kind}-{opt_kind}",
-        data=DataConfig(kind="semeion"),
-        model=ModelConfig(kind="linear"), loss_kind=loss_kind, l2=1e-4,
-        epochs=epochs, seeds=tuple(seeds),
-        opt=OptConfig(kind=opt_kind, q="adaptive", batch_size=64,
-                      momentum=0.9,
-                      schedule=ScheduleSpec(kind="step-decay", base_lr=0.01,
-                                            decay_epochs=(9,),
-                                            decay_factor=0.1)))
+    cfg = load_config(CONFIG, overrides=[
+        f"name = semeion-{loss_kind}-{opt_kind}", f"loss.kind = {loss_kind}",
+        f"opt.kind = {opt_kind}", f"epochs = {epochs}",
+        "seeds = " + ", ".join(map(str, seeds))])
     finals, records = [], []
-    for seed in seeds:
-        ds = split_dataset(ds_full, 0.2, seed=seed, stratified=True)
+    for seed in cfg.seeds:
+        ds = split_dataset(ds_full, cfg.data.test_fraction, seed=seed,
+                           stratified=cfg.data.stratified)
         res = run_single(cfg, ds, seed)
         if res.failed:
             print(f"  seed {seed} diverged: {res.error}", file=sys.stderr)

@@ -12,10 +12,11 @@ gradient norm at theta.
 Minimizers of rank-weighted losses generically sit on ranking ties, where
 adjacent sorted losses equalize and the objective is nonsmooth.  At such
 points any admissible mixing of the tied ranks' weights yields a valid
-subgradient; the solvers here descend along (and certify with) the
-minimum-norm subgradient found over pairwise weight transfers inside each
-tie group, which vanishes at the optimum even when every single-selection
-subgradient does not.
+subgradient; the one solver here (:func:`_subgradient_solve`, behind
+:func:`reference_optimum` and :func:`moreau_grad_norm`) descends along
+(and certifies with) the minimum-norm subgradient found over pairwise
+weight transfers inside each tie group, which vanishes at the optimum even
+when every single-selection subgradient does not.
 """
 from __future__ import annotations
 
@@ -24,8 +25,8 @@ from math import log, sqrt
 
 import numpy as np
 
-from .ordered_loss import (loss_profile, lq_value_and_subgradient,
-                           ordered_empirical_loss, rank_weights)
+from .ordered_loss import (lq_value_and_subgradient, ordered_empirical_loss,
+                           rank_weights)
 from .selection import rank_by_loss
 
 
@@ -66,7 +67,7 @@ def _is_majorized(vec, cap):
     return bool(np.all(a <= b + 1e-12 * (1.0 + np.abs(b))))
 
 
-def _tie_mixed_subgradient(obj, beta, X, y, gamma, extra_grad,
+def _tie_mixed_subgradient(obj, beta, X, y, gamma, pull, taped=None,
                            tie_rtol=1e-9, sweeps=6):
     """Small-norm subgradient over admissible tie-weight mixings.
 
@@ -74,15 +75,18 @@ def _tie_mixed_subgradient(obj, beta, X, y, gamma, extra_grad,
     rank weights may be redistributed by any doubly stochastic mixing
     (kept admissible via majorization checks).  Pairwise transfers with
     closed-form optimal magnitude are swept a few times; with no ties this
-    reduces to the ordinary tie-rule subgradient.
+    reduces to the ordinary tie-rule subgradient.  ``pull`` is the
+    gradient at beta of a term added to L_q; ``taped`` is beta's forward
+    over X, where the caller already has it.
     """
-    taped = obj.taped_batch(beta, X, y)
+    if taped is None:
+        taped = obj.taped_batch(beta, X, y)
     order = rank_by_loss(taped.losses)
     srt = taped.losses[order]
     n = order.shape[0]
     u = rank_weights(order, gamma)
     _, reg = obj.regularizer(beta)
-    fixed = reg + extra_grad(beta)
+    fixed = reg + pull
 
     groups = []
     start = 0
@@ -131,25 +135,42 @@ def _tie_mixed_subgradient(obj, beta, X, y, gamma, extra_grad,
     return g
 
 
-def _subgradient_solve(value_fn, value_grad_fn, min_grad_fn, beta0, base_lr,
-                       step_tol, grad_tol, max_iter, context,
-                       coarse_iters=1500):
-    """Two-phase deterministic full-batch solver.
+def _subgradient_solve(obj, X, y, gamma, beta0, base_lr, step_tol, grad_tol,
+                       max_iter, context, coarse_iters=1500, center=None,
+                       rho=0.0):
+    """Two-phase deterministic full-batch minimizer of L_q, plus the
+    proximal term (rho / 2) ||beta - center||^2 when a center is given.
 
     Phase 1 is classic subgradient descent with inverse-sqrt steps and
     best-iterate tracking; it makes progress even across the kinks of the
-    ordered loss.  ``value_grad_fn`` gives an iterate's value and
-    subgradient (None where the value is not finite) from one forward
-    pass.  Phase 2 polishes the best iterate with Armijo-backtracked
-    steepest descent along the tie-mixed minimum-norm subgradient until
-    the accepted step is shorter than step_tol or that subgradient's norm
-    falls below grad_tol; its trial points need only ``value_fn``.  A
-    polish stall (no further float-representable decrease) returns the
-    best iterate as is; an exhausted iteration budget raises
-    ConvergenceError.
+    ordered loss.  Each iterate's value and subgradient come from one
+    forward pass (:func:`lq_value_and_subgradient`).  Phase 2 polishes the
+    best iterate with Armijo-backtracked steepest descent along the
+    tie-mixed minimum-norm subgradient until the accepted step is shorter
+    than step_tol or that subgradient's norm falls below grad_tol.  Each
+    trial point is forwarded once, and the accepted trial's forward also
+    gives its tie-mixed subgradient.  A polish stall (no further
+    float-representable decrease) returns the best iterate as is; an
+    exhausted iteration budget raises ConvergenceError.
     """
+    def proximal(beta):
+        """The proximal term at beta and its gradient, the pull."""
+        d = beta - center
+        return 0.5 * rho * float(d @ d), rho * d
+
+    def value_grad(beta):
+        val, g = lq_value_and_subgradient(obj, beta, X, y, gamma)
+        if center is None:
+            return val, g
+        term, pull = proximal(beta)
+        return val + term, None if g is None else g + pull
+
+    def min_grad(beta, taped=None):
+        pull = np.zeros_like(beta) if center is None else proximal(beta)[1]
+        return _tie_mixed_subgradient(obj, beta, X, y, gamma, pull, taped)
+
     beta = np.array(beta0, dtype=np.float64)
-    best_val, g = value_grad_fn(beta)
+    best_val, g = value_grad(beta)
     if g is None:
         raise ValueError(f"{context}: objective not finite at the start")
     best_beta, best_g = beta.copy(), g
@@ -157,7 +178,7 @@ def _subgradient_solve(value_fn, value_grad_fn, min_grad_fn, beta0, base_lr,
     lr = base_lr
     for k in range(min(coarse_iters, max_iter)):
         beta = beta - (lr / sqrt(k + 1.0)) * g
-        val, g = value_grad_fn(beta)
+        val, g = value_grad(beta)
         if not np.isfinite(val) or val > guard:
             lr *= 0.5  # too aggressive for this landscape; restart from best
             beta, g = best_beta.copy(), best_g
@@ -167,7 +188,7 @@ def _subgradient_solve(value_fn, value_grad_fn, min_grad_fn, beta0, base_lr,
             best_beta, best_g = beta.copy(), g
 
     beta, val = best_beta, best_val
-    g = min_grad_fn(beta)
+    g = min_grad(beta)
     eta_cap = base_lr
     last_step = np.inf
     for _ in range(max_iter):
@@ -179,7 +200,11 @@ def _subgradient_solve(value_fn, value_grad_fn, min_grad_fn, beta0, base_lr,
         floor = 1e-15 * (abs(val) + 1e-30)  # decreases below float noise don't count
         for _ in range(60):
             cand = beta - eta * g
-            cval = value_fn(cand)
+            taped = obj.taped_batch(cand, X, y)
+            cval = ordered_empirical_loss(taped.losses,
+                                          obj.regularizer(cand)[0], gamma)
+            if center is not None:
+                cval += proximal(cand)[0]
             if cval <= val - max(1e-4 * eta * gn * gn, floor):
                 accepted = True
                 break
@@ -189,7 +214,7 @@ def _subgradient_solve(value_fn, value_grad_fn, min_grad_fn, beta0, base_lr,
         eta_cap = eta
         last_step = eta * gn
         beta, val = cand, cval
-        g = min_grad_fn(beta)
+        g = min_grad(beta, taped)
         if last_step <= step_tol:
             return beta, val, float(np.linalg.norm(g))
     raise ConvergenceError(f"{context}: iteration budget exhausted",
@@ -204,28 +229,10 @@ def moreau_grad_norm(obj, theta, X, y, gamma, cfg: MoreauConfig) -> float:
     """
     theta = np.asarray(theta, dtype=np.float64)
     rho = cfg.rho_hat
-
-    def value(beta):
-        d = beta - theta
-        return (ordered_empirical_loss(*loss_profile(obj, beta, X, y), gamma)
-                + 0.5 * rho * float(d @ d))
-
-    def prox_pull(beta):
-        return rho * (beta - theta)
-
-    def value_grad(beta):
-        val, g = lq_value_and_subgradient(obj, beta, X, y, gamma)
-        d = beta - theta
-        return (val + 0.5 * rho * float(d @ d),
-                None if g is None else g + rho * d)
-
-    def min_grad(beta):
-        return _tie_mixed_subgradient(obj, beta, X, y, gamma, prox_pull)
-
     beta_star, _, _ = _subgradient_solve(
-        value, value_grad, min_grad, theta, base_lr=1.0 / rho,
-        step_tol=cfg.inner_tol, grad_tol=0.0, max_iter=cfg.inner_max_iter,
-        context="proximal subproblem")
+        obj, X, y, gamma, theta, base_lr=1.0 / rho, step_tol=cfg.inner_tol,
+        grad_tol=0.0, max_iter=cfg.inner_max_iter,
+        context="proximal subproblem", center=theta, rho=rho)
     return rho * float(np.linalg.norm(theta - beta_star))
 
 
@@ -240,24 +247,12 @@ def reference_optimum(obj, X, y, gamma, theta0=None, base_lr=0.5,
     cert = 1e-6 certifies the value to ~1e-12/l2.  Intended for small
     convex instances where a trustworthy optimum is needed.
     """
-
-    def value(beta):
-        return ordered_empirical_loss(*loss_profile(obj, beta, X, y), gamma)
-
-    def value_grad(beta):
-        return lq_value_and_subgradient(obj, beta, X, y, gamma)
-
-    def min_grad(beta):
-        return _tie_mixed_subgradient(obj, beta, X, y, gamma,
-                                      lambda b: np.zeros_like(b))
-
     if theta0 is None:
         theta0 = np.zeros(obj.model.n_params)
-    theta_star, val, gn = _subgradient_solve(
-        value, value_grad, min_grad, theta0, base_lr=base_lr, step_tol=0.0,
+    return _subgradient_solve(
+        obj, X, y, gamma, theta0, base_lr=base_lr, step_tol=0.0,
         grad_tol=grad_tol, max_iter=max_iter, context="reference optimum",
         coarse_iters=coarse_iters)
-    return theta_star, val, gn
 
 
 def optimality_gap(history, lq_star: float) -> np.ndarray:

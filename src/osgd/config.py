@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._settings import (AT_LEAST_1, NONNEG, NONNEG_ENTRIES, POSITIVE_FINITE,
                         UNIT, Section, from_flat, is_int, one_of, setting)
 from .data import (Dataset, gen_clusters_2d, gen_rings_2d, load_cache,
@@ -160,10 +158,9 @@ def build_dataset(dc: DataConfig, split_seed=None) -> Dataset:
         raise ValueError(f"unknown dataset kind {dc.kind!r}")
     if dc.test_fraction > 0.0:
         seed = split_seed if split_seed is not None else dc.seed
-        ds = split_dataset(ds, dc.test_fraction, seed, stratified=dc.stratified)
-    elif not ds.splits:
-        ds = ds.with_splits({"train": np.arange(ds.n), "test": np.arange(ds.n)})
-    return ds
+        return split_dataset(ds, dc.test_fraction, seed,
+                             stratified=dc.stratified)
+    return ds.with_default_splits()
 
 
 def build_objective(cfg: RunConfig, dataset: Dataset) -> Objective:

@@ -66,6 +66,14 @@ class Dataset:
                        groups=self.groups, provenance=self.provenance,
                        seed=self.seed)
 
+    def with_default_splits(self):
+        """This dataset, or, where it has no splits, a copy whose train and
+        test splits are both every row (the 2-D experiments' setting)."""
+        if self.splits:
+            return self
+        return self.with_splits({"train": np.arange(self.n),
+                                 "test": np.arange(self.n)})
+
 
 # Class-imbalanced blobs, one row per component: centre, count, sigma,
 # label, group.  Two majority blobs are linearly separable; each class has

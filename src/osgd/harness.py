@@ -150,8 +150,9 @@ def run_single(cfg: RunConfig, dataset: Dataset, seed: int) -> RunResult:
     The train labels are checked once, the update rule is bound once from
     ``cfg.opt``, and numpy's overflow warnings are silenced once around the
     epoch loop, where a non-finite loss raises :class:`DivergenceError`
-    instead.
+    instead.  A dataset without splits trains and tests on every row.
     """
+    dataset = dataset.with_default_splits()
     obj = build_objective(cfg, dataset)
     Xtr, ytr = dataset.split("train")
     ytr = obj._checked_labels(ytr)
@@ -237,8 +238,8 @@ def sweep_q(cfg: RunConfig, q_values, dataset: Dataset | None = None) -> dict:
     q_values = list(q_values)
     if not q_values:
         raise ValueError("q_values must not be empty")
-    ds = dataset if dataset is not None else build_dataset(
-        cfg.data, split_seed=cfg.seeds[0])
+    ds = (dataset if dataset is not None else build_dataset(
+        cfg.data, split_seed=cfg.seeds[0])).with_default_splits()
     s = min(cfg.opt.batch_size, len(ds.splits["train"]))
     bad = [q for q in q_values if not 1 <= q <= s]
     if bad:
@@ -430,7 +431,6 @@ def _check_qs_equivalence():
         opt=OptConfig(kind="osgd", q=20, batch_size=20,
                       schedule=optimizers.ScheduleSpec(kind="constant",
                                                        base_lr=0.05)))
-    ds = ds.with_splits({"train": np.arange(ds.n), "test": np.arange(ds.n)})
     osgd_run = run_single(base, ds, 5)
     sgd_run = run_single(replace(base, opt=replace(base.opt, kind="sgd")), ds, 5)
     for a, b in zip(osgd_run.records, sgd_run.records):

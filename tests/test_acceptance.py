@@ -21,7 +21,7 @@ from osgd.analysis import (MoreauConfig, moreau_grad_norm, optimality_gap,
 from osgd.coeffs import (beta_cdf, gamma_asymptotic, gamma_rescaled_curve,
                          gamma_weights)
 from osgd.config import (DataConfig, ModelConfig, OptConfig, RunConfig,
-                         build_objective)
+                         build_dataset, build_objective, load_config)
 from osgd.data import gen_clusters_2d, gen_rings_2d, load_semeion, \
     split_dataset
 from osgd.harness import _epoch_batches, run_single
@@ -35,6 +35,8 @@ from osgd.selection import q_argmax, sample_minibatch
 from conftest import record_acceptance, stand_in_digits
 
 SEMEION_PATH = os.environ.get("OSGD_SEMEION_PATH", "data/semeion.data")
+CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "configs")
 SEMEION_PRESENT = os.path.exists(SEMEION_PATH)
 
 
@@ -311,16 +313,15 @@ def test_acceptance_6_envelope_decay():
 # 7. Qualitative 2-D geometry reproduction
 # --------------------------------------------------------------------------
 
-def _group_accuracies(ds, model, kind, epochs, seeds):
-    cfg = RunConfig(
-        name=f"accept7-{kind}", data=DataConfig(kind="clusters"),
-        model=model, loss_kind="binary-cross-entropy", l2=1e-4,
-        epochs=epochs, seeds=tuple(seeds),
-        opt=OptConfig(kind=kind, q="adaptive", batch_size=64, momentum=0.9,
-                      schedule=ScheduleSpec(kind="constant", base_lr=0.01)))
+def _group_accuracies(cfg_file, kind):
+    """Per-seed accuracy on each group of the shipped config's dataset,
+    trained with opt.kind = kind."""
+    cfg = load_config(os.path.join(CONFIG_DIR, cfg_file),
+                      overrides=[f"opt.kind = {kind}"])
+    ds = build_dataset(cfg.data)
     obj = build_objective(cfg, ds)
     accs = {}
-    for seed in seeds:
+    for seed in cfg.seeds:
         res = run_single(cfg, ds, seed)
         assert not res.failed, res.error
         accs[seed] = {
@@ -333,28 +334,19 @@ def _group_accuracies(ds, model, kind, epochs, seeds):
 
 @criterion(7)
 def test_acceptance_7_geometry_focus():
-    seeds = range(10)
     details = []
 
-    rings = gen_rings_2d(0)
-    rings = rings.with_splits({"train": np.arange(rings.n),
-                               "test": np.arange(rings.n)})
-    mlp = ModelConfig(kind="mlp", hidden=(16, 16), activation="tanh")
-    ordered = _group_accuracies(rings, mlp, "osgd", 400, seeds)
-    baseline = _group_accuracies(rings, mlp, "sgd", 400, seeds)
-    o_inner = np.median([ordered[s]["inner"] for s in seeds])
-    b_inner = np.median([baseline[s]["inner"] for s in seeds])
+    ordered = _group_accuracies("rings_osgd.cfg", "osgd")
+    baseline = _group_accuracies("rings_osgd.cfg", "sgd")
+    o_inner = np.median([acc["inner"] for acc in ordered.values()])
+    b_inner = np.median([acc["inner"] for acc in baseline.values()])
     assert o_inner > b_inner, (o_inner, b_inner)
     details.append(f"rings inner acc median {o_inner:.2f} > {b_inner:.2f}")
 
-    clusters = gen_clusters_2d(0)
-    clusters = clusters.with_splits({"train": np.arange(clusters.n),
-                                     "test": np.arange(clusters.n)})
-    lin = ModelConfig(kind="linear")
-    ordered = _group_accuracies(clusters, lin, "osgd", 200, seeds)
-    baseline = _group_accuracies(clusters, lin, "sgd", 200, seeds)
-    o_sub = np.median([ordered[s]["subcluster"] for s in seeds])
-    b_sub = np.median([baseline[s]["subcluster"] for s in seeds])
+    ordered = _group_accuracies("clusters_osgd.cfg", "osgd")
+    baseline = _group_accuracies("clusters_osgd.cfg", "sgd")
+    o_sub = np.median([acc["subcluster"] for acc in ordered.values()])
+    b_sub = np.median([acc["subcluster"] for acc in baseline.values()])
     assert o_sub > b_sub, (o_sub, b_sub)
     details.append(f"sub-cluster acc median {o_sub:.2f} > {b_sub:.2f}")
     return "; ".join(details)
@@ -364,20 +356,14 @@ def test_acceptance_7_geometry_focus():
 # 8. Desk-scale error-rate comparison on the canonical digits file
 # --------------------------------------------------------------------------
 
-def _semeion_summary(ds_full, loss_kind, opt_kind, seeds, epochs=100):
-    cfg = RunConfig(
-        name=f"accept8-{loss_kind}-{opt_kind}",
-        data=DataConfig(kind="semeion", path=SEMEION_PATH),
-        model=ModelConfig(kind="linear"), loss_kind=loss_kind, l2=1e-4,
-        epochs=epochs, seeds=tuple(seeds),
-        opt=OptConfig(kind=opt_kind, q="adaptive", batch_size=64,
-                      momentum=0.9,
-                      schedule=ScheduleSpec(kind="step-decay", base_lr=0.01,
-                                            decay_epochs=(9,),
-                                            decay_factor=0.1)))
+def _semeion_summary(ds_full, loss_kind, opt_kind):
+    cfg = load_config(os.path.join(CONFIG_DIR, "semeion_logistic_osgd.cfg"),
+                      overrides=[f"loss.kind = {loss_kind}",
+                                 f"opt.kind = {opt_kind}"])
     finals = []
-    for seed in seeds:
-        ds = split_dataset(ds_full, 0.2, seed=seed, stratified=True)
+    for seed in cfg.seeds:
+        ds = split_dataset(ds_full, cfg.data.test_fraction, seed=seed,
+                           stratified=cfg.data.stratified)
         res = run_single(cfg, ds, seed)
         assert not res.failed, res.error
         finals.append(res.final_test_error)
@@ -393,14 +379,12 @@ def test_acceptance_8_semeion_rows():
             f"the 1593-row file there to run this criterion")
     ds_full = load_semeion(SEMEION_PATH)
     assert ds_full.n == 1593
-    seeds = range(10)
     details = []
     for loss_kind, ref_osgd, ref_sgd in [
             ("multinomial-cross-entropy", 9.31, 10.76),
             ("multiclass-hinge", 10.25, 11.05)]:
-        osgd_mean, osgd_std = _semeion_summary(ds_full, loss_kind, "osgd",
-                                               seeds)
-        sgd_mean, sgd_std = _semeion_summary(ds_full, loss_kind, "sgd", seeds)
+        osgd_mean, osgd_std = _semeion_summary(ds_full, loss_kind, "osgd")
+        sgd_mean, sgd_std = _semeion_summary(ds_full, loss_kind, "sgd")
         assert osgd_mean < sgd_mean, (loss_kind, osgd_mean, sgd_mean)
         assert abs(osgd_mean - ref_osgd) <= 2.0, (loss_kind, osgd_mean)
         assert abs(sgd_mean - ref_sgd) <= 2.0, (loss_kind, sgd_mean)

@@ -1,4 +1,5 @@
 """Envelope stationarity, gap series, bound terms, and error metrics."""
+import hashlib
 import math
 
 import numpy as np
@@ -9,9 +10,9 @@ from osgd.analysis import (ConvergenceError, MoreauConfig, _subgradient_solve,
                            optimality_gap, reference_optimum,
                            relative_improvement, zero_one_error)
 from osgd.coeffs import gamma_weights
-from osgd.objectives import FeedforwardModel, Objective
+from osgd.data import gen_clusters_2d, gen_rings_2d
+from osgd.objectives import FeedforwardModel, Objective, make_model
 from osgd.ordered_loss import (loss_profile, lq_subgradient,
-                               lq_value_and_subgradient,
                                ordered_empirical_loss)
 
 
@@ -210,13 +211,10 @@ class TestSolverForwards:
         want_beta, want_val, seen = self.two_forward_coarse_phase(
             obj, X, y, gamma, beta0, base_lr, 60)
         assert seen == restarts
-        # a zero min-norm subgradient ends the polish phase before it steps
+        # an infinite grad_tol ends the polish phase before it steps
         beta, val, _ = _subgradient_solve(
-            lambda b: ordered_empirical_loss(*loss_profile(obj, b, X, y),
-                                             gamma),
-            lambda b: lq_value_and_subgradient(obj, b, X, y, gamma),
-            np.zeros_like, beta0, base_lr=base_lr, step_tol=0.0, grad_tol=0.0,
-            max_iter=60, context="test", coarse_iters=60)
+            obj, X, y, gamma, beta0, base_lr=base_lr, step_tol=0.0,
+            grad_tol=np.inf, max_iter=60, context="test", coarse_iters=60)
         assert val == want_val
         assert beta.tobytes() == want_beta.tobytes()
 
@@ -238,6 +236,23 @@ class TestSolverForwards:
         assert calls.count(12) == 102
         assert calls.count(1) == 12 and len(calls) == 114
         assert not theta_star.any() and cert < 1e-6
+
+    def test_polish_forwards_each_point_once(self, monkeypatch):
+        obj, X, y, gamma = TestOverflowingCoarseStep.instance()
+        thetas = []
+        forward = FeedforwardModel.forward
+
+        def recorded(self, theta, rows):
+            if len(rows) == len(X):  # not the tied rows' one-row gradients
+                thetas.append(theta.tobytes())
+            return forward(self, theta, rows)
+
+        monkeypatch.setattr(FeedforwardModel, "forward", recorded)
+        reference_optimum(obj, X, y, gamma)
+        # only the coarse phase's best iterate is forwarded twice: in the
+        # coarse phase, and for its tie-mixed subgradient; an accepted
+        # polish trial's forward also gives its subgradient
+        assert len(thetas) - len(set(thetas)) == 1
 
 
 class TestOverflowingCoarseStep:
@@ -269,3 +284,55 @@ class TestOverflowingCoarseStep:
                 pytest.raises(ValueError, match="not finite at the start"):
             reference_optimum(obj, X, y, gamma,
                               theta0=np.array([1e300, 0.0, 0.0]))
+
+
+class TestSolverPin:
+    """Every output bit of both solvers on the instances the other tests
+    and acceptance 4 and 6 use, hashed: theta*, L_q* and the certificate
+    of ``reference_optimum``, and the value of ``moreau_grad_norm``."""
+
+    PINNED = "ec9ed7a0cc3c9654039fce8924a57fc463f9bbb7c3dd31c91a33eac302142263"
+
+    def test_solver_outputs_are_pinned(self):
+        h = hashlib.sha256()
+
+        def add(*values):
+            for v in values:
+                h.update(np.asarray(v, dtype=np.float64).tobytes())
+
+        # acceptance 4: the clusters instance at base_lr = 1
+        ds = gen_clusters_2d(0)
+        obj = Objective(FeedforwardModel(2, 1, bias=True),
+                        "binary-cross-entropy", l2=0.01)
+        add(*reference_optimum(obj, ds.features, ds.labels,
+                               gamma_weights(200, 20, 5), base_lr=1.0))
+        # the 12x3 squared-loss instance, with and without overflow
+        obj, X, y, gamma = TestOverflowingCoarseStep.instance()
+        for base_lr in (0.5, 1e160):
+            with np.errstate(over="ignore", invalid="ignore"):
+                add(*reference_optimum(obj, X, y, gamma, base_lr=base_lr))
+        # the 30x3 instance of TestMoreau, and its envelope at theta*
+        rng = np.random.default_rng(2)
+        X = rng.standard_normal((30, 3))
+        y = (X @ np.array([1.5, -0.5, 0.3]) > 0.0).astype(int)
+        obj = Objective(FeedforwardModel(3, 1, bias=False),
+                        "binary-cross-entropy", l2=0.05)
+        gamma = gamma_weights(30, 10, 3)
+        theta_star, value, cert = reference_optimum(obj, X, y, gamma)
+        add(theta_star, value, cert, moreau_grad_norm(
+            obj, theta_star, X, y, gamma,
+            MoreauConfig(rho_hat=2.0, inner_tol=1e-9)))
+        # acceptance 6: the rings MLP at its initial points
+        rings = gen_rings_2d(0)
+        sub = np.random.default_rng(123).choice(rings.n, size=100,
+                                                replace=False)
+        X, y = rings.features[sub], rings.labels[sub]
+        obj = Objective(make_model("mlp", d_in=2, d_out=1, hidden=(8,),
+                                   activation="tanh"),
+                        "binary-cross-entropy", l2=1e-4)
+        cfg = MoreauConfig(rho_hat=10.0, inner_tol=1e-7, inner_max_iter=30_000)
+        for seed in range(3):
+            theta0 = obj.init_params(np.random.default_rng(seed))
+            add(moreau_grad_norm(obj, theta0, X, y, gamma_weights(100, 20, 5),
+                                 cfg))
+        assert h.hexdigest() == self.PINNED

@@ -322,6 +322,34 @@ class TestSweep:
         assert sorted(sweep_q(cfg, [4, 12], dataset=ds)) == [4, 12]
 
 
+class TestDatasetWithoutSplits:
+    """A generator's output, which has no splits, trains and tests on every
+    row, as ``build_dataset`` does for test_fraction = 0."""
+
+    def test_run_single_logs_the_all_rows_records(self):
+        ds = gen_clusters_2d(0)
+        assert not ds.splits
+        rows = np.arange(ds.n)
+        cfg = tiny_config(seeds=(3,))
+        got = run_single(cfg, ds, 3)
+        want = run_single(cfg, ds.with_splits({"train": rows, "test": rows}),
+                          3)
+        assert not got.failed and len(got.records) == cfg.epochs
+        assert ([strip_time(r) for r in got.records]
+                == [strip_time(r) for r in want.records])
+        assert got.final_theta.tobytes() == want.final_theta.tobytes()
+
+    def test_run_experiment_and_sweep_q_accept_it(self):
+        ds = gen_clusters_2d(0)
+        cfg = tiny_config(seeds=(0, 1), epochs=1)
+        assert not any(run.failed
+                       for run in run_experiment(cfg, ds).runs)
+        out = sweep_q(cfg, [4, 20], dataset=ds)
+        assert sorted(out) == [4, 20]
+        assert all(len(summary["final_test_errors"]) == 2
+                   for summary in out.values())
+
+
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "configs")
 RINGS_CFG = os.path.join(CONFIG_DIR, "rings_osgd.cfg")

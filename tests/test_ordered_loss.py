@@ -359,7 +359,7 @@ class TestOneForward:
                                   self.lq_weights_reference(losses, gamma))
                 + (obj.regularizer(theta)[1] + pull(theta)))
         calls = self.count_forwards(monkeypatch)
-        got = _tie_mixed_subgradient(obj, theta, X, y, gamma, pull)
+        got = _tie_mixed_subgradient(obj, theta, X, y, gamma, pull(theta))
         assert calls == [10]
         assert got.tobytes() == want.tobytes()
 

@@ -1,0 +1,45 @@
+"""Smoke tests of the scripts in scripts/: each runs end to end."""
+import os
+import subprocess
+import sys
+
+import numpy as np
+
+SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "scripts")
+
+
+def write_semeion_file(path, n=60, seed=0):
+    """n rows in the Semeion text format: 256 pixels, then a one-hot label
+    block, the labels cycling through the ten classes."""
+    rng = np.random.default_rng(seed)
+    pixels = (rng.random((n, 256)) < 0.3).astype(np.float64)
+    onehot = np.eye(10, dtype=int)[np.arange(n) % 10]
+    with open(path, "w") as fh:
+        for row, label in zip(pixels, onehot):
+            fh.write(" ".join(f"{v:.4f}" for v in row) + " "
+                     + " ".join(map(str, label)) + "\n")
+
+
+def test_semeion_table_script(tmp_path):
+    data = tmp_path / "semeion.data"
+    write_semeion_file(data)
+    outdir = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, os.path.join(SCRIPTS, "run_semeion_table.py"),
+         "--path", str(data), "--seeds", "2", "--epochs", "1",
+         "--outdir", str(outdir)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "over 2 trials, 1 epochs" in proc.stdout
+    table = proc.stdout.splitlines()
+    assert any(line.startswith("Semeion") and "Logistic" in line
+               for line in table)
+    assert any(line.startswith("Semeion") and "SVM" in line for line in table)
+    assert sorted(os.listdir(outdir)) == sorted(
+        f"semeion-{loss}-{kind}-records.csv"
+        for loss in ("multinomial-cross-entropy", "multiclass-hinge")
+        for kind in ("sgd", "osgd"))
+    for name in os.listdir(outdir):
+        # a header plus one record per seed and epoch
+        assert len((outdir / name).read_text().splitlines()) == 3
