@@ -17,16 +17,14 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs",
                       "semeion_logistic_osgd.cfg")
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from osgd.config import load_config
 from osgd.data import load_semeion, split_dataset
-from osgd.harness import (format_comparison_table, run_single,
-                          write_records_csv)
+from osgd.harness import (ExperimentResult, format_comparison_table,
+                          run_single, write_records_csv)
 
 
 def run_rows(ds_full, loss_kind, opt_kind, seeds, epochs, outdir):
@@ -34,18 +32,19 @@ def run_rows(ds_full, loss_kind, opt_kind, seeds, epochs, outdir):
         f"name = semeion-{loss_kind}-{opt_kind}", f"loss.kind = {loss_kind}",
         f"opt.kind = {opt_kind}", f"epochs = {epochs}",
         "seeds = " + ", ".join(map(str, seeds))])
-    finals, records = [], []
+    runs = []
     for seed in cfg.seeds:
         ds = split_dataset(ds_full, cfg.data.test_fraction, seed=seed,
                            stratified=cfg.data.stratified)
         res = run_single(cfg, ds, seed)
         if res.failed:
             print(f"  seed {seed} diverged: {res.error}", file=sys.stderr)
-            continue
-        finals.append(res.final_test_error)
-        records.extend(res.records)
-    write_records_csv(records, os.path.join(outdir, f"{cfg.name}-records.csv"))
-    return float(np.mean(finals)), float(np.std(finals, ddof=1))
+        runs.append(res)
+    result = ExperimentResult(cfg, runs)
+    write_records_csv(result.records,
+                      os.path.join(outdir, f"{cfg.name}-records.csv"))
+    summary = result.summary()  # over completed seeds; std 0.0 for one
+    return summary["mean_test_err"], summary["std_test_err"]
 
 
 def main():

@@ -116,10 +116,10 @@ def _tie_mixed_subgradient(obj, beta, X, y, gamma, pull, taped=None,
                 for bi in range(ai + 1, len(ids)):
                     a, b = ids[ai], ids[bi]
                     e = member_grads[b] - member_grads[a]
-                    denom = float(e @ e)
+                    denom = float(e.dot(e))
                     if denom == 0.0:
                         continue
-                    m = -float(g @ e) / denom  # moves weight from a to b
+                    m = -float(g.dot(e)) / denom  # moves weight from a to b
                     for _ in range(20):
                         if m == 0.0:
                             break
@@ -144,7 +144,8 @@ def _subgradient_solve(obj, X, y, gamma, beta0, base_lr, step_tol, grad_tol,
     Phase 1 is classic subgradient descent with inverse-sqrt steps and
     best-iterate tracking; it makes progress even across the kinks of the
     ordered loss.  Each iterate's value and subgradient come from one
-    forward pass (:func:`lq_value_and_subgradient`).  Phase 2 polishes the
+    forward pass (:func:`lq_value_and_subgradient`); the phase ends early
+    once a step leaves the iterate byte-identical.  Phase 2 polishes the
     best iterate with Armijo-backtracked steepest descent along the
     tie-mixed minimum-norm subgradient until the accepted step is shorter
     than step_tol or that subgradient's norm falls below grad_tol.  Each
@@ -156,7 +157,7 @@ def _subgradient_solve(obj, X, y, gamma, beta0, base_lr, step_tol, grad_tol,
     def proximal(beta):
         """The proximal term at beta and its gradient, the pull."""
         d = beta - center
-        return 0.5 * rho * float(d @ d), rho * d
+        return 0.5 * rho * float(d.dot(d)), rho * d
 
     def value_grad(beta):
         val, g = lq_value_and_subgradient(obj, beta, X, y, gamma)
@@ -177,7 +178,12 @@ def _subgradient_solve(obj, X, y, gamma, beta0, base_lr, step_tol, grad_tol,
     guard = 10.0 * abs(best_val) + 1e3
     lr = base_lr
     for k in range(min(coarse_iters, max_iter)):
-        beta = beta - (lr / sqrt(k + 1.0)) * g
+        step = beta - (lr / sqrt(k + 1.0)) * g
+        if step.tobytes() == beta.tobytes():  # bytes, as -0.0 == 0.0
+            # g stays as it is and later steps are no longer, so with
+            # monotone rounding no later iterate moves either
+            break
+        beta = step
         val, g = value_grad(beta)
         if not np.isfinite(val) or val > guard:
             lr *= 0.5  # too aggressive for this landscape; restart from best

@@ -8,6 +8,15 @@ accumulation through the layers.
 
 Subgradient conventions at kinks are fixed so that every operation is
 deterministic: max(0, .) and relu use derivative 0 at exactly 0.
+
+Every product is written ``a.dot(b)``, not ``a @ b``.  On 2-D and 1-D
+float64 operands both reach the same BLAS ``dgemm``/``ddot`` call, so
+the bits are the same, but ``@`` is the ``matmul`` generalized ufunc,
+whose dispatch costs 0.6-0.9 us more per small product and 3.5 us more
+for a k = 1 outer product (numpy 2.4): a large share of a step whose
+matrices have a few hundred entries.  No product here takes an array
+with its own transpose (``A.dot(A.T)``): numpy routes that to ``syrk``,
+which rounds differently from ``dgemm`` on a copy.
 """
 from __future__ import annotations
 
@@ -127,7 +136,7 @@ class FeedforwardModel:
         H = X
         tape = []
         for i, (_, WT, b) in enumerate(layers):
-            Z = H @ WT
+            Z = H.dot(WT)
             if b is not None:
                 Z += b
             tape.append((H, Z))
@@ -152,10 +161,10 @@ class FeedforwardModel:
             H_in, _ = tape[i]
             if self.bias:
                 blocks.append(np.add.reduce(G, axis=0))  # G.sum, unwrapped
-            blocks.append((G.T @ H_in).ravel())
+            blocks.append(G.T.dot(H_in).ravel())
             if i > 0:
                 W = layers[i][0]
-                G = (G @ W) * dact(H_in)  # H_in = act(Z) of layer i - 1
+                G = G.dot(W) * dact(H_in)  # H_in = act(Z) of layer i - 1
         blocks.reverse()
         return np.concatenate(blocks)
 
@@ -342,7 +351,7 @@ class Objective:
     def regularizer(self, theta):
         """L2 penalty R(theta) = (l2/2) ||theta||^2 and its gradient l2 * theta."""
         theta = np.asarray(theta, dtype=np.float64)
-        return 0.5 * self.l2 * float(theta @ theta), self.l2 * theta
+        return 0.5 * self.l2 * float(theta.dot(theta)), self.l2 * theta
 
     def predictions(self, theta, X):
         """Predicted class per row; logit ties go to the smaller class index."""

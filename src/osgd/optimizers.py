@@ -33,7 +33,10 @@ already checked train labels (``Objective._checked_labels``).  The
 runner silences numpy's overflow warnings around its epoch loop, so a
 direct step call whose loss overflows may warn before it raises
 :class:`DivergenceError`.
-``last_grad_norm`` is ``sqrt(g @ g)``, bitwise ``np.linalg.norm(g)``.
+``last_grad_norm`` is ``sqrt(g.dot(g))``, bitwise ``np.linalg.norm(g)``.
+Products are written ``.dot``, not ``@``: the same BLAS call with less
+dispatch than the ``matmul`` ufunc (see :mod:`osgd.objectives`, also for
+why no product takes an array with its own transpose).
 
 The unbiasedness property (the expected update equals a subgradient of
 the rank-weighted loss) concerns g and so the plain SGD rule.  Heavy-ball
@@ -131,7 +134,7 @@ def osgd_step(state, obj, X, y, batch, q, update=heavy_ball) -> OptimizerState:
     else:
         g = taped.mean_grad(topq_positions(taped.losses, q))
     g += obj.l2 * theta  # the regularizer's gradient; its value is unused
-    state.last_grad_norm = math.sqrt(g @ g)  # = np.linalg.norm(g)
+    state.last_grad_norm = math.sqrt(g.dot(g))  # = np.linalg.norm(g)
     update(state, g)
     state.step_count += 1
     return state

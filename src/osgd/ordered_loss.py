@@ -59,7 +59,7 @@ def ordered_empirical_loss(losses, reg_value, gamma: GammaWeights) -> float:
     # contiguous: a dot product with the reversed view sums in another
     # order and changes the last bits
     descending = np.sort(losses)[::-1].copy()
-    return float(gamma.approx @ descending) / gamma.q + reg_value
+    return float(gamma.approx.dot(descending)) / gamma.q + reg_value
 
 
 def rank_weights(order, gamma: GammaWeights) -> np.ndarray:

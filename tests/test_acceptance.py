@@ -20,8 +20,7 @@ from osgd.analysis import (MoreauConfig, moreau_grad_norm, optimality_gap,
                            reference_optimum)
 from osgd.coeffs import (beta_cdf, gamma_asymptotic, gamma_rescaled_curve,
                          gamma_weights)
-from osgd.config import (DataConfig, ModelConfig, OptConfig, RunConfig,
-                         build_dataset, build_objective, load_config)
+from osgd.config import build_dataset, build_objective, load_config
 from osgd.data import gen_clusters_2d, gen_rings_2d, load_semeion, \
     split_dataset
 from osgd.harness import _epoch_batches, run_single
@@ -398,15 +397,12 @@ def test_acceptance_8_semeion_rows():
 # --------------------------------------------------------------------------
 
 def _equivalence_config(opt_kind, q):
-    return RunConfig(
-        name=f"accept9-{opt_kind}",
-        data=DataConfig(kind="semeion", path=SEMEION_PATH),
-        model=ModelConfig(kind="linear"),
-        loss_kind="multinomial-cross-entropy", l2=1e-4, epochs=3, seeds=(0,),
-        opt=OptConfig(kind=opt_kind, q=q, batch_size=64, momentum=0.9,
-                      schedule=ScheduleSpec(kind="step-decay", base_lr=0.01,
-                                            decay_epochs=(9,),
-                                            decay_factor=0.1)))
+    """The shipped Semeion config with opt.kind = opt_kind and a fixed q,
+    for 3 epochs of seed 0."""
+    return load_config(os.path.join(CONFIG_DIR, "semeion_logistic_osgd.cfg"),
+                       overrides=[f"name = accept9-{opt_kind}",
+                                  f"opt.kind = {opt_kind}", f"opt.q = {q}",
+                                  "epochs = 3", "seeds = 0"])
 
 
 @criterion(9, budget_seconds=60)

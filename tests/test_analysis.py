@@ -254,6 +254,25 @@ class TestSolverForwards:
         # polish trial's forward also gives its subgradient
         assert len(thetas) - len(set(thetas)) == 1
 
+    def test_coarse_phase_stops_once_its_iterate_stands(self, monkeypatch):
+        obj, X, y, gamma = self.instance()
+        thetas = []
+        forward = FeedforwardModel.forward
+
+        def recorded(self, theta, rows):
+            if len(rows) == len(X):
+                thetas.append(theta.tobytes())
+            return forward(self, theta, rows)
+
+        monkeypatch.setattr(FeedforwardModel, "forward", recorded)
+        moreau_grad_norm(obj, np.ones(3), X, y, gamma,
+                         MoreauConfig(rho_hat=1.0))
+        # running all 1,500 coarse steps took 1,562 forwards, 1,322 of a
+        # theta already forwarded; the 42 repeats left are polish trials
+        # at coarse iterates and the best iterate's min-norm subgradient
+        assert len(thetas) == 282
+        assert len(thetas) - len(set(thetas)) == 42
+
 
 class TestOverflowingCoarseStep:
     """A coarse iterate whose loss overflows halves the step size and

@@ -1,11 +1,14 @@
-"""scipy.special is imported only by the paths that use it, and a bare
-``import osgd`` exposes the listed public names.
+"""scipy.special is imported only by the paths that use it, a bare
+``import osgd`` exposes the listed public names, and the library's
+products are written ``.dot``, never ``@``.
 
 Each case runs in a fresh interpreter, since a module once imported stays
 in ``sys.modules``.  Runs without binary cross-entropy, a sigmoid or the
 float gamma path never import it; the ones that need it import it when
 they are built or called, before any step.
 """
+import ast
+import glob
 import os
 import subprocess
 import sys
@@ -98,3 +101,17 @@ def test_public_names_are_the_listed_ones():
     assert proc.returncode == 0, proc.stderr
     assert sorted(proc.stdout.split()) == PUBLIC_NAMES
     assert len(PUBLIC_NAMES) == 69
+
+
+def test_library_products_are_written_dot():
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "osgd", "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        found += [f"{os.path.basename(path)}:{node.lineno}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, (ast.BinOp, ast.AugAssign))
+                  and isinstance(node.op, ast.MatMult)]  # a @ b, a @= b
+    assert not found, (
+        f"`@` at {', '.join(found)}: `.dot` is the library's one product "
+        f"form (same BLAS call, less dispatch than the matmul gufunc)")

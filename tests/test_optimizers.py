@@ -157,16 +157,24 @@ class TestTrimmedStepReference:
         return theta - lr * g
 
     @pytest.mark.parametrize("q", [1, 2, 3, 5, 7, 63, 64])
-    @pytest.mark.parametrize("d_in,model,loss", [
-        (2, FeedforwardModel(2, 1, (16, 16), "tanh"), "binary-cross-entropy"),
-        (256, FeedforwardModel(256, 10), "multinomial-cross-entropy"),
-        (256, FeedforwardModel(256, 10), "multiclass-hinge"),
-        (256, FeedforwardModel(256, 10), "squared")],
-        ids=["bce-mlp", "mce-linear", "hinge-linear", "squared-linear"])
-    def test_theta_bytes_equal_the_reference(self, d_in, model, loss, q):
+    @pytest.mark.parametrize("model,loss,gaussian", [
+        (FeedforwardModel(2, 1, (16, 16), "tanh"), "binary-cross-entropy",
+         True),
+        (FeedforwardModel(256, 10), "multinomial-cross-entropy", False),
+        (FeedforwardModel(256, 10), "multiclass-hinge", False),
+        (FeedforwardModel(256, 10), "squared", False),
+        (FeedforwardModel(256, 10), "multinomial-cross-entropy", True),
+        (FeedforwardModel(2, 1, (16, 16), "relu"), "binary-cross-entropy",
+         True)],
+        ids=["bce-mlp", "mce-linear", "hinge-linear", "squared-linear",
+             "mce-linear-gaussian", "bce-relu-mlp"])
+    def test_theta_bytes_equal_the_reference(self, model, loss, gaussian, q):
+        """Binary pixels make every multiplication exact, so a fused
+        multiply-add and a multiply then an add agree on them; Gaussian
+        features tell the two apart."""
         rng = np.random.default_rng(q)
-        n = 168  # two batches of 64 rows, then a tail batch of 40
-        X = rng.standard_normal((n, d_in)) if d_in == 2 else \
+        n, d_in = 168, model.d_in  # batches of 64 and 64, a tail of 40
+        X = rng.standard_normal((n, d_in)) if gaussian else \
             (rng.random((n, d_in)) < 0.3).astype(np.float64)
         obj = Objective(model, loss, l2=1e-3)
         y = obj._checked_labels(rng.integers(0, obj.n_classes, n))
@@ -179,6 +187,23 @@ class TestTrimmedStepReference:
             ref = self.step(obj, ref, X, y, batch, q_eff, 0.1)
             osgd_step(state, obj, X, y, batch, q_eff)
             assert state.theta.tobytes() == ref.tobytes(), (lo, hi, q_eff)
+
+    @pytest.mark.parametrize("m", [1000, 1279])
+    @pytest.mark.parametrize("model", [
+        FeedforwardModel(2, 1, (16, 16), "tanh"), FeedforwardModel(256, 10)],
+        ids=["tanh-mlp", "linear"])
+    def test_evaluation_size_products_equal_the_reference(self, model, m):
+        """Forward and backward over evaluation-size row counts, where
+        OpenBLAS leaves its small-matrix kernels."""
+        rng = np.random.default_rng(m)
+        X = rng.standard_normal((m, model.d_in))
+        theta = model.init_params(rng)
+        G = rng.standard_normal((m, model.d_out))
+        A, tape = model.forward(theta, X)
+        want_A, want_tape = self.forward(model, theta, X)
+        assert A.tobytes() == want_A.tobytes()
+        assert model.backward(theta, G, tape).tobytes() == \
+            self.backward(model, G, want_tape).tobytes()
 
 
 class TestOsgdStep:

@@ -21,16 +21,23 @@ def write_semeion_file(path, n=60, seed=0):
                      + " ".join(map(str, label)) + "\n")
 
 
-def test_semeion_table_script(tmp_path):
+def run_semeion_table(tmp_path, seeds):
+    """Run the table script for one epoch on a 60-row synthetic Semeion
+    file; returns the finished process and the output directory."""
     data = tmp_path / "semeion.data"
     write_semeion_file(data)
     outdir = tmp_path / "out"
     proc = subprocess.run(
         [sys.executable, os.path.join(SCRIPTS, "run_semeion_table.py"),
-         "--path", str(data), "--seeds", "2", "--epochs", "1",
+         "--path", str(data), "--seeds", str(seeds), "--epochs", "1",
          "--outdir", str(outdir)],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    return proc, outdir
+
+
+def test_semeion_table_script(tmp_path):
+    proc, outdir = run_semeion_table(tmp_path, seeds=2)
     assert "over 2 trials, 1 epochs" in proc.stdout
     table = proc.stdout.splitlines()
     assert any(line.startswith("Semeion") and "Logistic" in line
@@ -43,3 +50,14 @@ def test_semeion_table_script(tmp_path):
     for name in os.listdir(outdir):
         # a header plus one record per seed and epoch
         assert len((outdir / name).read_text().splitlines()) == 3
+
+
+def test_semeion_table_single_seed_std_is_zero(tmp_path):
+    proc, _ = run_semeion_table(tmp_path, seeds=1)
+    assert "over 1 trials, 1 epochs" in proc.stdout
+    rows = [line for line in proc.stdout.splitlines()
+            if line.startswith("Semeion")]
+    assert len(rows) == 2
+    for row in rows:
+        assert "nan" not in row
+        assert row.count("(0.00)") == 2  # baseline and ordered std
