@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import dataclass, fields, replace
-from fractions import Fraction
 from functools import lru_cache, partial
 from typing import get_type_hints
 
@@ -308,19 +307,19 @@ def format_comparison_table(rows):
 # ---------------------------------------------------------------------------
 
 def _check_gamma_identities(corrupt=None):
+    # gamma_j = N_j / C(n, s), checked on the integer numerators N_j
     grid = [(12, 5, 2), (30, 8, 3), (64, 16, 4), (200, 32, 8)]
     for n, s, q in grid:
-        gw = coeffs.gamma_weights(n, s, q)
-        exact = list(gw.exact)
+        nums, den = coeffs.gamma_weight_numerators(n, s, q)
         if corrupt == "gamma-sum":
-            exact[0] += Fraction(1, 7)
-        if sum(exact) != q:
+            nums[0] += 1
+        if sum(nums) != q * den:
             return False, f"sum(gamma) != q for (n={n}, s={s}, q={q})"
-        if any(exact[j] < exact[j + 1] for j in range(n - 1)):
+        if any(nums[j] < nums[j + 1] for j in range(n - 1)):
             return False, f"gamma not nonincreasing for (n={n}, s={s}, q={q})"
-        if any(g > Fraction(s, n) for g in exact):
+        if any(n * m > s * den for m in nums):
             return False, f"gamma exceeds s/n for (n={n}, s={s}, q={q})"
-        if any(exact[j] != 0 for j in range(n - s + q, n)):
+        if any(nums[j] != 0 for j in range(n - s + q, n)):
             return False, f"gamma tail not zero for (n={n}, s={s}, q={q})"
     return True, f"{len(grid)} tuples"
 
@@ -330,10 +329,9 @@ def _check_gamma_enumeration():
         losses = np.arange(n, 0, -1, dtype=np.float64)  # distinct, rank = index
         for s in range(1, n + 1):
             for q in range(1, s + 1):
-                gw = coeffs.gamma_weights(n, s, q)
+                nums, den = coeffs.gamma_weight_numerators(n, s, q)
                 counts, total = ordered_loss.rank_selection_counts(losses, s, q)
-                freqs = [Fraction(int(c), total) for c in counts]
-                if freqs != list(gw.exact):
+                if total != den or counts.tolist() != nums:
                     return False, f"mismatch at (n={n}, s={s}, q={q})"
     return True, "all (n, s, q) with n <= 6"
 
@@ -474,7 +472,7 @@ def run_verification_suite(corrupt=None) -> dict:
     """Execute the cross-module oracle checks and report machine-readably.
 
     ``corrupt`` enables negative-control hooks ("gamma-sum" perturbs one
-    weight before the sum identity is checked).
+    weight numerator before the sum identity is checked).
     """
     checks = [
         ("gamma-identities", lambda: _check_gamma_identities(corrupt)),

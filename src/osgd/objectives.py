@@ -184,10 +184,9 @@ def make_model(kind, d_in, d_out, hidden=(), activation="tanh", bias=True):
 _BCE_SIGN = np.array([1.0, -1.0])
 
 
-def _loss_terms(kind, A, y, with_losses=True):
-    """Per-row losses of the logits A, and the pieces of them that the
-    logit gradient (:func:`_logit_grads`) reuses.  Without ``with_losses``
-    only the pieces are built, and None stands in for the losses.
+def _loss_pieces(kind, A, y):
+    """The pieces of the per-row losses of the logits A that both
+    :func:`_losses_from_pieces` and :func:`_logit_grads` read.
 
     ``y`` holds checked integer labels.  The binary cross-entropy sign
     -(2y - 1) is read from a table: for y in {0, 1} that arithmetic gives
@@ -198,31 +197,40 @@ def _loss_terms(kind, A, y, with_losses=True):
         at = (np.arange(A.shape[0]), y)  # each row's label entry
         mx = A.max(axis=1, keepdims=True)
         E = np.exp(A - mx)
-        Z = E.sum(axis=1, keepdims=True)
-        losses = (mx + np.log(Z)).ravel() - A[at] if with_losses else None
-        return losses, (at, E, Z)
+        return at, mx, E, E.sum(axis=1, keepdims=True)
     if kind == "multiclass-hinge":
         at = (np.arange(A.shape[0]), y)
         margins = 1.0 + A - A[at][:, None]
         margins[at] = 0.0
-        losses = (np.maximum(margins, 0.0).sum(axis=1) if with_losses
-                  else None)
-        return losses, (at, margins)
+        return at, margins
     if kind == "binary-cross-entropy":
         neg_t = _BCE_SIGN.take(y)
-        z = neg_t * A[:, 0]
-        return (np.logaddexp(0.0, z) if with_losses else None), (neg_t, z)
-    if kind == "squared":
-        R = A - _squared_targets(A.shape[1], y)
-        return (0.5 * (R ** 2).sum(axis=1) if with_losses else None), R
+        return neg_t, neg_t * A[:, 0]
+    if kind == "squared":  # the target is the label, or its one-hot row
+        if A.shape[1] == 1:
+            return A - y.astype(np.float64)[:, None]
+        return A - np.eye(A.shape[1], dtype=np.float64)[y]
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
+def _losses_from_pieces(kind, A, pieces):
+    """Per-row losses of the logits A from :func:`_loss_pieces`'s pieces,
+    which rejected an unknown ``kind``."""
+    if kind == "multinomial-cross-entropy":
+        at, mx, _, Z = pieces
+        return (mx + np.log(Z)).ravel() - A[at]
+    if kind == "multiclass-hinge":
+        return np.maximum(pieces[1], 0.0).sum(axis=1)
+    if kind == "binary-cross-entropy":
+        return np.logaddexp(0.0, pieces[1])
+    return 0.5 * (pieces ** 2).sum(axis=1)  # squared
+
+
 def _logit_grads(kind, pieces):
-    """Per-row loss gradients at the logits from :func:`_loss_terms`'s
+    """Per-row loss gradients at the logits from :func:`_loss_pieces`'s
     pieces.  The result may be one of the pieces: never write into it."""
     if kind == "multinomial-cross-entropy":
-        at, E, Z = pieces
+        at, _, E, Z = pieces
         P = E / Z
         P[at] -= 1.0
         return P
@@ -234,9 +242,7 @@ def _logit_grads(kind, pieces):
     if kind == "binary-cross-entropy":
         neg_t, z = pieces
         return (neg_t * _special.expit(z))[:, None]
-    if kind == "squared":
-        return pieces
-    raise ValueError(f"unknown loss kind {kind!r}")
+    return pieces  # squared
 
 
 def _rows(X):
@@ -244,12 +250,6 @@ def _rows(X):
     if isinstance(X, np.ndarray) and X.ndim == 2:
         return X
     return np.atleast_2d(X)
-
-
-def _squared_targets(d_out, y):
-    if d_out == 1:
-        return y.astype(np.float64)[:, None]
-    return np.eye(d_out, dtype=np.float64)[y]
 
 
 class Objective:
@@ -305,45 +305,28 @@ class Objective:
         labels.setflags(write=False)
         return labels
 
-    def _labels(self, y):
-        """``y`` as a plain array, checked unless it comes from
-        :meth:`_checked_labels`."""
-        if type(y) is _CheckedLabels:
-            return y.view(np.ndarray)
-        return self._check_labels(y)
-
     def per_example_losses(self, theta, X, y):
-        y = self._labels(y)
-        A = self.model.logits(theta, _rows(X))
-        return _loss_terms(self.loss, A, y)[0]
+        return self.taped_batch(theta, X, y).losses
 
     def losses_and_predictions(self, theta, X, y):
         """Per-example losses and predicted classes from one forward pass."""
-        y = self._labels(y)
-        A = self.model.logits(theta, _rows(X))
-        return _loss_terms(self.loss, A, y)[0], self._predict(A)
+        taped = self.taped_batch(theta, X, y)
+        return taped.losses, self._predict(taped.logits)
 
     def taped_batch(self, theta, X, y):
-        """Forward the batch once; see :class:`TapedBatch`."""
-        return TapedBatch(self, theta, X, y)
+        """Forward the batch once; see :class:`TapedBatch`.  The labels are
+        checked here, unless they were drawn from labels this objective
+        checked whole (:meth:`_checked_labels`), and passed on plain."""
+        y = y.view(np.ndarray) if type(y) is _CheckedLabels else \
+            self._check_labels(y)
+        return TapedBatch(self, theta, _rows(X), y)
 
     def per_sample_loss(self, theta, x, y):
         return float(self.per_example_losses(theta, np.atleast_2d(x), np.atleast_1d(y))[0])
 
     def weighted_grad(self, theta, X, y, weights):
         """sum_i weights[i] * grad of loss_i, in one reverse pass."""
-        y = self._labels(y)
-        A, tape = self.model.forward(theta, _rows(X))
-        _, pieces = _loss_terms(self.loss, A, y, with_losses=False)
-        weights = np.asarray(weights, dtype=np.float64)[:, None]
-        return self._grad_from_tape(theta, tape, pieces, weights)
-
-    def _grad_from_tape(self, theta, tape, pieces, scale):
-        """Backward of the logit gradients from ``pieces``
-        (:func:`_loss_terms`), each row multiplied by ``scale``: an (m, 1)
-        column of per-row weights, or one number for every row."""
-        return self.model.backward(
-            theta, _logit_grads(self.loss, pieces) * scale, tape)
+        return self.taped_batch(theta, X, y).grad(weights)
 
     def per_sample_grad(self, theta, x, y):
         return self.weighted_grad(theta, np.atleast_2d(x), np.atleast_1d(y), np.ones(1))
@@ -370,27 +353,37 @@ class _CheckedLabels(np.ndarray):
 
 
 class TapedBatch:
-    """Per-row losses of one forward pass over a batch, with its tape.
+    """One forward pass over a batch: its logits, tape and loss pieces.
 
-    The batch labels are checked when the batch is taped, unless they
-    were drawn from labels the objective checked whole
-    (:meth:`Objective._checked_labels`).  :meth:`mean_grad` differentiates
-    the mean loss over a subset of the rows, reusing the tape when the
-    subset is the whole batch.
+    Every :class:`Objective` entry point that reads losses or gradients
+    forwards through this class (:meth:`Objective.taped_batch`).
+    :attr:`losses` is formed when first read, so a gradient-only use never
+    forms it.  :meth:`mean_grad` differentiates the mean loss over a
+    subset of the rows, reusing the tape when the subset is every row.
     """
 
     def __init__(self, obj, theta, X, y):
-        self._obj, self._theta = obj, theta
-        self._X, self._y = _rows(X), obj._labels(y)
-        logits, self._tape = obj.model.forward(theta, self._X)
-        self.losses, self._pieces = _loss_terms(obj.loss, logits, self._y)
+        """``X`` is a 2-D array of rows and ``y`` holds checked labels."""
+        self._obj, self._theta, self._X, self._y = obj, theta, X, y
+        self.logits, self._tape = obj.model.forward(theta, X)
+        self._pieces = _loss_pieces(obj.loss, self.logits, y)
+        self._losses = None
+
+    @property
+    def losses(self):
+        """Per-row losses, formed from the pieces when first read."""
+        if self._losses is None:
+            self._losses = _losses_from_pieces(self._obj.loss, self.logits,
+                                               self._pieces)
+        return self._losses
 
     def mean_grad(self, positions=None):
         """Gradient of the mean loss over the rows at ``positions``.
 
         ``positions`` are distinct and ascending; None means every row,
         which reuses the tape and the loss pieces.  A strict subset gets a
-        fresh forward on its own rows instead of a slice of the tape: BLAS
+        fresh forward on its own rows, a batch of its own whose losses are
+        never formed, instead of a slice of the tape: BLAS
         picks its kernels by row count, so rows sliced from an m-row matmul
         can differ in the last bits from a matmul over the subset alone
         (OpenBLAS: 256->10 and 16->1 layers at subset sizes that are not a
@@ -401,20 +394,23 @@ class TapedBatch:
         1/q is applied as one number, bitwise the same as a column of q
         copies of it.
         """
-        m = self.losses.shape[0]
+        m = len(self._y)
         q = m if positions is None else len(positions)
         if q == m:
-            return self._obj._grad_from_tape(self._theta, self._tape,
-                                             self._pieces, 1.0 / q)
-        obj, theta = self._obj, self._theta
-        logits, tape = obj.model.forward(theta,
-                                         self._X.take(positions, axis=0))
-        _, pieces = _loss_terms(obj.loss, logits, self._y.take(positions),
-                                with_losses=False)
-        return obj._grad_from_tape(theta, tape, pieces, 1.0 / q)
+            return self._grad(1.0 / q)
+        kept = TapedBatch(self._obj, self._theta,
+                          self._X.take(positions, axis=0),
+                          self._y.take(positions))
+        return kept._grad(1.0 / q)
 
     def grad(self, weights):
         """sum_i weights[i] * grad of loss_i over every row, from the tape."""
-        return self._obj._grad_from_tape(
-            self._theta, self._tape, self._pieces,
-            np.asarray(weights, dtype=np.float64)[:, None])
+        return self._grad(np.asarray(weights, dtype=np.float64)[:, None])
+
+    def _grad(self, scale):
+        """Backward of the logit gradients, each row multiplied by
+        ``scale``: an (m, 1) column of per-row weights, or one number for
+        every row."""
+        return self._obj.model.backward(
+            self._theta, _logit_grads(self._obj.loss, self._pieces) * scale,
+            self._tape)

@@ -642,6 +642,36 @@ class TestVerificationSuite:
         failing = {c["name"] for c in report["checks"] if not c["passed"]}
         assert failing == {"gamma-identities"}
 
+    @staticmethod
+    def swap_middle(nums, q, top):
+        nums[q], nums[q + 1] = nums[q + 1], nums[q]
+
+    @staticmethod
+    def raise_first(nums, q, top):  # gamma_1 is exactly s/n
+        nums[0] += 1
+        nums[top - 1] -= 1
+
+    @staticmethod
+    def fill_tail(nums, q, top):
+        nums[top - 1] -= 1
+        nums[top] += 1
+
+    @pytest.mark.parametrize("corrupt,detail", [
+        ("swap_middle", "not nonincreasing"), ("raise_first", "exceeds s/n"),
+        ("fill_tail", "tail not zero")])
+    def test_integer_identities_catch_a_sum_keeping_corruption(
+            self, monkeypatch, corrupt, detail):
+        numerators = coeffs.gamma_weight_numerators
+
+        def corrupted(n, s, q):
+            nums, den = numerators(n, s, q)
+            getattr(self, corrupt)(nums, q, n - s + q)
+            return nums, den
+
+        monkeypatch.setattr(coeffs, "gamma_weight_numerators", corrupted)
+        assert harness._check_gamma_identities() == (
+            False, f"gamma {detail} for (n=12, s=5, q=2)")
+
     def test_report_schema_roundtrips_through_json(self):
         report = run_verification_suite()
         back = json.loads(json.dumps(report, indent=2))

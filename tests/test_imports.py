@@ -1,6 +1,6 @@
 """scipy.special is imported only by the paths that use it, a bare
-``import osgd`` exposes the listed public names, and the library's
-products are written ``.dot``, never ``@``.
+``import osgd`` exposes the listed public names, the library's products
+are written ``.dot``, never ``@``, and batches are forwarded on one path.
 
 Each case runs in a fresh interpreter, since a module once imported stays
 in ``sys.modules``.  Runs without binary cross-entropy, a sigmoid or the
@@ -103,15 +103,54 @@ def test_public_names_are_the_listed_ones():
     assert len(PUBLIC_NAMES) == 69
 
 
-def test_library_products_are_written_dot():
-    found = []
+def library_trees():
     for path in sorted(glob.glob(os.path.join(SRC, "osgd", "*.py"))):
         with open(path) as fh:
-            tree = ast.parse(fh.read(), filename=path)
-        found += [f"{os.path.basename(path)}:{node.lineno}"
+            yield os.path.basename(path), ast.parse(fh.read(), filename=path)
+
+
+def test_library_products_are_written_dot():
+    found = []
+    for name, tree in library_trees():
+        found += [f"{name}:{node.lineno}"
                   for node in ast.walk(tree)
                   if isinstance(node, (ast.BinOp, ast.AugAssign))
                   and isinstance(node.op, ast.MatMult)]  # a @ b, a @= b
     assert not found, (
         f"`@` at {', '.join(found)}: `.dot` is the library's one product "
         f"form (same BLAS call, less dispatch than the matmul gufunc)")
+
+
+def calls_by_scope(node, scope=()):
+    """(names of the enclosing classes and functions, call) for every call
+    under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                              ast.AsyncFunctionDef)):
+            yield from calls_by_scope(child, scope + (child.name,))
+            continue
+        if isinstance(child, ast.Call):
+            yield scope, child
+        yield from calls_by_scope(child, scope)
+
+
+LOSS_PIECE_FUNCTIONS = {"_loss_pieces", "_losses_from_pieces", "_logit_grads"}
+
+
+def test_batches_are_forwarded_on_one_path():
+    found = []
+    for name, tree in library_trees():
+        for scope, call in calls_by_scope(tree):
+            func, where = call.func, (name, *scope)
+            if (isinstance(func, ast.Name) and func.id in LOSS_PIECE_FUNCTIONS
+                    and where[:2] != ("objectives.py", "TapedBatch")):
+                found.append(f"{name}:{call.lineno} calls {func.id}")
+            if (isinstance(func, ast.Attribute) and func.attr == "forward"
+                    and where[:2] != ("objectives.py", "TapedBatch")
+                    and where != ("objectives.py", "FeedforwardModel",
+                                  "logits")):
+                found.append(f"{name}:{call.lineno} calls .forward(")
+    assert not found, (
+        f"{', '.join(found)}: one forward path: only TapedBatch forms the "
+        f"loss pieces, and only TapedBatch and FeedforwardModel.logits call "
+        f".forward(")

@@ -1,5 +1,7 @@
 """Loss values, gradient correctness, and regularizer identities."""
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from osgd.objectives import (_ACTIVATIONS, LOSS_KINDS, FeedforwardModel,
-                             Objective, _logit_grads, _loss_terms, make_model)
+                             Objective, _logit_grads, _loss_pieces,
+                             _losses_from_pieces, make_model)
 
 
 def finite_difference_grad(obj, theta, x, y):
@@ -454,12 +457,13 @@ class TestSharedLossPieces:
         y = rng.integers(0, max(d_out, 2), m)
         if kind == "multiclass-hinge":
             A[0] = 0.0  # margins exactly at the kink
-        losses, pieces = _loss_terms(kind, A, y)
+        pieces = _loss_pieces(kind, A, y)
+        losses = _losses_from_pieces(kind, A, pieces)
         assert losses.tobytes() == ref_loss_values(kind, A, y).tobytes()
         grads = _logit_grads(kind, pieces)
         assert grads.tobytes() == ref_logit_grads(kind, A, y).tobytes()
-        no_losses, pieces = _loss_terms(kind, A, y, with_losses=False)
-        assert no_losses is None
+        # pieces whose losses were never formed give the same gradient
+        pieces = _loss_pieces(kind, A, y)
         assert _logit_grads(kind, pieces).tobytes() == grads.tobytes()
 
     @pytest.mark.parametrize("kind,d_out", LOSS_SHAPES)
@@ -500,5 +504,100 @@ class TestSharedLossPieces:
                             lambda *a, **k: calls.append(a) or arange(*a, **k))
         A = np.linspace(-2.0, 2.0, 8)[:, None]
         y = np.array([0, 1] * 4)
-        _logit_grads(kind, _loss_terms(kind, A, y)[1])
+        pieces = _loss_pieces(kind, A, y)
+        _losses_from_pieces(kind, A, pieces)
+        _logit_grads(kind, pieces)
         assert calls == []
+
+
+# model name -> FeedforwardModel arguments after (d_in, d_out)
+PIN_MODELS = {"linear": ((), "tanh"), "tanh-mlp": ((6, 5), "tanh"),
+              "sigmoid-mlp": ((6, 5), "sigmoid")}
+
+
+def entry_point_outputs(loss, model_name):
+    """Every Objective entry point's output on one 13-row batch, in a
+    fixed order: losses, predictions, gradients, and the taped batch's
+    losses and gradients, a kept-row subset of q = 7 among them."""
+    hidden, activation = PIN_MODELS[model_name]
+    d_out = 1 if loss == "binary-cross-entropy" else 3
+    obj = Objective(FeedforwardModel(5, d_out, hidden, activation), loss)
+    rng = np.random.default_rng(LOSS_KINDS.index(loss) * 3
+                                + list(PIN_MODELS).index(model_name))
+    theta = 1.5 * obj.init_params(rng)
+    X = rng.standard_normal((13, 5))
+    y = rng.integers(0, obj.n_classes, 13)
+    w = rng.random(13)
+    taped = obj.taped_batch(theta, X, y)
+    return [obj.per_example_losses(theta, X, y),
+            *obj.losses_and_predictions(theta, X, y),
+            obj.predictions(theta, X),
+            obj.weighted_grad(theta, X, y, w),
+            obj.per_sample_loss(theta, X[4], int(y[4])),
+            obj.per_sample_grad(theta, X[4], int(y[4])),
+            taped.losses, taped.grad(w), taped.mean_grad(),
+            taped.mean_grad(np.array([0, 2, 3, 6, 7, 9, 12]))]
+
+
+class TestEntryPointPin:
+    """Every output bit of every Objective entry point, hashed per loss
+    kind and model: a refactor of the forward path must keep them all."""
+
+    PINNED = {
+        ("multinomial-cross-entropy", "linear"):
+            "bd55addb841b3c0fe1bdb6c69fe62a0cec9383aa79f7965bada7bd4851da0e1c",
+        ("multinomial-cross-entropy", "tanh-mlp"):
+            "d0c85b11c255dffa282aa1b0c7062ed1177998491c67f813665267155bf9771d",
+        ("multinomial-cross-entropy", "sigmoid-mlp"):
+            "53fce1f89e5b13c8053c52fe7e04f02087e9be613eb22ac0c16327c09c8e8b56",
+        ("multiclass-hinge", "linear"):
+            "ae7dffc89f2380c70bae4757f6cc32658e8937a79cd2965260282c8571f04387",
+        ("multiclass-hinge", "tanh-mlp"):
+            "65f561139a665c692c54bf2dbca371c29771246b8ae1399855f0298e7d9a56e4",
+        ("multiclass-hinge", "sigmoid-mlp"):
+            "a185011046d1f5bb1cf8d0e1530f0ca352887c2b0d1cbe1a0673c715bd06c0f6",
+        ("binary-cross-entropy", "linear"):
+            "fb7ab124b62425f325412b2ad62674c96c46ecda1d3c76ba3fc4a3b43c682f9e",
+        ("binary-cross-entropy", "tanh-mlp"):
+            "9fa83f2c66791f5781371007a67476df4ea89b6306ca2ccfbb6c01e6126247c0",
+        ("binary-cross-entropy", "sigmoid-mlp"):
+            "155ce8a6594ee16ba6d93a72f935567baf45f0e7e8a8823377ce27f25caba535",
+        ("squared", "linear"):
+            "28f63e291c4f17b2fb03776dc7be358df017e80acfb238d6b7d401a8d27f2328",
+        ("squared", "tanh-mlp"):
+            "c761998a1742fb6beba622ef05885565a2f6d995d04a4ab96fdbb58540f1b1b5",
+        ("squared", "sigmoid-mlp"):
+            "46ff6df071ed7e6fb7c467ca336df24dd62ebd60e16e89056ffcf0ab6cbd747d",
+    }
+
+    @pytest.mark.parametrize("loss,model_name", sorted(PINNED))
+    def test_entry_point_outputs_are_pinned(self, loss, model_name):
+        h = hashlib.sha256()
+        for out in entry_point_outputs(loss, model_name):
+            out = np.asarray(out)
+            h.update(str(out.dtype).encode() + out.tobytes())
+        assert h.hexdigest() == self.PINNED[loss, model_name]
+
+
+class TestGradientOnlyPaths:
+    """The gradient entry points never form the losses: on this linear
+    squared-loss instance the losses overflow, the gradients do not."""
+
+    @staticmethod
+    def instance():
+        obj = Objective(FeedforwardModel(2, 1, bias=False), "squared")
+        X = np.array([[1.0, -0.5], [0.25, 2.0], [-1.0, 1.0]])
+        return obj, np.full(2, 1e199), X, np.array([0, 1, 1])
+
+    def test_losses_overflow(self):
+        obj, theta, X, y = self.instance()
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            obj.per_example_losses(theta, X, y)
+
+    def test_gradients_form_no_losses(self):
+        obj, theta, X, y = self.instance()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = obj.weighted_grad(theta, X, y, np.ones(3))
+            g1 = obj.per_sample_grad(theta, X[1], 1)
+        assert np.isfinite(g).all() and np.isfinite(g1).all()
