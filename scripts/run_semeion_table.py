@@ -22,9 +22,9 @@ CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs",
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from osgd.config import load_config
-from osgd.data import load_semeion, split_dataset
-from osgd.harness import (ExperimentResult, format_comparison_table,
-                          run_single, write_records_csv)
+from osgd.data import load_semeion
+from osgd.harness import (format_comparison_table, run_experiment,
+                          write_records_csv)
 
 
 def run_rows(ds_full, loss_kind, opt_kind, seeds, epochs, outdir):
@@ -32,15 +32,10 @@ def run_rows(ds_full, loss_kind, opt_kind, seeds, epochs, outdir):
         f"name = semeion-{loss_kind}-{opt_kind}", f"loss.kind = {loss_kind}",
         f"opt.kind = {opt_kind}", f"epochs = {epochs}",
         "seeds = " + ", ".join(map(str, seeds))])
-    runs = []
-    for seed in cfg.seeds:
-        ds = split_dataset(ds_full, cfg.data.test_fraction, seed=seed,
-                           stratified=cfg.data.stratified)
-        res = run_single(cfg, ds, seed)
-        if res.failed:
-            print(f"  seed {seed} diverged: {res.error}", file=sys.stderr)
-        runs.append(res)
-    result = ExperimentResult(cfg, runs)
+    result = run_experiment(cfg, ds_full)  # a fresh split per seed
+    for run in result.runs:
+        if run.failed:
+            print(f"  seed {run.seed} diverged: {run.error}", file=sys.stderr)
     write_records_csv(result.records,
                       os.path.join(outdir, f"{cfg.name}-records.csv"))
     summary = result.summary()  # over completed seeds; std 0.0 for one

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -30,10 +31,11 @@ def _cmd_gamma(args):
             for j, val in enumerate(approx, start=1):
                 writer.writerow([j, "", "", repr(float(val))])
         else:
-            gw = coeffs.gamma_weights(args.n, args.s, args.q)
-            for j, (frac, val) in enumerate(zip(gw.exact, gw.approx), start=1):
-                writer.writerow([j, frac.numerator, frac.denominator,
-                                 repr(float(val))])
+            # N_j / C(n, s) in lowest terms (0 as 0/1), and its one rounding
+            nums, den = coeffs.gamma_weight_numerators(args.n, args.s, args.q)
+            for j, num in enumerate(nums, start=1):
+                g = math.gcd(num, den)
+                writer.writerow([j, num // g, den // g, repr(num / den)])
     print(f"wrote {args.n} weights to {args.out}")
     return 0
 
@@ -101,6 +103,10 @@ def _cmd_train(args):
           f"over {over} seed(s)")
     if summary["failed_seeds"]:
         print(f"failed seeds: {summary['failed_seeds']}", file=sys.stderr)
+        for run in result.runs:
+            if run.failed:
+                print(f"  seed {run.seed} failed: {run.error}",
+                      file=sys.stderr)
     print(f"wrote {records_path} and {summary_path}")
     return 0
 
@@ -178,7 +184,7 @@ def _cmd_analyze(args):
         print("analyze moreau needs --config and --theta", file=sys.stderr)
         return 2
     cfg = load_config(args.config, overrides=args.override)
-    ds = build_dataset(cfg.data, split_seed=cfg.seeds[0])
+    ds = cfg.data.split(build_dataset(cfg.data), cfg.seeds[0])
     obj = build_objective(cfg, ds)
     theta = np.load(args.theta)
     Xtr, ytr = ds.split("train")

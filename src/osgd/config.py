@@ -42,10 +42,19 @@ class DataConfig(Section):
     path: str = setting("")            # semeion/cache file
     images: str = setting("")          # idx image file
     labels: str = setting("")          # idx label file
-    seed: int = setting(0, NONNEG)     # generator seed for synthetic kinds
+    seed: int = setting(0, NONNEG)     # generator seed; build_dataset's split
     # 0 disables splitting: train = test = all rows
     test_fraction: float = setting(0.0, UNIT)
     stratified: bool = setting(True)
+
+    def split(self, ds: Dataset, seed: int) -> Dataset:
+        """``ds`` with the train/test split of ``seed``, drawn over every
+        row whatever splits ``ds`` already has; with test_fraction = 0
+        every row is both splits."""
+        if self.test_fraction > 0.0:
+            return split_dataset(ds, self.test_fraction, seed,
+                                 stratified=self.stratified)
+        return ds.with_default_splits()
 
 
 @dataclass(frozen=True)
@@ -137,13 +146,8 @@ def config_from_flat(flat: dict) -> RunConfig:
     return cfg
 
 
-def build_dataset(dc: DataConfig, split_seed=None) -> Dataset:
-    """Materialize the configured dataset, applying the train/test split.
-
-    With test_fraction = 0 the full dataset serves as both splits, which is
-    what the 2-D qualitative experiments use.  Otherwise the split is drawn
-    with ``split_seed`` (the runner passes the run seed), else ``dc.seed``.
-    """
+def build_dataset(dc: DataConfig) -> Dataset:
+    """Materialize the configured dataset with the split of ``dc.seed``."""
     if dc.kind == "clusters":
         ds = gen_clusters_2d(dc.seed)
     elif dc.kind == "rings":
@@ -156,11 +160,7 @@ def build_dataset(dc: DataConfig, split_seed=None) -> Dataset:
         ds = load_cache(dc.path)
     else:
         raise ValueError(f"unknown dataset kind {dc.kind!r}")
-    if dc.test_fraction > 0.0:
-        seed = split_seed if split_seed is not None else dc.seed
-        return split_dataset(ds, dc.test_fraction, seed,
-                             stratified=dc.stratified)
-    return ds.with_default_splits()
+    return dc.split(ds, dc.seed)
 
 
 def build_objective(cfg: RunConfig, dataset: Dataset) -> Objective:

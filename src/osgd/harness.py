@@ -82,12 +82,13 @@ class ExperimentResult:
         """Mean/std of final test errors over completed seeds.
 
         Standard deviation is the sample standard deviation (ddof=1), 0.0
-        for a single seed.  ``rel_improvement_pct`` is filled when a
-        baseline mean is supplied.
+        for a single completed seed and nan for none.
+        ``rel_improvement_pct`` is filled when a baseline mean is supplied.
         """
         finals = [run.final_test_error for run in self.runs if not run.failed]
         mean = float(np.mean(finals)) if finals else float("nan")
-        std = float(np.std(finals, ddof=1)) if len(finals) > 1 else 0.0
+        std = (float(np.std(finals, ddof=1)) if len(finals) > 1
+               else 0.0 if finals else float("nan"))
         rel = None
         if baseline_mean is not None:
             rel = analysis.relative_improvement(baseline_mean, mean)
@@ -214,22 +215,26 @@ def run_single(cfg: RunConfig, dataset: Dataset, seed: int) -> RunResult:
 
 
 def run_experiment(cfg: RunConfig, dataset: Dataset | None = None) -> ExperimentResult:
-    """Run every seed of the config; failed seeds are reported, not fatal."""
-    runs = []
-    for seed in cfg.seeds:
-        ds = dataset if dataset is not None else build_dataset(cfg.data,
-                                                               split_seed=seed)
-        runs.append(run_single(cfg, ds, seed))
-    return ExperimentResult(config=cfg, runs=runs)
+    """Run every seed of the config; failed seeds are reported, not fatal.
+
+    The data is built once, ``dataset`` standing for the rows ``cfg.data``
+    would load, and each seed runs on its own ``cfg.data.split``: with
+    test_fraction > 0 a seed re-splits every row, so splits the dataset
+    already has are not kept.
+    """
+    data = dataset if dataset is not None else build_dataset(cfg.data)
+    return ExperimentResult(config=cfg, runs=[
+        run_single(cfg, cfg.data.split(data, seed), seed)
+        for seed in cfg.seeds])
 
 
 def sweep_q(cfg: RunConfig, q_values, dataset: Dataset | None = None) -> dict:
-    """One experiment per fixed q, sharing the config's seed list.
+    """One experiment per fixed q, sharing the config's seed list and one
+    build of the data (see :func:`run_experiment`).
 
     Each q must fit the batch size that runs use: the configured one, or
-    the train-split size when that is smaller.  Without a dataset, the train
-    split is the one the first seed's run builds.  Baseline kinds step at
-    q = s whatever q is, so they are rejected.
+    the train-split size when that is smaller.  Baseline kinds step at
+    q = s whatever q is, so they are rejected, as are repeated q values.
     """
     if cfg.opt.kind in BASELINE_KINDS:
         raise ValueError(f"opt.kind = {cfg.opt.kind} always steps at q = s; "
@@ -237,18 +242,18 @@ def sweep_q(cfg: RunConfig, q_values, dataset: Dataset | None = None) -> dict:
     q_values = list(q_values)
     if not q_values:
         raise ValueError("q_values must not be empty")
-    ds = (dataset if dataset is not None else build_dataset(
-        cfg.data, split_seed=cfg.seeds[0])).with_default_splits()
-    s = min(cfg.opt.batch_size, len(ds.splits["train"]))
+    if len(set(q_values)) < len(q_values):
+        raise ValueError(f"q values {q_values} repeat a value")
+    data = dataset if dataset is not None else build_dataset(cfg.data)
+    n_train = len(cfg.data.split(data, cfg.seeds[0]).splits["train"])
+    s = min(cfg.opt.batch_size, n_train)
     bad = [q for q in q_values if not 1 <= q <= s]
     if bad:
         raise ValueError(f"q values {bad} outside [1, s={s}]")
-    out = {}
-    for q in q_values:
-        sub = replace(cfg, name=f"{cfg.name}-q{q}",
-                      opt=replace(cfg.opt, q=int(q)))
-        out[q] = run_experiment(sub, dataset=dataset).summary()
-    return out
+    return {q: run_experiment(replace(cfg, name=f"{cfg.name}-q{q}",
+                                      opt=replace(cfg.opt, q=int(q))),
+                              data).summary()
+            for q in q_values}
 
 
 def write_records_csv(records, path):

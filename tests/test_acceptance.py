@@ -23,7 +23,7 @@ from osgd.coeffs import (beta_cdf, gamma_asymptotic, gamma_rescaled_curve,
 from osgd.config import build_dataset, build_objective, load_config
 from osgd.data import gen_clusters_2d, gen_rings_2d, load_semeion, \
     split_dataset
-from osgd.harness import _epoch_batches, run_single
+from osgd.harness import _epoch_batches, run_experiment, run_single
 from osgd.objectives import FeedforwardModel, Objective, make_model
 from osgd.optimizers import (ScheduleSpec, adam_step, heavy_ball, init_state,
                              minibatch_sgd_step, osgd_step, schedule_lr)
@@ -320,10 +320,9 @@ def _group_accuracies(cfg_file, kind):
     ds = build_dataset(cfg.data)
     obj = build_objective(cfg, ds)
     accs = {}
-    for seed in cfg.seeds:
-        res = run_single(cfg, ds, seed)
+    for res in run_experiment(cfg, ds).runs:
         assert not res.failed, res.error
-        accs[seed] = {
+        accs[res.seed] = {
             group: float(np.mean(
                 obj.predictions(res.final_theta, ds.features[idx])
                 == ds.labels[idx]))
@@ -359,14 +358,11 @@ def _semeion_summary(ds_full, loss_kind, opt_kind):
     cfg = load_config(os.path.join(CONFIG_DIR, "semeion_logistic_osgd.cfg"),
                       overrides=[f"loss.kind = {loss_kind}",
                                  f"opt.kind = {opt_kind}"])
-    finals = []
-    for seed in cfg.seeds:
-        ds = split_dataset(ds_full, cfg.data.test_fraction, seed=seed,
-                           stratified=cfg.data.stratified)
-        res = run_single(cfg, ds, seed)
+    result = run_experiment(cfg, ds_full)  # a fresh split per seed
+    for res in result.runs:
         assert not res.failed, res.error
-        finals.append(res.final_test_error)
-    return float(np.mean(finals)), float(np.std(finals, ddof=1))
+    summary = result.summary()  # sample std (ddof=1) over the ten seeds
+    return summary["mean_test_err"], summary["std_test_err"]
 
 
 @criterion(8, budget_seconds=900)

@@ -72,24 +72,37 @@ class TestGammaCommands:
         total = sum(float(r["gamma_float"]) for r in rows)
         assert total == pytest.approx(3.0, rel=1e-9)
 
-    @pytest.mark.parametrize("n", [EXACT_N_LIMIT, EXACT_N_LIMIT + 1])
-    def test_gamma_csv_bytes_on_both_sides_of_exact_limit(self, tmp_path, n):
+    @pytest.mark.parametrize("n,s,q", [
+        pytest.param(EXACT_N_LIMIT, 3, 2, id=str(EXACT_N_LIMIT)),
+        pytest.param(EXACT_N_LIMIT + 1, 3, 2, id=str(EXACT_N_LIMIT + 1)),
+        pytest.param(12, 5, 5, id="q-equals-s"),
+        pytest.param(12, 5, 2, id="zero-tail")])
+    def test_gamma_csv_bytes_on_both_sides_of_exact_limit(self, tmp_path, n,
+                                                          s, q):
         out = tmp_path / "gamma.csv"
-        assert main(["gamma", "--n", str(n), "--s", "3", "--q", "2",
+        assert main(["gamma", "--n", str(n), "--s", str(s), "--q", str(q),
                      "--out", str(out)]) == 0
         want = io.StringIO(newline="")
         writer = csv.writer(want)
         writer.writerow(["j", "gamma_exact_num", "gamma_exact_den",
                          "gamma_float"])
         if n <= EXACT_N_LIMIT:
-            gw = gamma_weights(n, 3, 2)
+            gw = gamma_weights(n, s, q)
             for j, (frac, val) in enumerate(zip(gw.exact, gw.approx), start=1):
                 writer.writerow([j, frac.numerator, frac.denominator,
                                  repr(float(val))])
         else:
-            for j, val in enumerate(gamma_weights_float(n, 3, 2), start=1):
+            for j, val in enumerate(gamma_weights_float(n, s, q), start=1):
                 writer.writerow([j, "", "", repr(float(val))])
         assert out.read_bytes() == want.getvalue().encode()
+        rows = read_rows(out)
+        if n == 12 and q == s:  # every rank kept with gamma = s/n = 5/12
+            assert {(r["gamma_exact_num"], r["gamma_exact_den"])
+                    for r in rows} == {("5", "12")}
+        elif n == 12:  # ranks past n - s + q = 9 are never kept
+            assert [(r["gamma_exact_num"], r["gamma_exact_den"],
+                     r["gamma_float"]) for r in rows[9:]] == \
+                [("0", "1", "0.0")] * 3
 
     def test_gamma_curve_columns(self, tmp_path):
         out = tmp_path / "curve.csv"
@@ -148,6 +161,23 @@ class TestTrainCommands:
         assert "over 1 of 2 seed(s)" in out
         assert "failed seeds: [1]" in err
 
+    def test_train_reports_each_failed_seed_and_a_nan_std(
+            self, config_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["train", "--config", str(config_file),
+                     "--override", "outdir = out",
+                     "--override", "opt.schedule.base_lr = 1e300"]) == 0
+        out, err = capsys.readouterr()
+        assert "mean test error nan (nan) over 0 of 2 seed(s)" in out
+        assert "failed seeds: [0, 1]" in err
+        reasons = [line for line in err.splitlines() if "failed:" in line]
+        assert [line.split("failed:")[0].strip() for line in reasons] == \
+            ["seed 0", "seed 1"]
+        assert all("non-finite" in line for line in reasons)
+        summary = read_rows(tmp_path / "out/cli-smoke-summary.csv")
+        assert (summary[0]["mean_test_err"],
+                summary[0]["std_test_err"]) == ("nan", "nan")
+
     def test_train_save_params(self, config_file, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["train", "--config", str(config_file), "--save-params",
@@ -187,6 +217,15 @@ class TestTrainCommands:
                      "--override", "seeds = 0"]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "sgd always steps at q = s" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_q_rejects_a_repeated_q(self, config_file, tmp_path,
+                                          monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep-q", "--config", str(config_file),
+                     "--q-values", "4,4", "--override", "outdir = out"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "repeat" in err
         assert not (tmp_path / "out").exists()
 
     def test_sweep_q_rejects_a_non_integer_q(self, config_file, tmp_path,

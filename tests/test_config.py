@@ -12,7 +12,7 @@ from osgd._settings import Section, key_of
 from osgd.config import (DataConfig, ModelConfig, OptConfig, RunConfig,
                          build_dataset, build_objective, config_from_flat,
                          load_config, parse_config_text)
-from osgd.data import FormatError
+from osgd.data import FormatError, gen_rings_2d
 from osgd.optimizers import ScheduleSpec
 
 
@@ -101,9 +101,8 @@ class TestBuilders:
         np.testing.assert_array_equal(ds.splits["test"], np.arange(1000))
 
     def test_split_fraction_applies(self):
-        ds = build_dataset(DataConfig(kind="clusters", seed=0,
-                                      test_fraction=0.25, stratified=False),
-                           split_seed=4)
+        ds = build_dataset(DataConfig(kind="clusters", seed=4,
+                                      test_fraction=0.25, stratified=False))
         assert len(ds.splits["test"]) == 50
         assert len(ds.splits["train"]) == 150
 
@@ -111,13 +110,27 @@ class TestBuilders:
         with pytest.raises(ValueError, match="unknown config keys"):
             config_from_flat({"data.split_seed": "11"})
 
-    def test_split_seed_argument_beats_data_seed(self):
+    def test_split_redraws_over_every_row_with_its_seed(self):
         dc = DataConfig(kind="clusters", seed=0, test_fraction=0.2)
-        a = build_dataset(dc)                 # split drawn with dc.seed
-        b = build_dataset(dc, split_seed=12)  # explicit wins
+        a = build_dataset(dc)  # split drawn with dc.seed
+        b = dc.split(a, 12)    # a's splits are not kept
         assert not np.array_equal(a.splits["test"], b.splits["test"])
         np.testing.assert_array_equal(
-            a.splits["test"], build_dataset(dc, split_seed=0).splits["test"])
+            np.sort(np.concatenate([b.splits["train"], b.splits["test"]])),
+            np.arange(a.n))
+        for name in ("train", "test"):
+            np.testing.assert_array_equal(a.splits[name],
+                                          dc.split(b, 0).splits[name])
+
+    def test_split_without_a_test_fraction_keeps_every_row(self):
+        dc = DataConfig(kind="rings", seed=1)
+        ds = gen_rings_2d(1)
+        assert dc.split(ds, 5).splits.keys() == {"train", "test"}
+        np.testing.assert_array_equal(dc.split(ds, 5).splits["test"],
+                                      np.arange(ds.n))
+        given = ds.with_splits({"train": np.arange(10),
+                                "test": np.arange(10, 20)})
+        assert dc.split(given, 5) is given
 
     def test_cache_roundtrip_through_config(self, tmp_path):
         from osgd.data import gen_clusters_2d, save_cache

@@ -54,7 +54,7 @@ def baseline_theta(cfg, seed, kind):
     minibatch_sgd_step, ``"adam"``: adam_step) over the batches the runner
     draws for ``cfg`` at ``seed``.  ``adam_step`` has Adam's default
     moments, which ``cfg`` must keep."""
-    ds = build_dataset(cfg.data, split_seed=seed)
+    ds = cfg.data.split(build_dataset(cfg.data), seed)
     obj = build_objective(cfg, ds)
     X, y = ds.split("train")
     s = min(cfg.opt.batch_size, len(y))
@@ -145,7 +145,7 @@ def pinned_case(name, kind):
             loss_kind="binary-cross-entropy", l2=1e-4, epochs=10, seeds=(0,),
             opt=OptConfig(**{**opt, "q": 5}, schedule=ScheduleSpec(
                 kind="constant", base_lr=0.2)))
-        return cfg, build_dataset(cfg.data, split_seed=0)
+        return cfg, build_dataset(cfg.data)
     if name == "clusters-linear":
         cfg = RunConfig(
             name=name, data=DataConfig(kind="clusters", seed=0),
@@ -153,7 +153,7 @@ def pinned_case(name, kind):
             l2=1e-4, epochs=12, seeds=(0,),
             opt=OptConfig(**opt, schedule=ScheduleSpec(kind="constant",
                                                        base_lr=0.05)))
-        return cfg, build_dataset(cfg.data, split_seed=0)
+        return cfg, build_dataset(cfg.data)
     cfg = RunConfig(
         name=name, data=DataConfig(kind="semeion"),
         model=ModelConfig(kind="linear"), loss_kind=name, l2=1e-4,
@@ -248,6 +248,19 @@ class TestSummaries:
         assert rec.epoch == 0
         assert np.isfinite(rec.test_error_pct)
 
+    def test_summary_std_over_completed_seeds(self):
+        done = run_experiment(tiny_config(seeds=(0,), epochs=1)).runs[0]
+        failed = harness.RunResult(seed=1, records=[], failed=True,
+                                   error="diverged")
+        cfg = tiny_config(seeds=(0, 1))
+        one = harness.ExperimentResult(cfg, [done, failed]).summary()
+        assert one["mean_test_err"] == done.final_test_error
+        assert one["std_test_err"] == 0.0
+        none = harness.ExperimentResult(cfg, [failed]).summary()
+        assert np.isnan(none["mean_test_err"])
+        assert np.isnan(none["std_test_err"])
+        assert none["failed_seeds"] == [1]
+
     def test_summary_with_baseline_computes_improvement(self):
         cfg = tiny_config(seeds=(0, 1), epochs=2)
         result = run_experiment(cfg)
@@ -312,6 +325,11 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_q(tiny_config(), [0, 21])
 
+    def test_repeated_q_rejected_before_any_run(self, monkeypatch):
+        monkeypatch.setattr(harness, "run_single", None)  # never reached
+        with pytest.raises(ValueError, match="repeat"):
+            sweep_q(tiny_config(), [4, 8, 4])
+
     def test_q_checked_against_train_rows_of_given_dataset(self):
         # 12 train rows clamp the batch to s = 12, so q = 16 cannot run
         ds = gen_clusters_2d(11)
@@ -348,6 +366,55 @@ class TestDatasetWithoutSplits:
         assert sorted(out) == [4, 20]
         assert all(len(summary["final_test_errors"]) == 2
                    for summary in out.values())
+
+
+def split_digits_config(seeds=(0, 1, 2), epochs=2):
+    """Linear multinomial logistic regression on Semeion-shaped data with
+    a fresh stratified 80/20 split per seed."""
+    return RunConfig(
+        name="split", data=DataConfig(kind="semeion", path="semeion.data",
+                                      test_fraction=0.2),
+        model=ModelConfig(kind="linear"),
+        loss_kind="multinomial-cross-entropy", l2=1e-4, epochs=epochs,
+        seeds=seeds, opt=OptConfig(kind="osgd", q="adaptive", batch_size=64,
+                                   schedule=ScheduleSpec(kind="constant",
+                                                         base_lr=0.01)))
+
+
+class TestOneSeedLoop:
+    """``run_experiment`` builds the data once and splits it per seed."""
+
+    def test_each_seed_runs_on_its_own_split(self):
+        full = stand_in_digits()
+        cfg = split_digits_config()
+        result = run_experiment(cfg, full)
+        assert [run.seed for run in result.runs] == list(cfg.seeds)
+        for run in result.runs:
+            ref = run_single(cfg, data.split_dataset(full, 0.2, run.seed,
+                                                     stratified=True),
+                             run.seed)
+            assert not run.failed and not ref.failed
+            assert run.final_theta.tobytes() == ref.final_theta.tobytes()
+            assert ([strip_time(r) for r in run.records]
+                    == [strip_time(r) for r in ref.records])
+
+    def test_the_file_is_loaded_once_per_call(self, monkeypatch):
+        from osgd import config
+        loads = []
+
+        def counting_load(path):
+            loads.append(path)
+            return stand_in_digits(n=300)
+
+        monkeypatch.setattr(config, "load_semeion", counting_load)
+        cfg = split_digits_config(epochs=1)
+        assert not any(run.failed for run in run_experiment(cfg).runs)
+        assert loads == ["semeion.data"]
+        out = sweep_q(cfg, [4, 8])
+        assert sorted(out) == [4, 8]
+        assert all(len(summary["final_test_errors"]) == 3
+                   for summary in out.values())
+        assert loads == ["semeion.data"] * 2
 
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(
@@ -418,7 +485,7 @@ def counted_run(monkeypatch, cfg, forward_test_rows=False):
             return evaluate(obj, state, Xtr, ytr, Xte, yte, s)
 
     monkeypatch.setattr(harness, "_evaluate_epoch", counting_evaluate)
-    run = run_single(cfg, build_dataset(cfg.data, split_seed=0), 0)
+    run = run_single(cfg, build_dataset(cfg.data), 0)
     monkeypatch.setattr(harness, "_evaluate_epoch", evaluate)
     return run, per_eval
 
@@ -580,7 +647,7 @@ class TestPerRunSetUp:
         monkeypatch.setattr(harness, "_evaluate_epoch", flagged_evaluate)
         monkeypatch.setattr(selection, "rank_by_loss", counting_rank)
         monkeypatch.setattr(ordered_loss, "rank_by_loss", counting_rank)
-        ds = build_dataset(cfg.data, split_seed=0)
+        ds = build_dataset(cfg.data)
         run = run_single(cfg, ds, 0)
         assert not run.failed and run.records[-1].step == 2 * 16
         assert checked == [len(ds.splits["train"])]
@@ -589,7 +656,7 @@ class TestPerRunSetUp:
     def test_out_of_range_train_label_fails_before_the_first_update(
             self, monkeypatch):
         cfg = load_config(RINGS_CFG, ["epochs = 2", "seeds = 0"])
-        ds = build_dataset(cfg.data, split_seed=0)
+        ds = build_dataset(cfg.data)
         labels = ds.labels.copy()
         labels[ds.splits["train"][-1]] = 2  # the data has 3 classes, the
         # binary cross-entropy objective 2

@@ -1,6 +1,7 @@
 """scipy.special is imported only by the paths that use it, a bare
 ``import osgd`` exposes the listed public names, the library's products
-are written ``.dot``, never ``@``, and batches are forwarded on one path.
+are written ``.dot``, never ``@``, batches are forwarded on one path, and
+one loop runs a config's seeds.
 
 Each case runs in a fresh interpreter, since a module once imported stays
 in ``sys.modules``.  Runs without binary cross-entropy, a sigmoid or the
@@ -103,10 +104,15 @@ def test_public_names_are_the_listed_ones():
     assert len(PUBLIC_NAMES) == 69
 
 
-def library_trees():
-    for path in sorted(glob.glob(os.path.join(SRC, "osgd", "*.py"))):
+def trees_in(directory):
+    """(file name, parsed module) for every .py file of ``directory``."""
+    for path in sorted(glob.glob(os.path.join(directory, "*.py"))):
         with open(path) as fh:
             yield os.path.basename(path), ast.parse(fh.read(), filename=path)
+
+
+def library_trees():
+    return trees_in(os.path.join(SRC, "osgd"))
 
 
 def test_library_products_are_written_dot():
@@ -121,17 +127,24 @@ def test_library_products_are_written_dot():
         f"form (same BLAS call, less dispatch than the matmul gufunc)")
 
 
-def calls_by_scope(node, scope=()):
-    """(names of the enclosing classes and functions, call) for every call
+def nodes_by_scope(node, scope=()):
+    """(names of the enclosing classes and functions, node) for every node
     under ``node``."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.ClassDef, ast.FunctionDef,
                               ast.AsyncFunctionDef)):
-            yield from calls_by_scope(child, scope + (child.name,))
+            yield from nodes_by_scope(child, scope + (child.name,))
             continue
+        yield scope, child
+        yield from nodes_by_scope(child, scope)
+
+
+def calls_by_scope(node):
+    """(names of the enclosing classes and functions, call) for every call
+    under ``node``."""
+    for scope, child in nodes_by_scope(node):
         if isinstance(child, ast.Call):
             yield scope, child
-        yield from calls_by_scope(child, scope)
 
 
 LOSS_PIECE_FUNCTIONS = {"_loss_pieces", "_losses_from_pieces", "_logit_grads"}
@@ -154,3 +167,25 @@ def test_batches_are_forwarded_on_one_path():
         f"{', '.join(found)}: one forward path: only TapedBatch forms the "
         f"loss pieces, and only TapedBatch and FeedforwardModel.logits call "
         f".forward(")
+
+
+def test_one_seed_loop_and_one_split_rule():
+    found = []
+    scripts = trees_in(os.path.join(os.path.dirname(SRC), "scripts"))
+    for name, tree in [*library_trees(), *scripts]:
+        for scope, node in nodes_by_scope(tree):
+            where = (name, *scope)
+            if (isinstance(node, (ast.For, ast.comprehension))
+                    and isinstance(node.iter, ast.Attribute)
+                    and node.iter.attr == "seeds"
+                    and where != ("harness.py", "run_experiment")):
+                found.append(f"{name}:{node.iter.lineno} iterates .seeds")
+            if (isinstance(node, ast.Call)
+                    and "split_dataset" in (getattr(node.func, "id", None),
+                                            getattr(node.func, "attr", None))
+                    and where != ("config.py", "DataConfig", "split")):
+                found.append(f"{name}:{node.lineno} calls split_dataset")
+    assert not found, (
+        f"{', '.join(found)}: one seed loop and one split rule: only "
+        f"harness.run_experiment iterates a config's seeds, and only "
+        f"DataConfig.split calls split_dataset")
