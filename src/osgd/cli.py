@@ -80,6 +80,13 @@ def _cmd_verify(args):
     return 0
 
 
+def _seed_count(summary, seeds):
+    """'n', or 'k of n' when only k of the n seeds completed."""
+    completed = len(summary["final_test_errors"])
+    return (f"{len(seeds)}" if completed == len(seeds)
+            else f"{completed} of {len(seeds)}")
+
+
 def _cmd_train(args):
     cfg = load_config(args.config, overrides=args.override)
     result = harness.run_experiment(cfg)
@@ -95,12 +102,9 @@ def _cmd_train(args):
                 np.save(os.path.join(cfg.outdir,
                                      f"{cfg.name}-seed{run.seed}-theta.npy"),
                         run.final_theta)
-    completed = len(summary["final_test_errors"])
-    over = (f"{len(cfg.seeds)}" if completed == len(cfg.seeds)
-            else f"{completed} of {len(cfg.seeds)}")
     print(f"{cfg.name}: mean test error "
           f"{summary['mean_test_err']:.3f} ({summary['std_test_err']:.3f}) "
-          f"over {over} seed(s)")
+          f"over {_seed_count(summary, cfg.seeds)} seed(s)")
     if summary["failed_seeds"]:
         print(f"failed seeds: {summary['failed_seeds']}", file=sys.stderr)
         for run in result.runs:
@@ -108,7 +112,7 @@ def _cmd_train(args):
                 print(f"  seed {run.seed} failed: {run.error}",
                       file=sys.stderr)
     print(f"wrote {records_path} and {summary_path}")
-    return 0
+    return 0 if summary["final_test_errors"] else 1  # 1: no seed completed
 
 
 def _cmd_sweep_q(args):
@@ -121,9 +125,13 @@ def _cmd_sweep_q(args):
     for q in q_values:
         s = summaries[q]
         print(f"q={q:>4}: mean test error {s['mean_test_err']:.3f} "
-              f"({s['std_test_err']:.3f})")
+              f"({s['std_test_err']:.3f}) over {_seed_count(s, cfg.seeds)} "
+              f"seed(s)")
+        if s["failed_seeds"]:
+            print(f"q={q} failed seeds: {s['failed_seeds']}", file=sys.stderr)
     print(f"wrote {out}")
-    return 0
+    # 1 when some q has no completed seed, as for train
+    return 0 if all(summaries[q]["final_test_errors"] for q in q_values) else 1
 
 
 def _cmd_data(args):
@@ -285,7 +293,8 @@ def build_parser():
 def main(argv=None):
     """Run one subcommand.  An input it cannot read or use (a missing or
     malformed file, a bad config key or value) is one line on stderr and
-    exit status 2."""
+    exit status 2; ``train`` and ``sweep-q`` exit 1 when a configuration
+    completes no seed."""
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

@@ -148,6 +148,11 @@ def config_from_flat(flat: dict) -> RunConfig:
 
 def build_dataset(dc: DataConfig) -> Dataset:
     """Materialize the configured dataset with the split of ``dc.seed``."""
+    return dc.split(_load_rows(dc), dc.seed)
+
+
+def _load_rows(dc: DataConfig) -> Dataset:
+    """The configured rows, generated or read, without a split."""
     if dc.kind == "clusters":
         ds = gen_clusters_2d(dc.seed)
     elif dc.kind == "rings":
@@ -160,7 +165,7 @@ def build_dataset(dc: DataConfig) -> Dataset:
         ds = load_cache(dc.path)
     else:
         raise ValueError(f"unknown dataset kind {dc.kind!r}")
-    return dc.split(ds, dc.seed)
+    return ds
 
 
 def build_objective(cfg: RunConfig, dataset: Dataset) -> Objective:

@@ -5,10 +5,23 @@ seed) consumed in a fixed order: parameter init first, then batch
 construction step by step.  Re-running a config with the same seed list
 therefore reproduces every metric bit-identically; only the wall-time
 column varies.
+
+Runs that share the seed, the data and every setting but the q rule and
+the names (``opt.kind`` counting only as its update rule, heavy-ball or
+Adam) share their q = s prefix: until train accuracy would take adaptive
+q below s (80% for s >= 2), every run that starts at q = s takes the
+q = s step on the same batches.  The prefix ends at the end of the first
+epoch with such an accuracy, or of the last epoch if that comes first.
+The first such run of a process stores a snapshot there (optimizer
+state, generator state, records, that epoch's train accuracy); a later
+one restores it and trains on with its own q rule, bit-identically to a
+fresh run.  A run at a fixed q below s neither reads nor stores one.
 """
 from __future__ import annotations
 
+import copy
 import csv
+import hashlib
 import time
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache, partial
@@ -17,8 +30,10 @@ from typing import get_type_hints
 import numpy as np
 
 from . import analysis, coeffs, objectives, optimizers, ordered_loss, selection
+# build_dataset is unused here but stays a harness attribute, which
+# bench/tracing.py wraps
 from .config import (BASELINE_KINDS, DataConfig, ModelConfig, OptConfig,
-                     RunConfig, build_dataset, build_objective)
+                     RunConfig, _load_rows, build_dataset, build_objective)
 from .data import Dataset, gen_clusters_2d
 from .optimizers import DivergenceError, adaptive_q_update, schedule_lr
 
@@ -39,6 +54,9 @@ class RunRecord:
     them.  ``train_ordered_loss`` is L_q with the gamma weights of the
     configured s = min(opt.batch_size, n), so it describes the full-size
     batches, not the partial one.
+
+    A record of a q = s prefix restored from another run (see the module
+    docstring) keeps the ``epoch_seconds`` it was first measured with.
     """
 
     seed: int
@@ -63,6 +81,7 @@ class RunResult:
     failed: bool = False
     error: str = ""
     final_theta: np.ndarray | None = None
+    reused_epochs: int = 0  # leading epochs restored from a stored prefix
 
     @property
     def final_test_error(self):
@@ -100,6 +119,12 @@ class ExperimentResult:
             "final_test_errors": finals,
             "failed_seeds": [run.seed for run in self.runs if run.failed],
         }
+
+
+# Snapshots of q = s prefixes, keyed by _prefix_key; read and written by
+# run_single only, oldest dropped first past _PREFIX_STORE_SIZE entries.
+_PREFIX_STORE_SIZE = 64
+_prefix_store = {}
 
 
 @lru_cache(maxsize=64)
@@ -144,6 +169,24 @@ def _evaluate_epoch(obj, state, Xtr, ytr, Xte, yte, s):
     return avg, ordered, 1.0 - train_err / 100.0, test_err
 
 
+def _prefix_key(cfg, family, seed, n_classes, arrays):
+    """What fixes a run's q = s prefix: every setting but the names, the
+    seed list and the q rule (``opt.kind`` only as its update ``family``),
+    the run seed, the class count, and a sha256 over the dtype, shape and
+    bytes of ``arrays`` (a None entry stands for the train rows)."""
+    settings = replace(cfg, name="", outdir="", seeds=(0,),
+                       opt=replace(cfg.opt, kind=family, q="adaptive"))
+    digest = hashlib.sha256()
+    for arr in arrays:
+        if arr is None:
+            digest.update(b"train rows")
+            continue
+        arr = np.ascontiguousarray(arr)
+        digest.update(f"{arr.dtype.str}{arr.shape}".encode())
+        digest.update(memoryview(arr))
+    return settings, seed, n_classes, digest.hexdigest()
+
+
 def run_single(cfg: RunConfig, dataset: Dataset, seed: int) -> RunResult:
     """Train one seed of the configured experiment and log per-epoch rows.
 
@@ -151,6 +194,11 @@ def run_single(cfg: RunConfig, dataset: Dataset, seed: int) -> RunResult:
     ``cfg.opt``, and numpy's overflow warnings are silenced once around the
     epoch loop, where a non-finite loss raises :class:`DivergenceError`
     instead.  A dataset without splits trains and tests on every row.
+
+    A run that starts at q = s either resumes from the stored snapshot of
+    its q = s prefix (see the module docstring) or stores one, at the end
+    of the first epoch whose train accuracy would take the adaptive rule
+    below s, or of its last epoch if that comes first.
     """
     dataset = dataset.with_default_splits()
     obj = build_objective(cfg, dataset)
@@ -167,16 +215,28 @@ def run_single(cfg: RunConfig, dataset: Dataset, seed: int) -> RunResult:
     s = min(opt.batch_size, n_tr)
     adaptive = opt.q == "adaptive" and opt.kind not in BASELINE_KINDS
     if opt.kind in ("osgd", "sgd"):
+        family = "sgd"
         update = partial(optimizers.heavy_ball, momentum=opt.momentum)
     else:
+        family = "adam"
         update = partial(optimizers.adam, beta1=opt.beta1, beta2=opt.beta2,
                          eps=opt.eps)
 
     rng = np.random.default_rng(seed)
-    theta = obj.init_params(rng)
-    state = optimizers.init_state(theta, opt.initial_q(s),
-                                  opt.schedule.base_lr)
-    records = []
+    key = (_prefix_key(cfg, family, seed, dataset.n_classes,
+                       (Xtr, ytr, Xte, yte))
+           if opt.initial_q(s) == s else None)
+    snapshot = _prefix_store.get(key)
+    if snapshot is None:
+        start, records = 0, []
+        state = optimizers.init_state(obj.init_params(rng), opt.initial_q(s),
+                                      opt.schedule.base_lr)
+    else:
+        start, state, rng_state, records, train_acc = copy.deepcopy(snapshot)
+        rng.bit_generator.state = rng_state
+        if adaptive:
+            state.q_current = min(adaptive_q_update(train_acc, s), s)
+        key = None  # the prefix is stored already
 
     def epoch_end(epoch, elapsed, emit):
         # evaluated every epoch (the adaptive rule needs train accuracy);
@@ -189,14 +249,13 @@ def run_single(cfg: RunConfig, dataset: Dataset, seed: int) -> RunResult:
                 q=state.q_current, lr=state.lr_current, train_avg_loss=avg,
                 train_ordered_loss=ordered, train_acc=train_acc,
                 test_error_pct=test_err, epoch_seconds=elapsed))
-        if adaptive:
-            state.q_current = min(adaptive_q_update(train_acc, s), s)
+        return train_acc
 
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             if cfg.epochs == 0:
                 epoch_end(0, 0.0, emit=True)
-            for epoch in range(cfg.epochs):
+            for epoch in range(start, cfg.epochs):
                 t0 = time.perf_counter()
                 for batch in _epoch_batches(rng, n_tr, s, opt.batching):
                     state.lr_current = schedule_lr(opt.schedule, epoch,
@@ -205,13 +264,25 @@ def run_single(cfg: RunConfig, dataset: Dataset, seed: int) -> RunResult:
                                          min(state.q_current, len(batch)),
                                          update=update)
                 elapsed = time.perf_counter() - t0
-                epoch_end(epoch, elapsed,
-                          emit=(epoch + 1) % cfg.eval_every == 0
-                          or epoch == cfg.epochs - 1)
+                train_acc = epoch_end(
+                    epoch, elapsed, emit=(epoch + 1) % cfg.eval_every == 0
+                    or epoch == cfg.epochs - 1)
+                # the q = s prefix ends with this epoch: store it once
+                if key is not None and (adaptive_q_update(train_acc, s) < s
+                                        or epoch == cfg.epochs - 1):
+                    if len(_prefix_store) >= _PREFIX_STORE_SIZE:
+                        del _prefix_store[next(iter(_prefix_store))]
+                    _prefix_store[key] = copy.deepcopy(
+                        (epoch + 1, state, rng.bit_generator.state, records,
+                         train_acc))
+                    key = None
+                if adaptive:
+                    state.q_current = min(adaptive_q_update(train_acc, s), s)
     except DivergenceError as exc:
         return RunResult(seed=seed, records=records, failed=True,
-                         error=str(exc))
-    return RunResult(seed=seed, records=records, final_theta=state.theta.copy())
+                         error=str(exc), reused_epochs=start)
+    return RunResult(seed=seed, records=records, final_theta=state.theta.copy(),
+                     reused_epochs=start)
 
 
 def run_experiment(cfg: RunConfig, dataset: Dataset | None = None) -> ExperimentResult:
@@ -222,7 +293,7 @@ def run_experiment(cfg: RunConfig, dataset: Dataset | None = None) -> Experiment
     test_fraction > 0 a seed re-splits every row, so splits the dataset
     already has are not kept.
     """
-    data = dataset if dataset is not None else build_dataset(cfg.data)
+    data = dataset if dataset is not None else _load_rows(cfg.data)
     return ExperimentResult(config=cfg, runs=[
         run_single(cfg, cfg.data.split(data, seed), seed)
         for seed in cfg.seeds])
@@ -244,7 +315,7 @@ def sweep_q(cfg: RunConfig, q_values, dataset: Dataset | None = None) -> dict:
         raise ValueError("q_values must not be empty")
     if len(set(q_values)) < len(q_values):
         raise ValueError(f"q values {q_values} repeat a value")
-    data = dataset if dataset is not None else build_dataset(cfg.data)
+    data = dataset if dataset is not None else _load_rows(cfg.data)
     n_train = len(cfg.data.split(data, cfg.seeds[0]).splits["train"])
     s = min(cfg.opt.batch_size, n_train)
     bad = [q for q in q_values if not 1 <= q <= s]
@@ -451,9 +522,12 @@ def _check_qs_equivalence():
         for batch in _epoch_batches(rng, ds.n, opt.batch_size, opt.batching):
             optimizers.minibatch_sgd_step(state, obj, ds.features, ds.labels,
                                           batch, update=update)
-    if osgd_run.final_theta is None or \
-            osgd_run.final_theta.tobytes() != state.theta.tobytes():
-        return False, "q=s ordered run diverged from the minibatch SGD loop"
+    # the sgd run may resume from the osgd run's stored prefix, so each
+    # run is held to the loop
+    for run in (osgd_run, sgd_run):
+        if run.final_theta is None or \
+                run.final_theta.tobytes() != state.theta.tobytes():
+            return False, "q=s ordered run diverged from the minibatch SGD loop"
     return True, "bit-identical metrics over 2 epochs"
 
 

@@ -1,8 +1,19 @@
 """Shared pytest hooks and fixtures: acceptance criteria print one summary
-line each; a synthetic stand-in for the Semeion digits."""
+line each; a synthetic stand-in for the Semeion digits; every test starts
+with no stored q = s prefix."""
 import numpy as np
+import pytest
 
+from osgd import harness
 from osgd.data import Dataset
+
+
+@pytest.fixture(autouse=True)
+def empty_prefix_store():
+    """Each test computes its runs: none resumes from a prefix stored by an
+    earlier test, so counting and monkeypatching tests see every step."""
+    harness._prefix_store.clear()
+
 
 ACCEPTANCE_RESULTS = {}
 

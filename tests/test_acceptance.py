@@ -16,6 +16,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from osgd import harness
 from osgd.analysis import (MoreauConfig, moreau_grad_norm, optimality_gap,
                            reference_optimum)
 from osgd.coeffs import (beta_cdf, gamma_asymptotic, gamma_rescaled_curve,
@@ -415,7 +416,9 @@ def test_acceptance_9_q_equals_s_bit_identical():
     for ordered_kind, plain_kind in pairs:
         cfg = _equivalence_config(ordered_kind, q=s)
         a = run_single(cfg, ds, 0)
+        harness._prefix_store.clear()  # b computes its q = s prefix too
         b = run_single(_equivalence_config(plain_kind, q=s), ds, 0)
+        assert b.reused_epochs == 0
         assert not a.failed and not b.failed
         np.testing.assert_array_equal(a.final_theta, b.final_theta)
         for ra, rb in zip(a.records, b.records):

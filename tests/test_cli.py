@@ -166,7 +166,7 @@ class TestTrainCommands:
         monkeypatch.chdir(tmp_path)
         assert main(["train", "--config", str(config_file),
                      "--override", "outdir = out",
-                     "--override", "opt.schedule.base_lr = 1e300"]) == 0
+                     "--override", "opt.schedule.base_lr = 1e300"]) == 1
         out, err = capsys.readouterr()
         assert "mean test error nan (nan) over 0 of 2 seed(s)" in out
         assert "failed seeds: [0, 1]" in err
@@ -194,6 +194,48 @@ class TestTrainCommands:
                      "--override", "seeds = 0"]) == 0
         rows = read_rows(tmp_path / "out/cli-smoke-sweep-q.csv")
         assert len(rows) == 2
+        out, err = capsys.readouterr()
+        assert [line.endswith("over 1 seed(s)")
+                 for line in out.splitlines()[:2]] == [True, True]
+        assert err == ""
+
+    def test_sweep_q_reports_failed_seeds_and_exits_1(
+            self, config_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep-q", "--config", str(config_file),
+                     "--q-values", "1,20",
+                     "--override", "outdir = out",
+                     "--override", "opt.schedule.base_lr = 1e300"]) == 1
+        out, err = capsys.readouterr()
+        assert [line.split(":")[0] for line in out.splitlines()[:2]] == \
+            ["q=   1", "q=  20"]
+        assert all(line.endswith("nan (nan) over 0 of 2 seed(s)")
+                   for line in out.splitlines()[:2])
+        assert err.splitlines() == ["q=1 failed seeds: [0, 1]",
+                                    "q=20 failed seeds: [0, 1]"]
+        assert len(read_rows(tmp_path / "out/cli-smoke-sweep-q.csv")) == 2
+
+    def test_sweep_q_exits_0_when_every_q_completes_a_seed(
+            self, config_file, tmp_path, monkeypatch, capsys):
+        # seed 1 trains on features scaled by 1e300: its logits overflow
+        run_single = harness.run_single
+
+        def seed_1_diverges(cfg, dataset, seed):
+            if seed == 1:
+                dataset = dataclasses.replace(
+                    dataset, features=dataset.features * 1e300)
+            return run_single(cfg, dataset, seed)
+
+        monkeypatch.setattr(harness, "run_single", seed_1_diverges)
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep-q", "--config", str(config_file),
+                     "--q-values", "1,20",
+                     "--override", "outdir = out"]) == 0
+        out, err = capsys.readouterr()
+        assert all(line.endswith("over 1 of 2 seed(s)")
+                   for line in out.splitlines()[:2])
+        assert err.splitlines() == ["q=1 failed seeds: [1]",
+                                    "q=20 failed seeds: [1]"]
 
     def test_sweep_q_checks_q_against_train_rows(self, config_file, tmp_path,
                                                  monkeypatch, capsys):

@@ -416,10 +416,173 @@ class TestOneSeedLoop:
                    for summary in out.values())
         assert loads == ["semeion.data"] * 2
 
+    def test_each_seed_splits_once(self, monkeypatch):
+        from osgd import config
+        splits = []
+
+        def counting_split(*args, **kwargs):
+            splits.append(args[2])  # the split seed
+            return data.split_dataset(*args, **kwargs)
+
+        monkeypatch.setattr(config, "load_semeion",
+                            lambda path: stand_in_digits(n=300))
+        monkeypatch.setattr(config, "split_dataset", counting_split)
+        cfg = split_digits_config(epochs=1)
+        assert not any(run.failed for run in run_experiment(cfg).runs)
+        assert splits == [0, 1, 2]
+        splits.clear()
+        sweep_q(cfg, [4, 8])
+        # one split sizes s, then one per seed and q
+        assert splits == [0] + [0, 1, 2] * 2
+
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "configs")
 RINGS_CFG = os.path.join(CONFIG_DIR, "rings_osgd.cfg")
+CLUSTERS_CFG = os.path.join(CONFIG_DIR, "clusters_osgd.cfg")
+
+
+def with_opt(cfg, **changes):
+    return dataclasses.replace(cfg, opt=dataclasses.replace(cfg.opt,
+                                                            **changes))
+
+
+def shipped_setup(path, *overrides):
+    cfg = load_config(path, list(overrides))
+    return cfg, build_dataset(cfg.data)
+
+
+def split_digits_setup(loss_kind):
+    """8 epochs at lr 0.05, where q = s ends after 5 (logistic) or 3
+    (hinge) of them."""
+    cfg = dataclasses.replace(
+        split_digits_config(seeds=(0,), epochs=8), loss_kind=loss_kind)
+    cfg = with_opt(cfg, schedule=ScheduleSpec(kind="constant", base_lr=0.05))
+    return cfg, data.split_dataset(stand_in_digits(), 0.2, 0,
+                                   stratified=True)
+
+
+# Each setup's q = s prefix ends before its last epoch.
+PREFIX_SETUPS = {
+    "rings": lambda: shipped_setup(RINGS_CFG, "epochs = 45", "seeds = 1"),
+    "clusters": lambda: shipped_setup(CLUSTERS_CFG, "epochs = 6",
+                                      "seeds = 0"),
+    "clusters-iid": lambda: shipped_setup(CLUSTERS_CFG, "epochs = 6",
+                                          "seeds = 0", "opt.batching = iid"),
+    "digits-logistic": lambda: split_digits_setup("multinomial-cross-entropy"),
+    "digits-hinge": lambda: split_digits_setup("multiclass-hinge"),
+}
+
+
+def run_bits(run):
+    return run.final_theta.tobytes(), [strip_time(r) for r in run.records]
+
+
+class TestSharedPrefix:
+    """Runs sharing (seed, settings, data) share their q = s prefix: a run
+    resumes from the snapshot an earlier run stored, bit for bit."""
+
+    @pytest.mark.parametrize("setup,first,second", [
+        ("rings", {"kind": "sgd"}, {"kind": "osgd"}),
+        ("rings", {"kind": "osgd"}, {"kind": "sgd"}),
+        ("clusters", {"kind": "sgd"}, {"kind": "osgd"}),
+        ("clusters", {"kind": "osgd"}, {"kind": "sgd"}),
+        ("digits-logistic", {"kind": "sgd"}, {"kind": "osgd"}),
+        ("digits-hinge", {"kind": "sgd"}, {"kind": "osgd"}),
+        ("clusters", {"kind": "adam"}, {"kind": "oadam"}),
+        ("clusters", {"kind": "oadam"}, {"kind": "adam"}),
+        ("clusters", {"kind": "osgd", "q": 64}, {"kind": "osgd"}),
+        ("clusters", {"kind": "osgd"}, {"kind": "osgd", "q": 64}),
+        ("clusters-iid", {"kind": "sgd"}, {"kind": "osgd"}),
+    ], ids=["rings-sgd-osgd", "rings-osgd-sgd", "clusters-sgd-osgd",
+            "clusters-osgd-sgd", "digits-logistic-sgd-osgd",
+            "digits-hinge-sgd-osgd", "clusters-adam-oadam",
+            "clusters-oadam-adam", "clusters-fixed-s-adaptive",
+            "clusters-adaptive-fixed-s", "clusters-iid-sgd-osgd"])
+    def test_resumed_run_equals_fresh_run(self, setup, first, second):
+        cfg, ds = PREFIX_SETUPS[setup]()
+        seed = cfg.seeds[0]
+        fresh = run_single(with_opt(cfg, **second), ds, seed)
+        harness._prefix_store.clear()
+        run_single(with_opt(cfg, **first), ds, seed)
+        resumed = run_single(with_opt(cfg, **second), ds, seed)
+        assert not fresh.failed and fresh.reused_epochs == 0
+        assert 0 < resumed.reused_epochs < cfg.epochs
+        assert run_bits(resumed) == run_bits(fresh)
+
+    @pytest.mark.parametrize("change", [
+        "none", "seed", "base_lr", "momentum", "l2", "batch_size",
+        "eval_every", "width", "feature", "split"])
+    def test_key_holds_seed_settings_and_data(self, change):
+        cfg = dataclasses.replace(tiny_config(kind="sgd", epochs=4),
+                                  model=ModelConfig(kind="mlp", hidden=(4,)))
+        full = build_dataset(cfg.data)
+        ds = data.split_dataset(full, 0.2, 0)
+        run_single(cfg, ds, 0)
+        other, seed = with_opt(cfg, kind="osgd"), 0
+        if change == "seed":
+            seed = 1
+        elif change == "base_lr":
+            other = with_opt(other, schedule=ScheduleSpec(kind="constant",
+                                                          base_lr=0.051))
+        elif change == "momentum":
+            other = with_opt(other, momentum=0.8)
+        elif change == "batch_size":
+            other = with_opt(other, batch_size=21)
+        elif change == "l2":
+            other = dataclasses.replace(other, l2=2e-4)
+        elif change == "eval_every":
+            other = dataclasses.replace(other, eval_every=2)
+        elif change == "width":
+            other = dataclasses.replace(
+                other, model=ModelConfig(kind="mlp", hidden=(5,)))
+        elif change == "feature":
+            features = ds.features.copy()
+            features[0, 0] += 1e-9
+            ds = dataclasses.replace(ds, features=features)
+        elif change == "split":
+            ds = data.split_dataset(full, 0.2, 1)
+        run = run_single(other, ds, seed)
+        assert not run.failed
+        assert (run.reused_epochs > 0) == (change == "none")
+
+    def test_snapshot_survives_the_runs_that_resume_from_it(self):
+        cfg = tiny_config(kind="sgd", epochs=6)
+        ds = build_dataset(cfg.data)
+        run_single(cfg, ds, 0)
+        a = run_single(with_opt(cfg, kind="osgd"), ds, 0)
+        b = run_single(with_opt(cfg, kind="osgd"), ds, 0)
+        assert 0 < a.reused_epochs == b.reused_epochs < cfg.epochs
+        assert run_bits(a) == run_bits(b)
+
+    def test_fixed_q_below_s_neither_reads_nor_stores(self):
+        cfg = tiny_config(kind="sgd", epochs=4)
+        ds = build_dataset(cfg.data)
+        below = with_opt(cfg, kind="osgd", q=19)
+        assert run_single(below, ds, 0).reused_epochs == 0
+        assert not harness._prefix_store
+        run_single(cfg, ds, 0)
+        stored = dict(harness._prefix_store)
+        assert len(stored) == 1
+        assert run_single(below, ds, 0).reused_epochs == 0
+        assert harness._prefix_store == stored
+
+    def test_diverging_run_stores_nothing(self):
+        cfg = with_opt(tiny_config(kind="sgd", epochs=4),
+                       schedule=ScheduleSpec(kind="constant", base_lr=1e300))
+        ds = build_dataset(cfg.data)
+        assert run_single(cfg, ds, 0).failed
+        assert not harness._prefix_store
+
+    def test_store_keeps_the_64_newest_prefixes(self):
+        cfg = tiny_config(kind="sgd", epochs=1)
+        ds = build_dataset(cfg.data)
+        for seed in range(70):
+            run_single(cfg, ds, seed)
+            assert len(harness._prefix_store) == min(seed + 1, 64)
+        osgd = with_opt(cfg, kind="osgd")
+        assert run_single(osgd, ds, 69).reused_epochs == 1
+        assert run_single(osgd, ds, 0).reused_epochs == 0
 
 
 class TestPartialBatchRegime:
@@ -496,6 +659,7 @@ class TestEvaluationForwards:
         assert cfg.data.test_fraction == 0.0
         run, per_eval = counted_run(monkeypatch, cfg)
         assert per_eval == [1] * cfg.epochs
+        harness._prefix_store.clear()  # the reference run computes every epoch
         ref, ref_per_eval = counted_run(monkeypatch, cfg,
                                         forward_test_rows=True)
         assert ref_per_eval == [2] * cfg.epochs

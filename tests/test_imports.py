@@ -1,7 +1,8 @@
 """scipy.special is imported only by the paths that use it, a bare
 ``import osgd`` exposes the listed public names, the library's products
-are written ``.dot``, never ``@``, batches are forwarded on one path, and
-one loop runs a config's seeds.
+are written ``.dot``, never ``@``, batches are forwarded on one path, one
+loop runs a config's seeds, and only ``run_single`` touches the store of
+q = s prefixes.
 
 Each case runs in a fresh interpreter, since a module once imported stays
 in ``sys.modules``.  Runs without binary cross-entropy, a sigmoid or the
@@ -189,3 +190,21 @@ def test_one_seed_loop_and_one_split_rule():
         f"{', '.join(found)}: one seed loop and one split rule: only "
         f"harness.run_experiment iterates a config's seeds, and only "
         f"DataConfig.split calls split_dataset")
+
+
+def test_only_run_single_reads_or_writes_the_prefix_store():
+    found = []
+    scripts = trees_in(os.path.join(os.path.dirname(SRC), "scripts"))
+    for name, tree in [*library_trees(), *scripts]:
+        for scope, node in nodes_by_scope(tree):
+            where = (name, *scope)
+            if "_prefix_store" not in (getattr(node, "id", None),
+                                       getattr(node, "attr", None)):
+                continue
+            defined = (where == ("harness.py",)
+                       and isinstance(node.ctx, ast.Store))
+            if not defined and where[:2] != ("harness.py", "run_single"):
+                found.append(f"{name}:{node.lineno}")
+    assert not found, (
+        f"_prefix_store at {', '.join(found)}: only harness.run_single reads "
+        f"or writes the store of q = s prefixes")
