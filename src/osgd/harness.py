@@ -11,11 +11,12 @@ the names (``opt.kind`` counting only as its update rule, heavy-ball or
 Adam) share their q = s prefix: until train accuracy would take adaptive
 q below s (80% for s >= 2), every run that starts at q = s takes the
 q = s step on the same batches.  The prefix ends at the end of the first
-epoch with such an accuracy, or of the last epoch if that comes first.
-The first such run of a process stores a snapshot there (optimizer
-state, generator state, records, that epoch's train accuracy); a later
-one restores it and trains on with its own q rule, bit-identically to a
-fresh run.  A run at a fixed q below s neither reads nor stores one.
+epoch with such an accuracy.  The first such run of a process stores a
+snapshot there (optimizer state, generator state, records, that epoch's
+train accuracy); a later one restores it and trains on with its own q
+rule, bit-identically to a fresh run.  A run whose prefix lasts to its
+last epoch stores nothing, so a resumed run computes at least one
+epoch, and a run at a fixed q below s neither reads nor stores one.
 """
 from __future__ import annotations
 
@@ -122,7 +123,8 @@ class ExperimentResult:
 
 
 # Snapshots of q = s prefixes, keyed by _prefix_key; read and written by
-# run_single only, oldest dropped first past _PREFIX_STORE_SIZE entries.
+# run_single only (the q = s self-check empties it), oldest dropped first
+# past _PREFIX_STORE_SIZE entries.
 _PREFIX_STORE_SIZE = 64
 _prefix_store = {}
 
@@ -197,8 +199,8 @@ def run_single(cfg: RunConfig, dataset: Dataset, seed: int) -> RunResult:
 
     A run that starts at q = s either resumes from the stored snapshot of
     its q = s prefix (see the module docstring) or stores one, at the end
-    of the first epoch whose train accuracy would take the adaptive rule
-    below s, or of its last epoch if that comes first.
+    of the first epoch before its last whose train accuracy would take
+    the adaptive rule below s.
     """
     dataset = dataset.with_default_splits()
     obj = build_objective(cfg, dataset)
@@ -268,8 +270,8 @@ def run_single(cfg: RunConfig, dataset: Dataset, seed: int) -> RunResult:
                     epoch, elapsed, emit=(epoch + 1) % cfg.eval_every == 0
                     or epoch == cfg.epochs - 1)
                 # the q = s prefix ends with this epoch: store it once
-                if key is not None and (adaptive_q_update(train_acc, s) < s
-                                        or epoch == cfg.epochs - 1):
+                if key is not None and epoch < cfg.epochs - 1 \
+                        and adaptive_q_update(train_acc, s) < s:
                     if len(_prefix_store) >= _PREFIX_STORE_SIZE:
                         del _prefix_store[next(iter(_prefix_store))]
                     _prefix_store[key] = copy.deepcopy(
@@ -505,7 +507,10 @@ def _check_qs_equivalence():
         opt=OptConfig(kind="osgd", q=20, batch_size=20,
                       schedule=optimizers.ScheduleSpec(kind="constant",
                                                        base_lr=0.05)))
+    # each run computes its q = s prefix: neither resumes from a stored one
+    _prefix_store.clear()
     osgd_run = run_single(base, ds, 5)
+    _prefix_store.clear()
     sgd_run = run_single(replace(base, opt=replace(base.opt, kind="sgd")), ds, 5)
     for a, b in zip(osgd_run.records, sgd_run.records):
         if (a.train_avg_loss, a.test_error_pct) != (b.train_avg_loss,
@@ -522,12 +527,9 @@ def _check_qs_equivalence():
         for batch in _epoch_batches(rng, ds.n, opt.batch_size, opt.batching):
             optimizers.minibatch_sgd_step(state, obj, ds.features, ds.labels,
                                           batch, update=update)
-    # the sgd run may resume from the osgd run's stored prefix, so each
-    # run is held to the loop
-    for run in (osgd_run, sgd_run):
-        if run.final_theta is None or \
-                run.final_theta.tobytes() != state.theta.tobytes():
-            return False, "q=s ordered run diverged from the minibatch SGD loop"
+    if osgd_run.final_theta is None or \
+            osgd_run.final_theta.tobytes() != state.theta.tobytes():
+        return False, "q=s ordered run diverged from the minibatch SGD loop"
     return True, "bit-identical metrics over 2 epochs"
 
 

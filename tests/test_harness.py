@@ -87,7 +87,9 @@ class TestEquivalences:
     def test_rerun_reproduces_records(self):
         cfg = tiny_config(seeds=(3, 4), epochs=4)
         a = run_experiment(cfg)
+        harness._prefix_store.clear()  # b computes its q = s prefixes too
         b = run_experiment(cfg)
+        assert all(run.reused_epochs == 0 for run in b.runs)
         assert [strip_time(r) for r in a.records] == \
                [strip_time(r) for r in b.records]
 
@@ -301,7 +303,10 @@ class TestSweep:
     def test_q_list_with_only_s_matches_baseline(self):
         cfg = tiny_config(kind="osgd", seeds=(0, 1))
         out = sweep_q(cfg, [20])
-        baseline = run_experiment(tiny_config(kind="sgd", seeds=(0, 1))).summary()
+        harness._prefix_store.clear()  # the baseline computes every epoch
+        result = run_experiment(tiny_config(kind="sgd", seeds=(0, 1)))
+        assert all(run.reused_epochs == 0 for run in result.runs)
+        baseline = result.summary()
         assert out[20]["mean_test_err"] == baseline["mean_test_err"]
         assert out[20]["std_test_err"] == baseline["std_test_err"]
 
@@ -350,8 +355,10 @@ class TestDatasetWithoutSplits:
         rows = np.arange(ds.n)
         cfg = tiny_config(seeds=(3,))
         got = run_single(cfg, ds, 3)
+        harness._prefix_store.clear()  # want computes its q = s prefix too
         want = run_single(cfg, ds.with_splits({"train": rows, "test": rows}),
                           3)
+        assert want.reused_epochs == 0
         assert not got.failed and len(got.records) == cfg.epochs
         assert ([strip_time(r) for r in got.records]
                 == [strip_time(r) for r in want.records])
@@ -390,10 +397,12 @@ class TestOneSeedLoop:
         result = run_experiment(cfg, full)
         assert [run.seed for run in result.runs] == list(cfg.seeds)
         for run in result.runs:
+            harness._prefix_store.clear()  # ref computes every epoch
             ref = run_single(cfg, data.split_dataset(full, 0.2, run.seed,
                                                      stratified=True),
                              run.seed)
             assert not run.failed and not ref.failed
+            assert ref.reused_epochs == 0
             assert run.final_theta.tobytes() == ref.final_theta.tobytes()
             assert ([strip_time(r) for r in run.records]
                     == [strip_time(r) for r in ref.records])
@@ -574,8 +583,17 @@ class TestSharedPrefix:
         assert run_single(cfg, ds, 0).failed
         assert not harness._prefix_store
 
-    def test_store_keeps_the_64_newest_prefixes(self):
+    def test_prefix_lasting_to_the_last_epoch_is_not_stored(self):
+        # one epoch: whatever its accuracy, the prefix reaches the last
+        # epoch, so a re-run computes it again
         cfg = tiny_config(kind="sgd", epochs=1)
+        ds = build_dataset(cfg.data)
+        run_single(cfg, ds, 0)
+        assert not harness._prefix_store
+        assert run_single(with_opt(cfg, kind="osgd"), ds, 0).reused_epochs == 0
+
+    def test_store_keeps_the_64_newest_prefixes(self):
+        cfg = tiny_config(kind="sgd", epochs=2)
         ds = build_dataset(cfg.data)
         for seed in range(70):
             run_single(cfg, ds, seed)
@@ -914,6 +932,19 @@ class TestVerificationSuite:
     def test_q_equals_s_check_passes_with_the_detail_it_pins(self):
         assert _check_qs_equivalence() == (
             True, "bit-identical metrics over 2 epochs")
+
+    def test_q_equals_s_check_computes_both_runs(self, monkeypatch):
+        runs = []
+
+        def recording(*args):
+            runs.append(original(*args))
+            return runs[-1]
+
+        original = harness.run_single
+        monkeypatch.setattr(harness, "run_single", recording)
+        for _ in range(2):  # the second check finds the first one's prefix
+            assert _check_qs_equivalence()[0]
+        assert [run.reused_epochs for run in runs] == [0] * 4
 
     def test_runner_stepping_below_batch_length_fails_q_equals_s_check(
             self, monkeypatch):
