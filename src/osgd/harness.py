@@ -237,7 +237,7 @@ def run_single(cfg: RunConfig, dataset: Dataset, seed: int) -> RunResult:
         start, state, rng_state, records, train_acc = copy.deepcopy(snapshot)
         rng.bit_generator.state = rng_state
         if adaptive:
-            state.q_current = min(adaptive_q_update(train_acc, s), s)
+            state.q_current = adaptive_q_update(train_acc, s)
         key = None  # the prefix is stored already
 
     def epoch_end(epoch, elapsed, emit):
@@ -279,7 +279,7 @@ def run_single(cfg: RunConfig, dataset: Dataset, seed: int) -> RunResult:
                          train_acc))
                     key = None
                 if adaptive:
-                    state.q_current = min(adaptive_q_update(train_acc, s), s)
+                    state.q_current = adaptive_q_update(train_acc, s)
     except DivergenceError as exc:
         return RunResult(seed=seed, records=records, failed=True,
                          error=str(exc), reused_epochs=start)
@@ -302,8 +302,8 @@ def run_experiment(cfg: RunConfig, dataset: Dataset | None = None) -> Experiment
 
 
 def sweep_q(cfg: RunConfig, q_values, dataset: Dataset | None = None) -> dict:
-    """One experiment per fixed q, sharing the config's seed list and one
-    build of the data (see :func:`run_experiment`).
+    """One :class:`ExperimentResult` per fixed q, keyed by q, sharing the
+    config's seed list and one build of the data (see :func:`run_experiment`).
 
     Each q must fit the batch size that runs use: the configured one, or
     the train-split size when that is smaller.  Baseline kinds step at
@@ -325,7 +325,7 @@ def sweep_q(cfg: RunConfig, q_values, dataset: Dataset | None = None) -> dict:
         raise ValueError(f"q values {bad} outside [1, s={s}]")
     return {q: run_experiment(replace(cfg, name=f"{cfg.name}-q{q}",
                                       opt=replace(cfg.opt, q=int(q))),
-                              data).summary()
+                              data)
             for q in q_values}
 
 

@@ -1,18 +1,20 @@
 """End-to-end checks of every CLI subcommand."""
+import argparse
 import csv
 import dataclasses
 import gc
 import io
 import json
 import os
+import shlex
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from osgd import harness
-from osgd.cli import main
+from osgd import analysis, coeffs, config, data, harness
+from osgd.cli import build_parser, main
 from osgd.coeffs import EXACT_N_LIMIT, gamma_weights, gamma_weights_float
 from osgd.data import load_cache
 
@@ -122,6 +124,9 @@ class TestVerifyCommand:
 
     def test_corrupt_hook_fails(self, capsys):
         assert main(["verify", "--corrupt", "gamma-sum"]) == 1
+        out, err = capsys.readouterr()
+        assert not json.loads(out)["all_passed"]  # the full suite's report
+        assert err.startswith("FAILED checks: ")
 
     def test_unbiasedness_subcommand(self, capsys):
         assert main(["verify", "unbiasedness", "--n", "8", "--s", "4",
@@ -211,8 +216,14 @@ class TestTrainCommands:
             ["q=   1", "q=  20"]
         assert all(line.endswith("nan (nan) over 0 of 2 seed(s)")
                    for line in out.splitlines()[:2])
-        assert err.splitlines() == ["q=1 failed seeds: [0, 1]",
-                                    "q=20 failed seeds: [0, 1]"]
+        lines = err.splitlines()
+        assert [line for line in lines if "failed seeds" in line] == \
+            ["q=1 failed seeds: [0, 1]", "q=20 failed seeds: [0, 1]"]
+        assert [line.split(":")[0] for line in lines] == \
+            ["q=1 failed seeds", "  seed 0 failed", "  seed 1 failed",
+             "q=20 failed seeds", "  seed 0 failed", "  seed 1 failed"]
+        assert all("non-finite loss at step" in line
+                   for line in lines if line.startswith("  seed"))
         assert len(read_rows(tmp_path / "out/cli-smoke-sweep-q.csv")) == 2
 
     def test_sweep_q_exits_0_when_every_q_completes_a_seed(
@@ -234,8 +245,14 @@ class TestTrainCommands:
         out, err = capsys.readouterr()
         assert all(line.endswith("over 1 of 2 seed(s)")
                    for line in out.splitlines()[:2])
-        assert err.splitlines() == ["q=1 failed seeds: [1]",
-                                    "q=20 failed seeds: [1]"]
+        lines = err.splitlines()
+        assert [line for line in lines if "failed seeds" in line] == \
+            ["q=1 failed seeds: [1]", "q=20 failed seeds: [1]"]
+        assert [line.split(":")[0] for line in lines] == \
+            ["q=1 failed seeds", "  seed 1 failed",
+             "q=20 failed seeds", "  seed 1 failed"]
+        assert all("non-finite loss at step" in line
+                   for line in lines if line.startswith("  seed"))
 
     def test_sweep_q_checks_q_against_train_rows(self, config_file, tmp_path,
                                                  monkeypatch, capsys):
@@ -379,7 +396,9 @@ class TestAnalyzeCommands:
         assert [float(r["running_min_gap"]) for r in rows] == [0.4, 0.0, 0.0]
 
     def test_gap_without_history_exits_2(self, tmp_path, capsys):
-        assert main(["analyze", "gap", "--out", str(tmp_path / "g.csv")]) == 2
+        with pytest.raises(SystemExit) as exit_info:
+            main(["analyze", "gap", "--out", str(tmp_path / "g.csv")])
+        assert exit_info.value.code == 2
         assert "--history" in capsys.readouterr().err
 
     def test_gap_missing_column_exits_2(self, tmp_path, history, capsys):
@@ -388,6 +407,36 @@ class TestAnalyzeCommands:
                      "--out", str(tmp_path / "g.csv")]) == 2
         assert "no column 'train_loss'" in capsys.readouterr().err
         assert not (tmp_path / "g.csv").exists()
+
+    def test_moreau_loads_and_splits_the_rows_once(self, tmp_path,
+                                                   config_file, monkeypatch):
+        overrides = ["data.test_fraction = 0.25", "seeds = 3"]
+        cfg = config.load_config(str(config_file), overrides=overrides)
+        # the value when the rows were split at data.seed, then at seeds[0]
+        ds = cfg.data.split(config.build_dataset(cfg.data), 3)
+        obj = config.build_objective(cfg, ds)
+        theta = obj.init_params(np.random.default_rng(0))
+        np.save(tmp_path / "theta.npy", theta)
+        Xtr, ytr = ds.split("train")
+        s = min(cfg.opt.batch_size, len(ytr))
+        want = analysis.moreau_grad_norm(
+            obj, theta, Xtr, ytr,
+            coeffs.gamma_weights(len(ytr), s, cfg.opt.initial_q(s)),
+            analysis.MoreauConfig(rho_hat=10.0, inner_tol=1e-6))
+        splits = []
+
+        def counting_split(*args, **kwargs):
+            splits.append(args[2])  # the split seed
+            return data.split_dataset(*args, **kwargs)
+
+        monkeypatch.setattr(config, "split_dataset", counting_split)
+        out = tmp_path / "moreau.csv"
+        assert main(["analyze", "moreau", "--config", str(config_file),
+                     *(arg for o in overrides for arg in ("--override", o)),
+                     "--theta", str(tmp_path / "theta.npy"),
+                     "--out", str(out)]) == 0
+        assert splits == [3]
+        assert read_rows(out)[0]["moreau_grad_norm"] == repr(want)
 
     def test_moreau_on_saved_params(self, tmp_path, config_file, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -401,3 +450,88 @@ class TestAnalyzeCommands:
                      "--out", str(out)]) == 0
         row = read_rows(out)[0]
         assert float(row["moreau_grad_norm"]) >= 0.0
+
+
+def accepted_options(parser, path=()):
+    """(command path, sorted options) for the parser and each subcommand."""
+    yield " ".join(path), sorted(
+        flag for action in parser._actions for flag in action.option_strings
+        if flag not in ("-h", "--help"))
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from accepted_options(sub, (*path, name))
+
+
+class TestParserContract:
+    """argparse decides what each subcommand accepts: a missing or foreign
+    option is a usage error with exit status 2, before any work."""
+
+    def test_each_subcommand_declares_only_what_it_reads(self):
+        nsq = ["--n", "--q", "--s"]
+        assert dict(accepted_options(build_parser())) == {
+            "": [],
+            "gamma": sorted([*nsq, "--float", "--out"]),
+            "gamma-curve": sorted([*nsq, "--out"]),
+            "verify": ["--corrupt"],
+            "verify unbiasedness": sorted([*nsq, "--seed", "--trials"]),
+            "train": ["--config", "--override", "--save-params"],
+            "sweep-q": ["--config", "--override", "--q-values"],
+            "data": [],
+            "data gen-rings": ["--out", "--seed"],
+            "data gen-clusters": ["--out", "--seed"],
+            "data import-idx": ["--images", "--labels", "--out"],
+            "data import-semeion": ["--out", "--path"],
+            "analyze": [],
+            "analyze bound-term": sorted([*nsq, "--M", "--delta", "--out"]),
+            "analyze gap": ["--column", "--history", "--out", "--star"],
+            "analyze moreau": ["--config", "--inner-tol", "--out",
+                               "--override", "--rho-hat", "--theta"],
+        }
+
+    @pytest.mark.parametrize("argv, message", [
+        (["analyze", "gap", "--M", "1", "--history", "h.csv",
+          "--out", "g.csv"], "unrecognized arguments: --M 1"),
+        (["data", "gen-rings", "--path", "x", "--out", "r.osgd"],
+         "unrecognized arguments: --path x"),
+        (["verify", "unbiasedness", "--corrupt", "gamma-sum"],
+         "unrecognized arguments: --corrupt gamma-sum"),
+        (["analyze", "moreau", "--config", "run.cfg", "--out", "m.csv"],
+         "the following arguments are required: --theta"),
+        (["data", "import-idx", "--images", "i.idx", "--out", "d.osgd"],
+         "the following arguments are required: --labels")],
+        ids=["gap-M", "gen-rings-path", "unbiasedness-corrupt",
+             "moreau-theta", "import-idx-labels"])
+    def test_usage_error_exits_2(self, tmp_path, monkeypatch, capsys, argv,
+                                 message):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "README.md")
+
+
+def readme_command_lines():
+    """Each ``osgd ...`` line of README's "Command line" block, as argv."""
+    with open(README, encoding="utf-8") as fh:
+        section = fh.read().split("## Command line", 1)[1]
+    block = section.split("```bash", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:]
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("osgd ")]
+
+
+def test_readme_shows_every_subcommand():
+    assert {argv[0] for argv in readme_command_lines()} == \
+        {name for name, _ in accepted_options(build_parser())
+         if name and " " not in name}
+
+
+@pytest.mark.parametrize("argv", readme_command_lines(), ids=" ".join)
+def test_readme_command_line_parses(argv):
+    build_parser().parse_args(argv)

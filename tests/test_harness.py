@@ -307,15 +307,15 @@ class TestSweep:
         result = run_experiment(tiny_config(kind="sgd", seeds=(0, 1)))
         assert all(run.reused_epochs == 0 for run in result.runs)
         baseline = result.summary()
-        assert out[20]["mean_test_err"] == baseline["mean_test_err"]
-        assert out[20]["std_test_err"] == baseline["std_test_err"]
+        assert out[20].summary()["mean_test_err"] == baseline["mean_test_err"]
+        assert out[20].summary()["std_test_err"] == baseline["std_test_err"]
 
     def test_multiple_q_values_share_seeds(self):
         cfg = tiny_config(seeds=(7, 8), epochs=2)
         out = sweep_q(cfg, [1, 10, 20])
         assert sorted(out) == [1, 10, 20]
-        for summary in out.values():
-            assert len(summary["final_test_errors"]) == 2
+        for result in out.values():
+            assert len(result.summary()["final_test_errors"]) == 2
 
     @pytest.mark.parametrize("kind", ["sgd", "adam"])
     def test_baseline_kind_rejected(self, kind):
@@ -371,8 +371,8 @@ class TestDatasetWithoutSplits:
                        for run in run_experiment(cfg, ds).runs)
         out = sweep_q(cfg, [4, 20], dataset=ds)
         assert sorted(out) == [4, 20]
-        assert all(len(summary["final_test_errors"]) == 2
-                   for summary in out.values())
+        assert all(len(result.summary()["final_test_errors"]) == 2
+                   for result in out.values())
 
 
 def split_digits_config(seeds=(0, 1, 2), epochs=2):
@@ -421,8 +421,8 @@ class TestOneSeedLoop:
         assert loads == ["semeion.data"]
         out = sweep_q(cfg, [4, 8])
         assert sorted(out) == [4, 8]
-        assert all(len(summary["final_test_errors"]) == 3
-                   for summary in out.values())
+        assert all(len(result.summary()["final_test_errors"]) == 3
+                   for result in out.values())
         assert loads == ["semeion.data"] * 2
 
     def test_each_seed_splits_once(self, monkeypatch):

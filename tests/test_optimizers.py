@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from osgd import optimizers
@@ -413,6 +415,13 @@ class TestAdaptiveQ:
     def test_invalid_batch_size(self):
         with pytest.raises(ValueError):
             adaptive_q_update(0.5, 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(acc=st.floats(0.0, 1.0) | st.just(math.nan),
+           s=st.integers(1, 4096))
+    def test_q_stays_in_one_to_s(self, acc, s):
+        # so the runner needs no clamp of its own, for a NaN accuracy too
+        assert 1 <= adaptive_q_update(acc, s) <= s
 
 
 class TestSchedules:
