@@ -283,7 +283,12 @@ def main(argv=None):
     malformed file, a bad config key or value) is one line on stderr and
     exit status 2; ``train`` and ``sweep-q`` exit 1 when a configuration
     completes no seed."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.fn is _cmd_unbiasedness and args.corrupt is not None:
+        # given before the nested subcommand, it lands on the verify parser
+        parser.error("argument --corrupt: not allowed with verify "
+                     "unbiasedness")
     try:
         return args.fn(args)
     except (OSError, ValueError) as exc:  # FormatError is a ValueError

@@ -472,15 +472,18 @@ def _check_gradients():
 
 
 def _central_difference(obj, theta, x, y):
-    fd = np.zeros_like(theta)
-    for i in range(theta.size):
-        h = 1e-6 * (1.0 + abs(theta[i]))
-        up, down = theta.copy(), theta.copy()
-        up[i] += h
-        down[i] -= h
-        fd[i] = (obj.per_sample_loss(up, x, y)
-                 - obj.per_sample_loss(down, x, y)) / (2 * h)
-    return fd
+    """Central differences of the loss at (x, y), with h_i = 1e-6 (1 +
+    |theta_i|), from one forward of the (2P, P) stack theta + h_i e_i
+    (rows 0..P-1) and theta - h_i e_i (rows P..2P-1)."""
+    P = theta.size
+    h = 1e-6 * (1.0 + np.abs(theta))
+    stack = np.tile(theta, (2, P, 1))
+    diag = np.arange(P)
+    stack[0, diag, diag] += h
+    stack[1, diag, diag] -= h
+    f = obj.per_example_losses(stack.reshape(2 * P, P), np.atleast_2d(x),
+                               np.atleast_1d(y))
+    return (f[:P, 0] - f[P:, 0]) / (2 * h)
 
 
 def _check_beta_cdf():

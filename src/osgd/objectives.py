@@ -9,14 +9,27 @@ accumulation through the layers.
 Subgradient conventions at kinks are fixed so that every operation is
 deterministic: max(0, .) and relu use derivative 0 at exactly 0.
 
-Every product is written ``a.dot(b)``, not ``a @ b``.  On 2-D and 1-D
+A model forwards one parameter vector theta of shape (P,), or a stack of
+S of them, shape (S, P), in one pass: the stack's logits are (S, m,
+d_out) and its losses (S, m).  Row k equals, bit for bit, the result for
+theta[k] alone (OpenBLAS 0.3.31; the tests pin it).  Gradients take one
+theta.
+
+Products have two forms, and :meth:`FeedforwardModel.forward` picks one
+from theta's rank once per call: the layer loop tests nothing, and one
+theta's forward makes no numpy call for the stack's sake.  For one theta
+every product is written ``a.dot(b)``, not ``a @ b``.  On 2-D and 1-D
 float64 operands both reach the same BLAS ``dgemm``/``ddot`` call, so
 the bits are the same, but ``@`` is the ``matmul`` generalized ufunc,
 whose dispatch costs 0.6-0.9 us more per small product and 3.5 us more
 for a k = 1 outer product (numpy 2.4): a large share of a step whose
-matrices have a few hundred entries.  No product here takes an array
-with its own transpose (``A.dot(A.T)``): numpy routes that to ``syrk``,
-which rounds differently from ``dgemm`` on a copy.
+matrices have a few hundred entries.  A stack is forwarded with
+``np.matmul``, which broadcasts X over the stack and multiplies each
+stacked matrix on its own, in one call per layer instead of S.
+``np.einsum`` is never used: it may sum in another order.  No product
+here takes an array with its own transpose (``A.dot(A.T)``): numpy
+routes that to ``syrk``, which rounds differently from ``dgemm`` on a
+copy.
 """
 from __future__ import annotations
 
@@ -128,15 +141,35 @@ class FeedforwardModel:
             self._bound = (theta, layers)
         return layers
 
+    def _stacked_layers(self, thetas):
+        """(W, W transposed, b) views into the (S, P) stack ``thetas`` per
+        layer: (S, out, in), (S, in, out) and (S, 1, out), b None without
+        biases.  They are made afresh on every call."""
+        S = len(thetas)
+        layers = []
+        for w, shape, b in self._blocks:
+            W = thetas[:, w].reshape(S, *shape)
+            layers.append((W, W.transpose(0, 2, 1),
+                           None if b is None else thetas[:, b][:, None, :]))
+        return layers
+
     def forward(self, theta, X):
-        """Logits for every row of X plus the tape needed for backward."""
+        """Logits for every row of X plus the tape needed for backward.
+
+        ``theta`` is one parameter vector (P,), giving (m, d_out) logits,
+        or a stack (S, P), giving (S, m, d_out) logits and a stacked tape;
+        X is (m, d_in) either way and is shared by the stack.
+        """
         act = self._act
-        layers = self._layers(theta)
+        if theta.ndim == 1:
+            layers, product = self._layers(theta), np.ndarray.dot
+        else:
+            layers, product = self._stacked_layers(theta), np.matmul
         last = len(layers) - 1
         H = X
         tape = []
         for i, (_, WT, b) in enumerate(layers):
-            Z = H.dot(WT)
+            Z = product(H, WT)
             if b is not None:
                 Z += b
             tape.append((H, Z))
@@ -360,18 +393,31 @@ class TapedBatch:
     :attr:`losses` is formed when first read, so a gradient-only use never
     forms it.  :meth:`mean_grad` differentiates the mean loss over a
     subset of the rows, reusing the tape when the subset is every row.
+
+    A stack of S parameter vectors is forwarded for its losses alone:
+    its (S, m, d_out) logits are scored at once as S*m rows of the same
+    loss code, with the labels tiled, into (S, m) losses, and
+    :meth:`mean_grad` and :meth:`grad` raise ``NotImplementedError``.
     """
 
     def __init__(self, obj, theta, X, y):
         """``X`` is a 2-D array of rows and ``y`` holds checked labels."""
         self._obj, self._theta, self._X, self._y = obj, theta, X, y
         self.logits, self._tape = obj.model.forward(theta, X)
-        self._pieces = _loss_pieces(obj.loss, self.logits, y)
         self._losses = None
+        if theta.ndim == 1:
+            self._pieces = _loss_pieces(obj.loss, self.logits, y)
+        else:  # a stack: no gradients, so no pieces are kept
+            self._pieces = None
+            rows = self.logits.reshape(-1, self.logits.shape[2])
+            pieces = _loss_pieces(obj.loss, rows, np.tile(y, len(theta)))
+            self._losses = _losses_from_pieces(obj.loss, rows, pieces).reshape(
+                self.logits.shape[:2])
 
     @property
     def losses(self):
-        """Per-row losses, formed from the pieces when first read."""
+        """Per-row losses: (m,) for one parameter vector, formed from the
+        pieces when first read, or (S, m) for a stack of S."""
         if self._losses is None:
             self._losses = _losses_from_pieces(self._obj.loss, self.logits,
                                                self._pieces)
@@ -411,6 +457,9 @@ class TapedBatch:
         """Backward of the logit gradients, each row multiplied by
         ``scale``: an (m, 1) column of per-row weights, or one number for
         every row."""
+        if self._pieces is None:
+            raise NotImplementedError(
+                "gradients take one parameter vector, not a stack")
         return self._obj.model.backward(
             self._theta, _logit_grads(self._obj.loss, self._pieces) * scale,
             self._tape)

@@ -496,12 +496,15 @@ class TestParserContract:
          "unrecognized arguments: --path x"),
         (["verify", "unbiasedness", "--corrupt", "gamma-sum"],
          "unrecognized arguments: --corrupt gamma-sum"),
+        (["verify", "--corrupt", "gamma-sum", "unbiasedness"],
+         "argument --corrupt: not allowed with verify unbiasedness"),
         (["analyze", "moreau", "--config", "run.cfg", "--out", "m.csv"],
          "the following arguments are required: --theta"),
         (["data", "import-idx", "--images", "i.idx", "--out", "d.osgd"],
          "the following arguments are required: --labels")],
         ids=["gap-M", "gen-rings-path", "unbiasedness-corrupt",
-             "moreau-theta", "import-idx-labels"])
+             "corrupt-before-unbiasedness", "moreau-theta",
+             "import-idx-labels"])
     def test_usage_error_exits_2(self, tmp_path, monkeypatch, capsys, argv,
                                  message):
         monkeypatch.chdir(tmp_path)

@@ -12,8 +12,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from osgd import (coeffs, data, harness, optimizers, ordered_loss,
-                  selection)
+from osgd import (coeffs, data, harness, objectives, optimizers,
+                  ordered_loss, selection)
 from osgd.config import (DataConfig, ModelConfig, OptConfig, RunConfig,
                          build_dataset, build_objective, load_config)
 from osgd.data import gen_clusters_2d
@@ -955,3 +955,73 @@ class TestVerificationSuite:
         passed, detail = _check_qs_equivalence()
         assert not passed
         assert "minibatch SGD loop" in detail
+
+
+def coordinate_loop_difference(obj, theta, x, y):
+    """The reference for ``harness._central_difference``: one forward per
+    perturbed theta, coordinate by coordinate."""
+    fd = np.zeros_like(theta)
+    for i in range(theta.size):
+        h = 1e-6 * (1.0 + abs(theta[i]))
+        up, down = theta.copy(), theta.copy()
+        up[i] += h
+        down[i] -= h
+        fd[i] = (obj.per_sample_loss(up, x, y)
+                 - obj.per_sample_loss(down, x, y)) / (2 * h)
+    return fd
+
+
+# (model kind, activation, loss, hidden widths, outputs): the two combos of
+# the verification suite's gradient check, then acceptance 5's sixteen
+GRADIENT_COMBOS = [
+    ("linear", "tanh", "multinomial-cross-entropy", (), 3),
+    ("mlp", "tanh", "binary-cross-entropy", (6,), 1),
+    *[(kind, act, loss, (6, 5) if kind == "mlp" else (),
+       1 if loss == "binary-cross-entropy" else 3)
+      for loss in ("multinomial-cross-entropy", "multiclass-hinge",
+                   "binary-cross-entropy", "squared")
+      for kind, act in (("linear", "tanh"), ("mlp", "relu"), ("mlp", "tanh"),
+                        ("mlp", "sigmoid"))],
+]
+
+
+class TestGradientOracle:
+    @pytest.mark.parametrize("kind,act,loss,hidden,d_out", GRADIENT_COMBOS,
+                             ids=[f"{k}-{a}-{l}-{len(h)}"
+                                  for k, a, l, h, _ in GRADIENT_COMBOS])
+    def test_central_difference_bytes_equal_the_coordinate_loop(
+            self, kind, act, loss, hidden, d_out):
+        model = objectives.make_model(kind, d_in=4, d_out=d_out,
+                                      hidden=hidden, activation=act)
+        obj = Objective(model, loss)
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            theta = rng.standard_normal(model.n_params) * 0.7
+            x = rng.standard_normal(4)
+            y = int(rng.integers(0, obj.n_classes))
+            assert harness._central_difference(obj, theta, x, y).tobytes() \
+                == coordinate_loop_difference(obj, theta, x, y).tobytes()
+
+    def test_gradient_check_forwards_one_stack_per_point(self, monkeypatch):
+        ranks = []
+        forward = FeedforwardModel.forward
+
+        def counting(self, theta, X):
+            ranks.append(theta.ndim)
+            return forward(self, theta, X)
+
+        monkeypatch.setattr(FeedforwardModel, "forward", counting)
+        assert harness._check_gradients()[0]
+        # 2 combos x 5 points: one stacked forward of the 2P perturbed
+        # thetas (the coordinate loop made 2P one-row forwards: 520 in all)
+        # and one forward for the analytic gradient at each point
+        assert ranks.count(2) == 10
+        assert ranks.count(1) == 10
+
+    def test_scaled_gradient_fails_the_check(self, monkeypatch):
+        per_sample_grad = Objective.per_sample_grad
+        monkeypatch.setattr(Objective, "per_sample_grad",
+                            lambda self, *args: 1.001 * per_sample_grad(
+                                self, *args))
+        assert harness._check_gradients() == (
+            False, "gradient mismatch for (linear, multinomial-cross-entropy)")

@@ -1,8 +1,9 @@
 """scipy.special is imported only by the paths that use it, a bare
 ``import osgd`` exposes the listed public names, the library's products
-are written ``.dot``, never ``@``, batches are forwarded on one path, one
-loop runs a config's seeds, and only ``run_single`` touches the store of
-q = s prefixes (the q = s self-check may empty it).
+are written ``.dot``, never ``@`` (``np.matmul`` only for a stack of
+parameter vectors, in ``FeedforwardModel``), batches are forwarded on one
+path, one loop runs a config's seeds, and only ``run_single`` touches the
+store of q = s prefixes (the q = s self-check may empty it).
 
 Each case runs in a fresh interpreter, since a module once imported stays
 in ``sys.modules``.  Runs without binary cross-entropy, a sigmoid or the
@@ -119,13 +120,19 @@ def library_trees():
 def test_library_products_are_written_dot():
     found = []
     for name, tree in library_trees():
-        found += [f"{name}:{node.lineno}"
-                  for node in ast.walk(tree)
-                  if isinstance(node, (ast.BinOp, ast.AugAssign))
-                  and isinstance(node.op, ast.MatMult)]  # a @ b, a @= b
+        for scope, node in nodes_by_scope(tree):
+            if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                    and isinstance(node.op, ast.MatMult)):  # a @ b, a @= b
+                found.append(f"`@` at {name}:{node.lineno}")
+            form = getattr(node, "attr", getattr(node, "id", None))
+            if form == "einsum" or (form == "matmul" and (name, *scope)[:2]
+                                    != ("objectives.py", "FeedforwardModel")):
+                found.append(f"{form} at {name}:{node.lineno}")
     assert not found, (
-        f"`@` at {', '.join(found)}: `.dot` is the library's one product "
-        f"form (same BLAS call, less dispatch than the matmul gufunc)")
+        f"{', '.join(found)}: a product is `.dot` for one theta (same BLAS "
+        f"call, less dispatch than the matmul gufunc) and `np.matmul` for a "
+        f"stack of them, only in objectives.FeedforwardModel, where theta's "
+        f"rank picks the form; `np.einsum` may sum in another order")
 
 
 def nodes_by_scope(node, scope=()):

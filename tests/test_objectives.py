@@ -2,6 +2,7 @@
 import hashlib
 import math
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -10,22 +11,10 @@ from hypothesis import strategies as st
 
 from scipy.special import expit
 
+from osgd.harness import _central_difference
 from osgd.objectives import (_ACTIVATIONS, LOSS_KINDS, FeedforwardModel,
                              Objective, _logit_grads, _loss_pieces,
                              _losses_from_pieces, make_model)
-
-
-def finite_difference_grad(obj, theta, x, y):
-    """Central differences with h = 1e-6 * (1 + |theta_i|)."""
-    fd = np.zeros_like(theta)
-    for i in range(theta.size):
-        h = 1e-6 * (1.0 + abs(theta[i]))
-        up, down = theta.copy(), theta.copy()
-        up[i] += h
-        down[i] -= h
-        fd[i] = (obj.per_sample_loss(up, x, y)
-                 - obj.per_sample_loss(down, x, y)) / (2.0 * h)
-    return fd
 
 
 @pytest.mark.parametrize("name,derivative_at_input", [
@@ -136,10 +125,53 @@ class TestLossValues:
         assert len(checks) == 1
 
 
+class TestStackedForward:
+    """A stack of S parameter vectors forwards in one pass, and row k of
+    each result is bit for bit the result for theta[k] alone."""
+
+    @pytest.mark.parametrize("m", [1, 64])
+    @pytest.mark.parametrize("kind,act,loss,d_out", all_combos())
+    def test_stacked_rows_equal_per_theta_calls(self, kind, act, loss,
+                                                d_out, m):
+        model = make_model(kind, d_in=4, d_out=d_out,
+                           hidden=(6, 5) if kind == "mlp" else (),
+                           activation=act)
+        obj = Objective(model, loss)
+        rng = np.random.default_rng(
+            zlib.crc32(f"{kind} {act} {loss} {m}".encode()))
+        stack = rng.standard_normal((9, model.n_params)) * 0.7
+        X = rng.standard_normal((m, 4))
+        y = rng.integers(0, obj.n_classes, m)
+        losses = obj.per_example_losses(stack, X, y)
+        logits = model.logits(stack, X)
+        assert losses.shape == (9, m)
+        assert logits.shape == (9, m, d_out)
+        for k, theta in enumerate(stack):
+            assert losses[k].tobytes() == \
+                obj.per_example_losses(theta, X, y).tobytes()
+            assert logits[k].tobytes() == model.logits(theta, X).tobytes()
+
+    def test_stacked_gradients_raise(self):
+        model = make_model("mlp", d_in=4, d_out=3, hidden=(6,))
+        obj = Objective(model, "multinomial-cross-entropy")
+        rng = np.random.default_rng(0)
+        taped = obj.taped_batch(rng.standard_normal((2, model.n_params)),
+                                rng.standard_normal((5, 4)),
+                                np.array([0, 1, 2, 0, 1]))
+        with pytest.raises(NotImplementedError, match="one parameter vector"):
+            taped.mean_grad()
+        with pytest.raises(NotImplementedError, match="one parameter vector"):
+            taped.mean_grad(np.array([1, 3]))
+        with pytest.raises(NotImplementedError, match="one parameter vector"):
+            taped.grad(np.ones(5))
+
+
 class TestGradients:
     @pytest.mark.parametrize("kind,act,loss,d_out", all_combos())
     def test_finite_difference_agreement(self, kind, act, loss, d_out):
-        rng = np.random.default_rng(hash((kind, act, loss)) % 2**32)
+        # crc32, not hash(): str hashes are salted per interpreter
+        rng = np.random.default_rng(
+            zlib.crc32(f"{kind} {act} {loss}".encode()))
         model = make_model(kind, d_in=4, d_out=d_out,
                            hidden=(6, 5) if kind == "mlp" else (),
                            activation=act)
@@ -151,7 +183,7 @@ class TestGradients:
             y = int(rng.integers(0, 2 if d_out == 1 else d_out))
             if not away_from_kinks(obj, theta, x, y):
                 continue
-            fd = finite_difference_grad(obj, theta, x, y)
+            fd = _central_difference(obj, theta, x, y)
             if np.linalg.norm(fd) < 1e-3:
                 # saturated/dead point: central differences bottom out near
                 # 1e-9 absolute, so a relative comparison is meaningless
