@@ -355,6 +355,9 @@ class Objective:
         return TapedBatch(self, theta, _rows(X), y)
 
     def per_sample_loss(self, theta, x, y):
+        if np.ndim(theta) != 1:
+            raise ValueError(f"per_sample_loss takes one parameter vector "
+                             f"of shape (P,), got shape {np.shape(theta)}")
         return float(self.per_example_losses(theta, np.atleast_2d(x), np.atleast_1d(y))[0])
 
     def weighted_grad(self, theta, X, y, weights):
@@ -374,9 +377,10 @@ class Objective:
         return self._predict(self.model.logits(theta, _rows(X)))
 
     def _predict(self, A):
+        """Classes from (m, d_out) logits, or (S, m) from a stack's."""
         if self.model.d_out == 1:
-            return (A[:, 0] > 0.0).astype(np.int64)
-        return A.argmax(axis=1)
+            return (A[..., 0] > 0.0).astype(np.int64)
+        return A.argmax(axis=-1)
 
 
 class _CheckedLabels(np.ndarray):

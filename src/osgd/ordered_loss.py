@@ -15,9 +15,9 @@ selects by (:func:`rank_weights`).  Averaging the top-q update direction
 over every possible minibatch reproduces that subgradient exactly;
 :func:`expected_step_bruteforce` certifies this by enumeration, and both
 forward the data once.  The enumeration (:func:`rank_selection_counts`)
-builds the s-subsets as rows of numpy tables, keeps in each row the q
-samples with the smallest places in one ``rank_by_loss`` order, and
-counts the kept samples as exact integers.
+counts the s-subsets of the ``rank_by_loss`` places directly, as
+ascending rows of numpy tables: the places relabel the samples one to
+one, and a row's first q places are the ones its batch keeps.
 """
 from __future__ import annotations
 
@@ -128,15 +128,15 @@ def _lex_subsets(n: int, k: int) -> np.ndarray:
 
 
 def _subset_blocks(n: int, s: int, rows: int):
-    """The s-subsets of range(n) in lexicographic order, ``rows`` at a time
-    as (rows, s) arrays (the last block may be shorter).
+    """The s-subsets of range(n) as ascending rows in lexicographic order,
+    ``rows`` at a time as (rows, s) arrays (the last block may be shorter).
 
     Only the smaller of s and n - s is ever tabulated, so the table stays
     at most C(n, s) x n/2 entries and its column loop short.  Above n/2 the
     table holds the complements: they come in reverse lexicographic order
     (the smallest element of A xor B is in the lexicographically smaller
     of A, B, and outside its complement), and each block is rebuilt from
-    them as the entries its row does not hold.
+    them, row by row, as the ascending entries its row does not hold.
     """
     if 2 * s <= n:
         table = _lex_subsets(n, s)
@@ -158,13 +158,14 @@ def rank_selection_counts(losses, s: int, q: int):
     ``total = C(n, s)`` batches in which sample i is selected.  Exact
     integers; ``counts[rank_by_loss(losses)[j]] / total`` equals gamma_j.
 
-    The subsets come from numpy tables (:func:`_subset_blocks`) in blocks
-    of ``_ENUM_BLOCK_ROWS`` rows.  A row keeps its q samples with the
-    smallest places in :func:`rank_by_loss`, which orders ties by index
-    as :func:`q_argmax` does; the places are counted, and mapped back to
-    samples once.  The counts never read the gamma formula, so they stay
-    an independent oracle for it.  Non-finite losses are rejected with
-    their index.
+    Sample ``order[j]`` of :func:`rank_by_loss` (ties by index, as in
+    :func:`q_argmax`) has place j, and relabelling by place maps the
+    s-subsets of the samples one to one onto those of 0..n-1.  Those are
+    counted directly: each row of :func:`_subset_blocks` is ascending, so
+    its first q places are the ones its batch keeps, with no gather or
+    sort; mapped back to samples once, they give the integers of ranking
+    every batch.  They never read the gamma formula, so they stay an
+    independent oracle for it.  A non-finite loss is rejected with its index.
     """
     order = rank_by_loss(losses)
     n = order.shape[0]
@@ -172,16 +173,11 @@ def rank_selection_counts(losses, s: int, q: int):
         raise ValueError(f"need 1 <= q <= s <= n, got (n={n}, s={s}, q={q})")
     total = comb(n, s)
     if total > MAX_BRUTEFORCE_SUBSETS:
-        raise ResourceError(
-            f"C({n}, {s}) = {total} subsets exceeds the enumeration cap "
-            f"{MAX_BRUTEFORCE_SUBSETS}"
-        )
-    place = np.empty(n, dtype=np.intp)
-    place[order] = np.arange(n)
+        raise ResourceError(f"C({n}, {s}) = {total} subsets exceeds the "
+                            f"enumeration cap {MAX_BRUTEFORCE_SUBSETS}")
     kept = np.zeros(n, dtype=np.int64)  # per place
     for block in _subset_blocks(n, s, _ENUM_BLOCK_ROWS):
-        places = np.sort(place[block], axis=1)[:, :q]
-        kept += np.bincount(places.ravel(), minlength=n)
+        kept += np.bincount(block[:, :q].ravel(), minlength=n)
     counts = np.empty(n, dtype=np.int64)
     counts[order] = kept
     return counts, total

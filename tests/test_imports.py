@@ -2,8 +2,9 @@
 ``import osgd`` exposes the listed public names, the library's products
 are written ``.dot``, never ``@`` (``np.matmul`` only for a stack of
 parameter vectors, in ``FeedforwardModel``), batches are forwarded on one
-path, one loop runs a config's seeds, and only ``run_single`` touches the
-store of q = s prefixes (the q = s self-check may empty it).
+path, one loop runs a config's seeds, only ``run_single`` touches the
+store of q = s prefixes (the q = s self-check may empty it), and the
+enumeration oracle names nothing from ``osgd.coeffs``.
 
 Each case runs in a fresh interpreter, since a module once imported stays
 in ``sys.modules``.  Runs without binary cross-entropy, a sigmoid or the
@@ -218,3 +219,45 @@ def test_only_run_single_reads_or_writes_the_prefix_store():
         f"_prefix_store at {', '.join(found)}: only harness.run_single reads "
         f"or writes the store of q = s prefixes, and the q = s self-check "
         f"empties it")
+
+
+ENUMERATION_ORACLE = {"rank_selection_counts", "_subset_blocks", "_lex_subsets"}
+
+
+def coeffs_names(trees):
+    """The names ``osgd.coeffs`` defines at module level, the module's own
+    name, and the names ``ordered_loss`` imports from it."""
+    names = {"coeffs"}
+    for node in trees["coeffs.py"].body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    for node in ast.walk(trees["ordered_loss.py"]):
+        if isinstance(node, ast.ImportFrom) and node.module == "coeffs":
+            names.update(alias.asname or alias.name for alias in node.names)
+    return names
+
+
+def test_enumeration_oracle_never_reads_the_gamma_formula():
+    trees = dict(library_trees())
+    ordered_loss, names = trees["ordered_loss.py"], coeffs_names(trees)
+    defined = {node.name for node in ordered_loss.body
+               if isinstance(node, ast.FunctionDef)}
+    assert ENUMERATION_ORACLE <= defined
+    found = []
+    for scope, node in nodes_by_scope(ordered_loss):
+        if not scope or scope[0] not in ENUMERATION_ORACLE:
+            continue
+        read = {getattr(node, "id", None), getattr(node, "attr", None),
+                getattr(node, "asname", None)}
+        for dotted in (getattr(node, "module", None),
+                       getattr(node, "name", None)):
+            if isinstance(dotted, str):  # import paths: osgd.coeffs
+                read.update(dotted.split("."))
+        found += [f"{scope[0]} names {name} at line {node.lineno}"
+                  for name in sorted(read & names)]
+    assert not found, (
+        f"{', '.join(found)}: the enumeration counts selections by brute "
+        f"force and is the oracle for the gamma formula, so it reads "
+        f"nothing from osgd.coeffs")

@@ -151,6 +151,35 @@ class TestStackedForward:
                 obj.per_example_losses(theta, X, y).tobytes()
             assert logits[k].tobytes() == model.logits(theta, X).tobytes()
 
+    @pytest.mark.parametrize("m", [1, 6])
+    @pytest.mark.parametrize("kind,act,loss,d_out", all_combos())
+    def test_stacked_predictions_equal_per_theta_calls(self, kind, act, loss,
+                                                       d_out, m):
+        model = make_model(kind, d_in=4, d_out=d_out,
+                           hidden=(6, 5) if kind == "mlp" else (),
+                           activation=act)
+        obj = Objective(model, loss)
+        rng = np.random.default_rng(
+            zlib.crc32(f"predict {kind} {act} {loss} {m}".encode()))
+        stack = rng.standard_normal((3, model.n_params))
+        X = rng.standard_normal((m, 4))
+        y = rng.integers(0, obj.n_classes, m)
+        preds = obj.predictions(stack, X)
+        losses, taped_preds = obj.losses_and_predictions(stack, X, y)
+        assert preds.shape == taped_preds.shape == losses.shape == (3, m)
+        for k, theta in enumerate(stack):
+            one = obj.predictions(theta, X)
+            assert preds[k].tobytes() == one.tobytes()
+            assert taped_preds[k].tobytes() == one.tobytes()
+            assert losses[k].tobytes() == \
+                obj.losses_and_predictions(theta, X, y)[0].tobytes()
+
+    def test_per_sample_loss_rejects_a_stack(self):
+        model = make_model("linear", d_in=4, d_out=3)
+        obj = Objective(model, "multiclass-hinge")
+        with pytest.raises(ValueError, match=r"got shape \(3, 15\)"):
+            obj.per_sample_loss(np.zeros((3, model.n_params)), np.ones(4), 1)
+
     def test_stacked_gradients_raise(self):
         model = make_model("mlp", d_in=4, d_out=3, hidden=(6,))
         obj = Objective(model, "multinomial-cross-entropy")

@@ -263,12 +263,40 @@ class TestSelectionCounts:
                         counts, per_subset_counts(losses, s, q),
                         err_msg=f"(n={n}, s={s}, q={q}, losses={losses})")
 
-    @pytest.mark.parametrize("n,s,q", [(13, 6, 2), (14, 7, 3)])
+    @pytest.mark.parametrize("n,s,q", [(13, 6, 2), (14, 7, 3), (14, 9, 4)])
     def test_equal_per_subset_reference_across_blocks(self, n, s, q):
-        # C(13, 6) = 1716 and C(14, 7) = 3432 subsets span several blocks
+        # C(13, 6) = 1716, C(14, 7) = 3432 and C(14, 9) = 2002 subsets span
+        # several blocks; 2s > n at (14, 9) takes the complement tables
         losses = np.random.default_rng(n).integers(0, 4, n).astype(np.float64)
         counts, _ = rank_selection_counts(losses, s, q)
         np.testing.assert_array_equal(counts, per_subset_counts(losses, s, q))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.one_of(
+        st.lists(st.integers(0, 2).map(float), min_size=1, max_size=10),
+        st.lists(st.floats(-10, 10), min_size=1, max_size=10, unique=True)),
+        st.data())
+    def test_relabelling_permutes_the_counts(self, losses, data):
+        # Counts depend on the rank places alone.  A relabelling that keeps
+        # the index order of tied samples (any relabelling, for distinct
+        # losses) keeps every place's sample, so it permutes the counts;
+        # any relabelling keeps the counts per place.
+        losses = np.array(losses)
+        n = len(losses)
+        perm = np.array(data.draw(st.permutations(range(n))))
+        tie_kept = perm.copy()
+        for value in np.unique(losses):
+            at = np.flatnonzero(losses[perm] == value)
+            tie_kept[at] = np.sort(perm[at])
+        order, order_perm = rank_by_loss(losses), rank_by_loss(losses[perm])
+        for s in range(1, n + 1):
+            for q in range(1, s + 1):
+                counts, _ = rank_selection_counts(losses, s, q)
+                relabelled, _ = rank_selection_counts(losses[tie_kept], s, q)
+                np.testing.assert_array_equal(relabelled, counts[tie_kept])
+                shuffled, _ = rank_selection_counts(losses[perm], s, q)
+                np.testing.assert_array_equal(shuffled[order_perm],
+                                              counts[order])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_loss_rejected_with_its_index(self, bad):
