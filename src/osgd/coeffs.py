@@ -53,18 +53,14 @@ class GammaWeights:
 class GammaCurve:
     """Rescaled weight curve on the grid z_j = j/n with values n * gamma_j.
 
-    Consumers evaluating between grid points should interpolate linearly
-    (see :meth:`interpolate`).  ``approximate`` is True when the values come
-    from the log-space float path instead of exact rationals.
+    Consumers evaluating between grid points should interpolate linearly.
+    ``approximate`` is True when the values come from the log-space float
+    path instead of exact rationals.
     """
 
     z_grid: np.ndarray
     values: np.ndarray
     approximate: bool = False
-
-    def interpolate(self, z):
-        """Piecewise-linear value at z (clamped to the grid ends)."""
-        return np.interp(z, self.z_grid, self.values)
 
 
 def _check_nsq(n, s, q):
@@ -136,9 +132,7 @@ def gamma_weights_float(n: int, s: int, q: int) -> np.ndarray:
         tail = (lg[r:n - l][::-1] - lg[r]) - high  # ln C(n-j, s-l-1)
         span = total[l:l + m]
         np.logaddexp(span, (head + tail) - log_den, out=span)
-    out = np.exp(total)
-    out[~np.isfinite(total)] = 0.0
-    return out
+    return np.exp(total)  # exp(-inf) = +0.0 off every term's range
 
 
 def uses_exact(n: int) -> bool:

@@ -129,10 +129,8 @@ def osgd_step(state, obj, X, y, batch, q, update=heavy_ball) -> OptimizerState:
     taped = obj.taped_batch(theta, X.take(batch, axis=0), y.take(batch))
     if not np.isfinite(taped.losses).all():
         raise DivergenceError(state.step_count)
-    if q == m:  # every row is kept: no selection, backward reuses the tape
-        g = taped.mean_grad()
-    else:
-        g = taped.mean_grad(topq_positions(taped.losses, q))
+    # At q = m every row is kept: no selection, backward reuses the tape.
+    g = taped.mean_grad(None if q == m else topq_positions(taped.losses, q))
     g += obj.l2 * theta  # the regularizer's gradient; its value is unused
     state.last_grad_norm = math.sqrt(g.dot(g))  # = np.linalg.norm(g)
     update(state, g)

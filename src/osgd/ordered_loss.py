@@ -31,9 +31,10 @@ from .selection import q_argmax, rank_by_loss  # noqa: F401
 
 # Enumeration cap: keeps verification runs under a minute.
 MAX_BRUTEFORCE_SUBSETS = 100_000
-# Subsets ranked per stacked selection: large enough that numpy, not the
-# Python loop, does the work; small enough that a block's index, value
-# and sort arrays stay a few hundred kB.
+# Subsets counted per block: large enough that numpy, not the Python
+# loop, does the work; small enough that the index copy bincount makes of
+# block[:, :q], and the complement branch's (rows, n) mask, stay a few
+# hundred kB.
 _ENUM_BLOCK_ROWS = 1024
 
 

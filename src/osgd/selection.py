@@ -6,6 +6,8 @@ the smaller position (a stable sort on the negated values).  The top-q
 kept set is the first q positions of that order, and the rank
 permutation of L_q is the whole of it, so the step and the loss it
 estimates always agree on which sample is the j-th largest.
+:func:`q_argmax` is :func:`topq_positions` on a batch's values, so the
+checks that call it certify the selection the step trains with.
 """
 from __future__ import annotations
 
@@ -26,18 +28,18 @@ def sample_minibatch(rng: np.random.Generator, n: int, s: int) -> np.ndarray:
 
 def _rank_order(values) -> np.ndarray:
     """Positions along the last axis, values descending, ties ascending."""
-    return np.argsort(-np.asarray(values, dtype=np.float64), axis=-1,
-                      kind="stable")
+    return (-np.asarray(values, dtype=np.float64)).argsort(axis=-1,
+                                                           kind="stable")
 
 
 def topq_positions(values: np.ndarray, q: int) -> np.ndarray:
-    """Positions of the q largest entries, ascending; ties toward the
-    smaller position."""
-    values = np.asarray(values, dtype=np.float64)
-    m = values.shape[0]
+    """Positions of the q largest entries along the last axis, ascending;
+    ties toward the smaller position."""
+    order = _rank_order(values)
+    m = order.shape[-1]
     if not 0 < q <= m:
         raise ValueError(f"need 1 <= q <= len(values) = {m}, got q={q}")
-    kept = (-values).argsort(kind="stable")[:q]  # the order of _rank_order
+    kept = order[..., :q]
     kept.sort()
     return kept
 
@@ -58,8 +60,7 @@ def q_argmax(values: np.ndarray, batch: np.ndarray, q: int) -> np.ndarray:
         raise ValueError(f"need 1 <= q <= s on an (s,) batch or a (k, s) "
                          f"stack, got q={q} and shape {batch.shape}")
     vals = np.asarray(values, dtype=np.float64)[batch]
-    keep = np.sort(_rank_order(vals)[..., :q], axis=-1)
-    return np.take_along_axis(batch, keep, axis=-1)
+    return np.take_along_axis(batch, topq_positions(vals, q), axis=-1)
 
 
 def finite_losses(losses) -> np.ndarray:

@@ -317,11 +317,6 @@ class TestRescaledCurve:
         curve = gamma_rescaled_curve(12, 5, 5)
         np.testing.assert_allclose(curve.values, 5.0, rtol=1e-12)
 
-    def test_interpolation_is_linear(self):
-        curve = gamma_rescaled_curve(4, 2, 1)
-        mid = curve.interpolate(0.375)  # halfway between j=1 and j=2 nodes
-        assert mid == pytest.approx((2.0 + 4.0 / 3.0) / 2.0, rel=1e-12)
-
     def test_large_n_uses_float_path(self):
         curve = gamma_rescaled_curve(EXACT_N_LIMIT + 1, 10, 3)
         assert curve.approximate

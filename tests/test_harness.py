@@ -891,6 +891,22 @@ class TestVerificationSuite:
         failing = {c["name"] for c in report["checks"] if not c["passed"]}
         assert failing == {"gamma-identities"}
 
+    def test_larger_position_tie_rule_fails_only_the_tie_check(
+            self, monkeypatch):
+        def ties_toward_larger(values, q):
+            values = np.asarray(values, dtype=np.float64)
+            flipped = values[..., ::-1]  # a stable sort now keeps the last
+            kept = values.shape[-1] - 1 - selection._rank_order(flipped)
+            kept = kept[..., :q]
+            kept.sort(axis=-1)
+            return kept
+
+        monkeypatch.setattr(selection, "topq_positions", ties_toward_larger)
+        report = run_verification_suite()
+        assert not report["all_passed"]
+        failing = {c["name"] for c in report["checks"] if not c["passed"]}
+        assert failing == {"tie-break-determinism"}
+
     @staticmethod
     def swap_middle(nums, q, top):
         nums[q], nums[q + 1] = nums[q + 1], nums[q]

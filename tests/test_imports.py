@@ -3,8 +3,9 @@
 are written ``.dot``, never ``@`` (``np.matmul`` only for a stack of
 parameter vectors, in ``FeedforwardModel``), batches are forwarded on one
 path, one loop runs a config's seeds, only ``run_single`` touches the
-store of q = s prefixes (the q = s self-check may empty it), and the
-enumeration oracle names nothing from ``osgd.coeffs``.
+store of q = s prefixes (the q = s self-check may empty it), the
+enumeration oracle names nothing from ``osgd.coeffs``, and one ``argsort``
+ranks every selection, with ``q_argmax`` running ``topq_positions``.
 
 Each case runs in a fresh interpreter, since a module once imported stays
 in ``sys.modules``.  Runs without binary cross-entropy, a sigmoid or the
@@ -261,3 +262,21 @@ def test_enumeration_oracle_never_reads_the_gamma_formula():
         f"{', '.join(found)}: the enumeration counts selections by brute "
         f"force and is the oracle for the gamma formula, so it reads "
         f"nothing from osgd.coeffs")
+
+
+def test_one_argsort_ranks_every_selection():
+    selection = dict(library_trees())["selection.py"]
+    sorts = [(scope, call.lineno) for scope, call in calls_by_scope(selection)
+             if "argsort" in (getattr(call.func, "id", None),
+                              getattr(call.func, "attr", None))]
+    assert [scope for scope, _ in sorts] == [("_rank_order",)], (
+        f"argsort calls at {sorts}: the one rank order (values descending, "
+        f"ties toward the smaller position) is selection._rank_order's "
+        f"argsort, and every selection and ranking reads it")
+    q_argmax = next(node for node in selection.body
+                    if isinstance(node, ast.FunctionDef)
+                    and node.name == "q_argmax")
+    assert any(isinstance(node, ast.Name) and node.id == "topq_positions"
+               for node in ast.walk(q_argmax)), (
+        "q_argmax must select with topq_positions, the step's own "
+        "selection, so the checks that call it certify what trains")
