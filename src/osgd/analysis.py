@@ -67,15 +67,17 @@ def _is_majorized(vec, cap):
     return bool(np.all(a <= b + 1e-12 * (1.0 + np.abs(b))))
 
 
-def _tie_mixed_subgradient(obj, beta, X, y, gamma, pull, taped=None,
-                           tie_rtol=1e-9, sweeps=6):
+_TIE_RTOL, _TIE_SWEEPS = 1e-9, 6  # of _tie_mixed_subgradient
+
+
+def _tie_mixed_subgradient(obj, beta, X, y, gamma, pull, taped=None):
     """Small-norm subgradient over admissible tie-weight mixings.
 
-    Ranks whose losses agree to tie_rtol form a group; within a group the
-    rank weights may be redistributed by any doubly stochastic mixing
+    Ranks whose losses agree to ``_TIE_RTOL`` form a group; within a group
+    the rank weights may be redistributed by any doubly stochastic mixing
     (kept admissible via majorization checks).  Pairwise transfers with
-    closed-form optimal magnitude are swept a few times; with no ties this
-    reduces to the ordinary tie-rule subgradient.  ``pull`` is the
+    closed-form optimal magnitude are swept ``_TIE_SWEEPS`` times; with no
+    ties this reduces to the ordinary tie-rule subgradient.  ``pull`` is the
     gradient at beta of a term added to L_q; ``taped`` is beta's forward
     over X, where the caller already has it.
     """
@@ -91,7 +93,7 @@ def _tie_mixed_subgradient(obj, beta, X, y, gamma, pull, taped=None,
     groups = []
     start = 0
     for j in range(1, n + 1):
-        if j == n or abs(srt[j] - srt[j - 1]) > tie_rtol * (1.0 + abs(srt[j])):
+        if j == n or abs(srt[j] - srt[j - 1]) > _TIE_RTOL * (1.0 + abs(srt[j])):
             if j - start > 1:
                 ranks = np.arange(start, j)
                 wts = gamma.approx[ranks]
@@ -108,7 +110,7 @@ def _tie_mixed_subgradient(obj, beta, X, y, gamma, pull, taped=None,
             member_grads[int(i)] = obj.per_sample_grad(beta, X[int(i)],
                                                        int(y[int(i)]))
     caps = {tuple(order[ranks]): u[order[ranks]] for ranks in groups}
-    for _ in range(sweeps):
+    for _ in range(_TIE_SWEEPS):
         for ranks in groups:
             ids = [int(i) for i in order[ranks]]
             cap = caps[tuple(order[ranks])]

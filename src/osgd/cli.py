@@ -221,8 +221,8 @@ def build_parser():
     p.set_defaults(fn=_cmd_gamma_curve)
 
     p = sub.add_parser("verify", help="run the oracle verification suite")
-    p.add_argument("--corrupt", default=None,
-                   help="negative-control hook, e.g. gamma-sum")
+    p.add_argument("--corrupt", default=None, choices=harness.CORRUPT_HOOKS,
+                   help="negative-control hook")
     p.set_defaults(fn=_cmd_verify)
     p = p.add_subparsers().add_parser("unbiasedness",
                                       parents=[_sizes(n=8, s=4, q=2)])

@@ -384,6 +384,9 @@ def format_comparison_table(rows):
 # Verification suite: wraps the module oracles into one pass/fail report.
 # ---------------------------------------------------------------------------
 
+CORRUPT_HOOKS = ("gamma-sum",)  # run_verification_suite's negative controls
+
+
 def _check_gamma_identities(corrupt=None):
     # gamma_j = N_j / C(n, s), checked on the integer numerators N_j
     grid = [(12, 5, 2), (30, 8, 3), (64, 16, 4), (200, 32, 8)]
@@ -555,9 +558,13 @@ def _check_tie_breaking():
 def run_verification_suite(corrupt=None) -> dict:
     """Execute the cross-module oracle checks and report machine-readably.
 
-    ``corrupt`` enables negative-control hooks ("gamma-sum" perturbs one
-    weight numerator before the sum identity is checked).
+    ``corrupt`` names a negative-control hook of :data:`CORRUPT_HOOKS`
+    ("gamma-sum" perturbs one weight numerator before the sum identity
+    is checked); any other name but None is a ``ValueError``.
     """
+    if corrupt is not None and corrupt not in CORRUPT_HOOKS:
+        raise ValueError(f"unknown negative-control hook {corrupt!r}; "
+                         f"choose from {CORRUPT_HOOKS}")
     checks = [
         ("gamma-identities", lambda: _check_gamma_identities(corrupt)),
         ("gamma-enumeration", _check_gamma_enumeration),

@@ -9,6 +9,13 @@ accumulation through the layers.
 Subgradient conventions at kinks are fixed so that every operation is
 deterministic: max(0, .) and relu use derivative 0 at exactly 0.
 
+Each loss kind is one function in the table ``_LOSSES``, whose keys are
+``LOSS_KINDS``.  On the logits A and the checked labels y it forms once
+what the per-row losses and their logit gradients share, and returns
+``(losses, grads)``, a callable that forms each.  Neither writes into
+what the other reads, but ``grads`` may return a shared array: never
+write into its result.  :class:`TapedBatch` is the table's one reader.
+
 A model forwards one parameter vector theta of shape (P,), or a stack of
 S of them, shape (S, P), in one pass: the stack's logits are (S, m,
 d_out) and its losses (S, m).  Row k equals, bit for bit, the result for
@@ -36,13 +43,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import _special
-
-LOSS_KINDS = (
-    "multinomial-cross-entropy",
-    "multiclass-hinge",
-    "binary-cross-entropy",
-    "squared",
-)
 
 MODEL_KINDS = ("linear", "mlp")
 
@@ -213,69 +213,57 @@ def make_model(kind, d_in, d_out, hidden=(), activation="tanh", bias=True):
     raise ValueError(f"unknown model kind {kind!r}")
 
 
-# -(2y - 1) for the labels y = 0, 1: the binary cross-entropy sign
+# -(2y - 1) for the labels y = 0, 1, the binary cross-entropy sign: that
+# arithmetic gives exactly 1.0 or -1.0, so the table gives the same bits
+# with one call instead of three
 _BCE_SIGN = np.array([1.0, -1.0])
 
 
-def _loss_pieces(kind, A, y):
-    """The pieces of the per-row losses of the logits A that both
-    :func:`_losses_from_pieces` and :func:`_logit_grads` read.
+def _multinomial_cross_entropy(A, y):
+    at = (np.arange(A.shape[0]), y)  # each row's label entry
+    mx = A.max(axis=1, keepdims=True)
+    E = np.exp(A - mx)
+    Z = E.sum(axis=1, keepdims=True)
 
-    ``y`` holds checked integer labels.  The binary cross-entropy sign
-    -(2y - 1) is read from a table: for y in {0, 1} that arithmetic gives
-    exactly 1.0 or -1.0, so the table gives the same bits with one call
-    instead of three.
-    """
-    if kind == "multinomial-cross-entropy":
-        at = (np.arange(A.shape[0]), y)  # each row's label entry
-        mx = A.max(axis=1, keepdims=True)
-        E = np.exp(A - mx)
-        return at, mx, E, E.sum(axis=1, keepdims=True)
-    if kind == "multiclass-hinge":
-        at = (np.arange(A.shape[0]), y)
-        margins = 1.0 + A - A[at][:, None]
-        margins[at] = 0.0
-        return at, margins
-    if kind == "binary-cross-entropy":
-        neg_t = _BCE_SIGN.take(y)
-        return neg_t, neg_t * A[:, 0]
-    if kind == "squared":  # the target is the label, or its one-hot row
-        if A.shape[1] == 1:
-            return A - y.astype(np.float64)[:, None]
-        return A - np.eye(A.shape[1], dtype=np.float64)[y]
-    raise ValueError(f"unknown loss kind {kind!r}")
-
-
-def _losses_from_pieces(kind, A, pieces):
-    """Per-row losses of the logits A from :func:`_loss_pieces`'s pieces,
-    which rejected an unknown ``kind``."""
-    if kind == "multinomial-cross-entropy":
-        at, mx, _, Z = pieces
-        return (mx + np.log(Z)).ravel() - A[at]
-    if kind == "multiclass-hinge":
-        return np.maximum(pieces[1], 0.0).sum(axis=1)
-    if kind == "binary-cross-entropy":
-        return np.logaddexp(0.0, pieces[1])
-    return 0.5 * (pieces ** 2).sum(axis=1)  # squared
-
-
-def _logit_grads(kind, pieces):
-    """Per-row loss gradients at the logits from :func:`_loss_pieces`'s
-    pieces.  The result may be one of the pieces: never write into it."""
-    if kind == "multinomial-cross-entropy":
-        at, _, E, Z = pieces
+    def grads():
         P = E / Z
         P[at] -= 1.0
         return P
-    if kind == "multiclass-hinge":
-        at, margins = pieces
+    return lambda: (mx + np.log(Z)).ravel() - A[at], grads
+
+
+def _multiclass_hinge(A, y):
+    at = (np.arange(A.shape[0]), y)
+    margins = 1.0 + A - A[at][:, None]
+    margins[at] = 0.0
+
+    def grads():
         D = (margins > 0.0).astype(np.float64)  # 0 at the kink
         D[at] = -D.sum(axis=1)
         return D
-    if kind == "binary-cross-entropy":
-        neg_t, z = pieces
-        return (neg_t * _special.expit(z))[:, None]
-    return pieces  # squared
+    return lambda: np.maximum(margins, 0.0).sum(axis=1), grads
+
+
+def _binary_cross_entropy(A, y):
+    neg_t = _BCE_SIGN.take(y)
+    z = neg_t * A[:, 0]
+    return (lambda: np.logaddexp(0.0, z),
+            lambda: (neg_t * _special.expit(z))[:, None])
+
+
+def _squared(A, y):  # the target is the label, or its one-hot row
+    R = A - (y.astype(np.float64)[:, None] if A.shape[1] == 1 else
+             np.eye(A.shape[1], dtype=np.float64)[y])
+    return lambda: 0.5 * (R ** 2).sum(axis=1), lambda: R
+
+
+_LOSSES = {
+    "multinomial-cross-entropy": _multinomial_cross_entropy,
+    "multiclass-hinge": _multiclass_hinge,
+    "binary-cross-entropy": _binary_cross_entropy,
+    "squared": _squared,
+}
+LOSS_KINDS = tuple(_LOSSES)
 
 
 def _rows(X):
@@ -390,50 +378,51 @@ class _CheckedLabels(np.ndarray):
 
 
 class TapedBatch:
-    """One forward pass over a batch: its logits, tape and loss pieces.
+    """One forward pass over a batch: its logits, its tape, and the
+    callables that form its losses and logit gradients.
 
     Every :class:`Objective` entry point that reads losses or gradients
-    forwards through this class (:meth:`Objective.taped_batch`).
-    :attr:`losses` is formed when first read, so a gradient-only use never
-    forms it.  :meth:`mean_grad` differentiates the mean loss over a
-    subset of the rows, reusing the tape when the subset is every row.
+    forwards through this class (:meth:`Objective.taped_batch`), the one
+    reader of the loss table ``_LOSSES``: its kind's function runs once,
+    on the logits.  :attr:`losses` is formed when first read, so a
+    gradient-only use never forms it.  :meth:`mean_grad` differentiates
+    the mean loss over a subset of the rows, reusing the tape when the
+    subset is every row.
 
     A stack of S parameter vectors is forwarded for its losses alone:
-    its (S, m, d_out) logits are scored at once as S*m rows of the same
-    loss code, with the labels tiled, into (S, m) losses, and
+    its (S, m, d_out) logits are scored at once as S*m rows by the same
+    table function, with the labels tiled, into (S, m) losses, and
     :meth:`mean_grad` and :meth:`grad` raise ``NotImplementedError``.
     """
 
     def __init__(self, obj, theta, X, y):
         """``X`` is a 2-D array of rows and ``y`` holds checked labels."""
         self._obj, self._theta, self._X, self._y = obj, theta, X, y
-        self.logits, self._tape = obj.model.forward(theta, X)
-        self._losses = None
+        A, self._tape = obj.model.forward(theta, X)
+        self.logits, self._losses = A, None
         if theta.ndim == 1:
-            self._pieces = _loss_pieces(obj.loss, self.logits, y)
-        else:  # a stack: no gradients, so no pieces are kept
-            self._pieces = None
-            rows = self.logits.reshape(-1, self.logits.shape[2])
-            pieces = _loss_pieces(obj.loss, rows, np.tile(y, len(theta)))
-            self._losses = _losses_from_pieces(obj.loss, rows, pieces).reshape(
-                self.logits.shape[:2])
+            self._form_losses, self._logit_grads = _LOSSES[obj.loss](A, y)
+        else:  # a stack, for its losses alone
+            form_losses, _ = _LOSSES[obj.loss](A.reshape(-1, A.shape[2]),
+                                               np.tile(y, len(theta)))
+            self._losses = form_losses().reshape(A.shape[:2])
+            self._logit_grads = None
 
     @property
     def losses(self):
-        """Per-row losses: (m,) for one parameter vector, formed from the
-        pieces when first read, or (S, m) for a stack of S."""
+        """Per-row losses: (m,) for one parameter vector, formed when
+        first read, or (S, m) for a stack of S."""
         if self._losses is None:
-            self._losses = _losses_from_pieces(self._obj.loss, self.logits,
-                                               self._pieces)
+            self._losses = self._form_losses()
         return self._losses
 
     def mean_grad(self, positions=None):
         """Gradient of the mean loss over the rows at ``positions``.
 
         ``positions`` are distinct and ascending; None means every row,
-        which reuses the tape and the loss pieces.  A strict subset gets a
-        fresh forward on its own rows, a batch of its own whose losses are
-        never formed, instead of a slice of the tape: BLAS
+        which reuses the tape and what the loss table formed.  A strict
+        subset gets a fresh forward on its own rows, a batch of its own
+        whose losses are never formed, instead of a slice of the tape: BLAS
         picks its kernels by row count, so rows sliced from an m-row matmul
         can differ in the last bits from a matmul over the subset alone
         (OpenBLAS: 256->10 and 16->1 layers at subset sizes that are not a
@@ -461,9 +450,8 @@ class TapedBatch:
         """Backward of the logit gradients, each row multiplied by
         ``scale``: an (m, 1) column of per-row weights, or one number for
         every row."""
-        if self._pieces is None:
+        if self._logit_grads is None:
             raise NotImplementedError(
                 "gradients take one parameter vector, not a stack")
         return self._obj.model.backward(
-            self._theta, _logit_grads(self._obj.loss, self._pieces) * scale,
-            self._tape)
+            self._theta, self._logit_grads() * scale, self._tape)

@@ -7,6 +7,7 @@ with an explicit environment reason, and the seed-equivalence criterion
 falls back to a synthetic stand-in so the property itself stays covered.
 """
 import functools
+import importlib.util
 import math
 import os
 import time
@@ -22,7 +23,7 @@ from osgd.analysis import (MoreauConfig, moreau_grad_norm, optimality_gap,
                            reference_optimum)
 from osgd.coeffs import (beta_cdf, gamma_asymptotic, gamma_rescaled_curve,
                          gamma_weights)
-from osgd.config import build_dataset, build_objective, load_config
+from osgd.config import build_objective, load_config
 from osgd.data import gen_clusters_2d, gen_rings_2d, load_semeion, \
     split_dataset
 from osgd.harness import _epoch_batches, run_experiment, run_single
@@ -304,41 +305,30 @@ def test_acceptance_6_envelope_decay():
 # 7. Qualitative 2-D geometry reproduction
 # --------------------------------------------------------------------------
 
-def _group_accuracies(cfg_file, kind):
-    """Per-seed accuracy on each group of the shipped config's dataset,
-    trained with opt.kind = kind."""
-    cfg = load_config(os.path.join(CONFIG_DIR, cfg_file),
-                      overrides=[f"opt.kind = {kind}"])
-    ds = build_dataset(cfg.data)
-    obj = build_objective(cfg, ds)
-    accs = {}
-    for res in run_experiment(cfg, ds).runs:
-        assert not res.failed, res.error
-        accs[res.seed] = {
-            group: float(np.mean(
-                obj.predictions(res.final_theta, ds.features[idx])
-                == ds.labels[idx]))
-            for group, idx in ds.groups.items()}
-    return accs
+def _load_script(name):
+    """scripts/<name>.py as a module; its main() is not run."""
+    path = os.path.join(os.path.dirname(CONFIG_DIR), "scripts", name + ".py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @criterion(7)
 def test_acceptance_7_geometry_focus():
+    """Scored by the 2-D script itself: the median focus-group accuracy
+    over seeds 0..9 of the shipped configs, osgd against sgd."""
+    script = _load_script("run_2d_geometries")
     details = []
-
-    ordered = _group_accuracies("rings_osgd.cfg", "osgd")
-    baseline = _group_accuracies("rings_osgd.cfg", "sgd")
-    o_inner = np.median([acc["inner"] for acc in ordered.values()])
-    b_inner = np.median([acc["inner"] for acc in baseline.values()])
-    assert o_inner > b_inner, (o_inner, b_inner)
-    details.append(f"rings inner acc median {o_inner:.2f} > {b_inner:.2f}")
-
-    ordered = _group_accuracies("clusters_osgd.cfg", "osgd")
-    baseline = _group_accuracies("clusters_osgd.cfg", "sgd")
-    o_sub = np.median([acc["subcluster"] for acc in ordered.values()])
-    b_sub = np.median([acc["subcluster"] for acc in baseline.values()])
-    assert o_sub > b_sub, (o_sub, b_sub)
-    details.append(f"sub-cluster acc median {o_sub:.2f} > {b_sub:.2f}")
+    for cfg_file, group in (("rings_osgd.cfg", "inner"),
+                            ("clusters_osgd.cfg", "subcluster")):
+        rows, medians, _ = script.run_geometry(cfg_file, range(10), group)
+        for kind in ("osgd", "sgd"):  # the script skips a failed seed
+            assert [r["seed"] for r in rows if r["optimizer"] == kind] == \
+                list(range(10)), (cfg_file, kind)
+        ordered, baseline = medians["osgd"][0], medians["sgd"][0]
+        assert ordered > baseline, (cfg_file, ordered, baseline)
+        details.append(f"{group} acc median {ordered:.2f} > {baseline:.2f}")
     return "; ".join(details)
 
 

@@ -128,6 +128,18 @@ class TestVerifyCommand:
         assert not json.loads(out)["all_passed"]  # the full suite's report
         assert err.startswith("FAILED checks: ")
 
+    def test_misspelled_corrupt_hook_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", "--corrupt", "gamma_sum"])
+        assert exit_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""  # no suite ran
+        assert "argument --corrupt: invalid choice: 'gamma_sum'" in err
+
+    def test_suite_rejects_an_unknown_corrupt_hook(self):
+        with pytest.raises(ValueError, match="'gamma_sum'.*'gamma-sum'"):
+            harness.run_verification_suite(corrupt="gamma_sum")
+
     def test_unbiasedness_subcommand(self, capsys):
         assert main(["verify", "unbiasedness", "--n", "8", "--s", "4",
                      "--q", "2", "--trials", "5", "--seed", "3"]) == 0

@@ -2,10 +2,11 @@
 ``import osgd`` exposes the listed public names, the library's products
 are written ``.dot``, never ``@`` (``np.matmul`` only for a stack of
 parameter vectors, in ``FeedforwardModel``), batches are forwarded on one
-path, one loop runs a config's seeds, only ``run_single`` touches the
-store of q = s prefixes (the q = s self-check may empty it), the
-enumeration oracle names nothing from ``osgd.coeffs``, and one ``argsort``
-ranks every selection, with ``q_argmax`` running ``topq_positions``.
+path (only ``TapedBatch`` reads the loss table), one loop runs a config's
+seeds, only ``run_single`` touches the store of q = s prefixes (the q = s
+self-check may empty it), the enumeration oracle names nothing from
+``osgd.coeffs``, and one ``argsort`` ranks every selection, with
+``q_argmax`` running ``topq_positions``.
 
 Each case runs in a fresh interpreter, since a module once imported stays
 in ``sys.modules``.  Runs without binary cross-entropy, a sigmoid or the
@@ -157,26 +158,46 @@ def calls_by_scope(node):
             yield scope, child
 
 
-LOSS_PIECE_FUNCTIONS = {"_loss_pieces", "_losses_from_pieces", "_logit_grads"}
+def loss_table(objectives):
+    """The names of the per-kind functions in ``objectives._LOSSES``, and
+    the ids of the nodes of the module-level statements that define the
+    table and ``LOSS_KINDS``, which read it."""
+    names, defining = set(), set()
+    for node in objectives.body:
+        targets = [getattr(t, "id", None) for t in
+                   getattr(node, "targets", ())]
+        if targets == ["_LOSSES"]:
+            names = {value.id for value in node.value.values}
+        if targets in (["_LOSSES"], ["LOSS_KINDS"]):
+            defining.update(map(id, ast.walk(node)))
+    return names, defining
 
 
 def test_batches_are_forwarded_on_one_path():
+    trees = dict(library_trees())
+    table, defining = loss_table(trees["objectives.py"])
+    assert len(table) == 4
     found = []
-    for name, tree in library_trees():
-        for scope, call in calls_by_scope(tree):
-            func, where = call.func, (name, *scope)
-            if (isinstance(func, ast.Name) and func.id in LOSS_PIECE_FUNCTIONS
-                    and where[:2] != ("objectives.py", "TapedBatch")):
-                found.append(f"{name}:{call.lineno} calls {func.id}")
+    for name, tree in trees.items():
+        for scope, node in nodes_by_scope(tree):
+            where = (name, *scope)
+            read = getattr(node, "id", None) or getattr(node, "attr", None)
+            if id(node) in defining:
+                continue
+            if read in table or (read == "_LOSSES" and where[:2] != (
+                    "objectives.py", "TapedBatch")):
+                found.append(f"{name}:{node.lineno} reads {read}")
+            func = getattr(node, "func", None)
             if (isinstance(func, ast.Attribute) and func.attr == "forward"
                     and where[:2] != ("objectives.py", "TapedBatch")
                     and where != ("objectives.py", "FeedforwardModel",
                                   "logits")):
-                found.append(f"{name}:{call.lineno} calls .forward(")
+                found.append(f"{name}:{node.lineno} calls .forward(")
     assert not found, (
-        f"{', '.join(found)}: one forward path: only TapedBatch forms the "
-        f"loss pieces, and only TapedBatch and FeedforwardModel.logits call "
-        f".forward(")
+        f"{', '.join(found)}: one forward path: only TapedBatch reads the "
+        f"loss table _LOSSES (besides LOSS_KINDS, its keys), no code calls "
+        f"a table function by name, and only TapedBatch and "
+        f"FeedforwardModel.logits call .forward(")
 
 
 def test_one_seed_loop_and_one_split_rule():

@@ -12,9 +12,8 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from osgd.harness import _central_difference
-from osgd.objectives import (_ACTIVATIONS, LOSS_KINDS, FeedforwardModel,
-                             Objective, _logit_grads, _loss_pieces,
-                             _losses_from_pieces, make_model)
+from osgd.objectives import (_ACTIVATIONS, _LOSSES, LOSS_KINDS,
+                             FeedforwardModel, Objective, make_model)
 
 
 @pytest.mark.parametrize("name,derivative_at_input", [
@@ -507,8 +506,9 @@ LOSS_SHAPES = [("multinomial-cross-entropy", 10), ("multiclass-hinge", 3),
 
 
 class TestSharedLossPieces:
-    """One per-kind pass gives the losses and the pieces the gradient
-    reuses, bitwise equal to computing each from scratch."""
+    """One table function per loss kind forms what the losses and the
+    logit gradients share; each, formed from it in either order, is
+    bitwise equal to computing it from scratch."""
 
     @pytest.mark.parametrize("kind,d_out", LOSS_SHAPES)
     @pytest.mark.parametrize("m", [1, 3, 8, 40, 64])
@@ -518,14 +518,15 @@ class TestSharedLossPieces:
         y = rng.integers(0, max(d_out, 2), m)
         if kind == "multiclass-hinge":
             A[0] = 0.0  # margins exactly at the kink
-        pieces = _loss_pieces(kind, A, y)
-        losses = _losses_from_pieces(kind, A, pieces)
-        assert losses.tobytes() == ref_loss_values(kind, A, y).tobytes()
-        grads = _logit_grads(kind, pieces)
-        assert grads.tobytes() == ref_logit_grads(kind, A, y).tobytes()
-        # pieces whose losses were never formed give the same gradient
-        pieces = _loss_pieces(kind, A, y)
-        assert _logit_grads(kind, pieces).tobytes() == grads.tobytes()
+        want_losses = ref_loss_values(kind, A, y).tobytes()
+        want_grads = ref_logit_grads(kind, A, y).tobytes()
+        losses, grads = _LOSSES[kind](A, y)  # losses read first
+        assert losses().tobytes() == want_losses
+        assert grads().tobytes() == want_grads
+        losses, grads = _LOSSES[kind](A, y)  # gradients formed first
+        assert grads().tobytes() == want_grads
+        assert losses().tobytes() == want_losses
+        assert grads().tobytes() == want_grads
 
     @pytest.mark.parametrize("kind,d_out", LOSS_SHAPES)
     @pytest.mark.parametrize("m", [1, 5, 64])
@@ -550,7 +551,7 @@ class TestSharedLossPieces:
         assert taped.mean_grad().tobytes() == uniform.tobytes()
         assert taped.grad(weights).tobytes() == \
             reference(everyone, weights).tobytes()
-        # the shared pieces are read, never written
+        # what the losses and gradients share is read, never written
         assert taped.mean_grad().tobytes() == uniform.tobytes()
         if m > 1:
             kept = np.array([0, m - 1])
@@ -565,9 +566,9 @@ class TestSharedLossPieces:
                             lambda *a, **k: calls.append(a) or arange(*a, **k))
         A = np.linspace(-2.0, 2.0, 8)[:, None]
         y = np.array([0, 1] * 4)
-        pieces = _loss_pieces(kind, A, y)
-        _losses_from_pieces(kind, A, pieces)
-        _logit_grads(kind, pieces)
+        losses, grads = _LOSSES[kind](A, y)
+        losses()
+        grads()
         assert calls == []
 
 

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from osgd.coeffs import gamma_weights
+from osgd import ordered_loss
+from osgd.coeffs import gamma_weight_numerators, gamma_weights
 from osgd.objectives import FeedforwardModel, Objective
 from osgd.ordered_loss import (MAX_BRUTEFORCE_SUBSETS, ResourceError,
                                _lex_subsets, _subset_blocks,
@@ -248,6 +249,29 @@ class TestSelectionCounts:
             assert total == ref_total
             assert counts.dtype == ref_counts.dtype
             np.testing.assert_array_equal(counts, ref_counts)
+
+    @pytest.mark.parametrize("n,s,q", [(3000, 2999, 1), (19, 9, 4)])
+    def test_blocks_are_bounded_by_entries(self, n, s, q, monkeypatch):
+        # the complement branch holds a (rows, n) mask per block, so a
+        # block's rows are capped at 2**20 // n as well as at 1024
+        shapes, subset_blocks = [], ordered_loss._subset_blocks
+
+        def spy(*args):
+            for block in subset_blocks(*args):
+                shapes.append(block.shape)
+                yield block
+
+        monkeypatch.setattr(ordered_loss, "_subset_blocks", spy)
+        losses = np.random.default_rng(n).permutation(n) + 0.5
+        counts, total = rank_selection_counts(losses, s, q)
+        rows = min(1024, 2 ** 20 // n)
+        assert sum(r for r, _ in shapes) == total == comb(n, s)
+        assert all(r * n <= 2 ** 20 and r <= rows and width == s
+                   for r, width in shapes)
+        assert all(r == rows for r, _ in shapes[:-1])
+        nums, den = gamma_weight_numerators(n, s, q)
+        assert den == total
+        assert counts[rank_by_loss(losses)].tolist() == nums
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_equal_per_subset_reference(self, n):
