@@ -1,10 +1,12 @@
 """Run settings, each declared once on its config dataclass field.
 
 A setting's field holds its default, its checks and, when it is not the
-section's key prefix plus the field name, its dotted key.  Its type comes
-from its default: the type decides how config-file text is parsed and the
-type check every value meets.  The same checks run for constructor
-arguments and file values alike, and every failed check names the key.
+section's key prefix plus the field name, its dotted key, the setting's
+one spelling.  Its type comes from its default (an int, float, str or
+tuple of ints, unless ``as_type`` says otherwise): the type decides how
+config-file text is parsed and the type check every value meets.  The
+same checks run for constructor arguments and file values alike, and
+every failed check names the key.
 """
 from __future__ import annotations
 
@@ -24,8 +26,6 @@ def _int_list(raw):
 
 # default's type -> (text parser, (test, rule) checks every value meets)
 _TYPES = {
-    bool: (lambda raw: {"true": True, "false": False}[raw.lower()],
-           (lambda v: isinstance(v, bool), "must be true or false")),
     int: (int, (is_int, "must be an integer")),
     float: (float, (lambda v: is_int(v) or isinstance(v, (float, np.floating)),
                     "must be a number")),
@@ -89,6 +89,6 @@ def from_flat(section, flat):
             raw = flat.pop(key)
             try:
                 changes[f.name] = f.metadata["parse"](raw)
-            except (ValueError, KeyError):
+            except ValueError:
                 changes[f.name] = raw
     return replace(section, **changes)

@@ -7,17 +7,23 @@ experiments: batch size 64, learning rate 0.01 with a 10x drop entering
 the tenth epoch, momentum 0.9, weight decay 1e-4, adaptive q.
 
 Each setting is declared once, on its dataclass field (see ``_settings``):
-its default, its checks and its dotted key, the section prefix plus the
-field name except for ``loss.kind`` and ``reg.l2``.  The checks run when a
-config is built, from a file or a constructor, and name the key.
+its default, its checks and its one dotted key, the section prefix plus
+the field name except for ``loss.kind`` and ``reg.l2``.  The checks run
+when a config is built, from a file or a constructor, and name the key.
+
+A setting is kept when it selects an algorithm variant (the q rule,
+batching, schedule, momentum, model, loss), even where only tests use it.
+Choices no experiment varies are constants of the code that reads them:
+every epoch is logged, splits are stratified, models have biases, and
+the Adam arms use ``optimizers.adam``'s moments and eps.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from ._settings import (AT_LEAST_1, NONNEG, NONNEG_ENTRIES, POSITIVE_FINITE,
-                        UNIT, Section, from_flat, is_int, one_of, setting)
+from ._settings import (AT_LEAST_1, NONNEG, NONNEG_ENTRIES, UNIT, Section,
+                        from_flat, is_int, one_of, setting)
 from .data import (Dataset, gen_clusters_2d, gen_rings_2d, load_cache,
                    load_idx, load_semeion, split_dataset)
 from .objectives import (_ACTIVATIONS, LOSS_KINDS, MODEL_KINDS, Objective,
@@ -29,8 +35,8 @@ OPT_KINDS = ("osgd", "sgd", "oadam", "adam")
 # Minibatch SGD and Adam: the ordered step with q pinned to the batch length.
 BASELINE_KINDS = ("sgd", "adam")
 
-# opt.q is "adaptive" or an integer, also spelled fixed:N in config files
-_Q = (lambda raw: raw if raw == "adaptive" else int(raw.removeprefix("fixed:")),
+# opt.q is "adaptive" or an integer
+_Q = (lambda raw: raw if raw == "adaptive" else int(raw),
       (lambda v: v == "adaptive" or is_int(v),
        "must be an integer or 'adaptive'"))
 
@@ -45,15 +51,13 @@ class DataConfig(Section):
     seed: int = setting(0, NONNEG)     # generator seed; build_dataset's split
     # 0 disables splitting: train = test = all rows
     test_fraction: float = setting(0.0, UNIT)
-    stratified: bool = setting(True)
 
     def split(self, ds: Dataset, seed: int) -> Dataset:
-        """``ds`` with the train/test split of ``seed``, drawn over every
-        row whatever splits ``ds`` already has; with test_fraction = 0
-        every row is both splits."""
+        """``ds`` with the stratified train/test split of ``seed``, drawn
+        over every row whatever splits ``ds`` already has; with
+        test_fraction = 0 every row is both splits."""
         if self.test_fraction > 0.0:
-            return split_dataset(ds, self.test_fraction, seed,
-                                 stratified=self.stratified)
+            return split_dataset(ds, self.test_fraction, seed, stratified=True)
         return ds.with_default_splits()
 
 
@@ -64,7 +68,6 @@ class ModelConfig(Section):
     hidden: tuple[int, ...] = setting(
         (), (lambda v: min(v, default=1) >= 1, "widths must be at least 1"))
     activation: str = setting("tanh", one_of(tuple(_ACTIVATIONS)))
-    bias: bool = setting(True)
 
     def __post_init__(self):
         super().__post_init__()
@@ -84,9 +87,6 @@ class OptConfig(Section):
     # "shuffle" (epoch-wise) or "iid" (per step)
     batching: str = setting("shuffle", one_of(("shuffle", "iid")))
     schedule: ScheduleSpec = ScheduleSpec(kind="step-decay", decay_epochs=(9,))
-    beta1: float = setting(0.9, UNIT)
-    beta2: float = setting(0.999, UNIT)
-    eps: float = setting(1e-8, POSITIVE_FINITE)
 
     def initial_q(self, s: int) -> int:
         """q of the first step at batch size s: s for baselines and adaptive q."""
@@ -106,8 +106,8 @@ class RunConfig(Section):
                                "must be finite and nonnegative"), key="reg.l2")
     epochs: int = setting(10, NONNEG)
     seeds: tuple[int, ...] = setting(
-        (0,), (bool, "must name at least one seed"), NONNEG_ENTRIES)
-    eval_every: int = setting(1, AT_LEAST_1)
+        (0,), (bool, "must name at least one seed"), NONNEG_ENTRIES,
+        (lambda v: len(set(v)) == len(v), "must not repeat a seed"))
     outdir: str = setting("runs")
     opt: OptConfig = OptConfig()
 
@@ -138,8 +138,6 @@ def load_config(path, overrides=()) -> RunConfig:
 def config_from_flat(flat: dict) -> RunConfig:
     """Build a RunConfig from dotted keys, rejecting unknown ones."""
     flat = dict(flat)
-    if "opt.lr" in flat:  # an alias of opt.schedule.base_lr, which wins
-        flat.setdefault("opt.schedule.base_lr", flat.pop("opt.lr"))
     cfg = from_flat(RunConfig(), flat)
     if flat:
         raise ValueError(f"unknown config keys: {sorted(flat)}")
@@ -171,6 +169,5 @@ def _load_rows(dc: DataConfig) -> Dataset:
 def build_objective(cfg: RunConfig, dataset: Dataset) -> Objective:
     d_out = 1 if cfg.loss_kind == "binary-cross-entropy" else dataset.n_classes
     model = make_model(cfg.model.kind, d_in=dataset.d, d_out=d_out,
-                       hidden=cfg.model.hidden, activation=cfg.model.activation,
-                       bias=cfg.model.bias)
+                       hidden=cfg.model.hidden, activation=cfg.model.activation)
     return Objective(model, cfg.loss_kind, l2=cfg.l2)

@@ -221,8 +221,7 @@ def run_single(cfg: RunConfig, dataset: Dataset, seed: int) -> RunResult:
         update = partial(optimizers.heavy_ball, momentum=opt.momentum)
     else:
         family = "adam"
-        update = partial(optimizers.adam, beta1=opt.beta1, beta2=opt.beta2,
-                         eps=opt.eps)
+        update = optimizers.adam
 
     rng = np.random.default_rng(seed)
     key = (_prefix_key(cfg, family, seed, dataset.n_classes,
@@ -240,23 +239,20 @@ def run_single(cfg: RunConfig, dataset: Dataset, seed: int) -> RunResult:
             state.q_current = adaptive_q_update(train_acc, s)
         key = None  # the prefix is stored already
 
-    def epoch_end(epoch, elapsed, emit):
-        # evaluated every epoch (the adaptive rule needs train accuracy);
-        # a record row is only kept on the eval cadence
+    def epoch_end(epoch, elapsed):
         avg, ordered, train_acc, test_err = _evaluate_epoch(
             obj, state, Xtr, ytr, Xte, yte, s)
-        if emit:
-            records.append(RunRecord(
-                seed=seed, epoch=epoch, step=state.step_count,
-                q=state.q_current, lr=state.lr_current, train_avg_loss=avg,
-                train_ordered_loss=ordered, train_acc=train_acc,
-                test_error_pct=test_err, epoch_seconds=elapsed))
+        records.append(RunRecord(
+            seed=seed, epoch=epoch, step=state.step_count,
+            q=state.q_current, lr=state.lr_current, train_avg_loss=avg,
+            train_ordered_loss=ordered, train_acc=train_acc,
+            test_error_pct=test_err, epoch_seconds=elapsed))
         return train_acc
 
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             if cfg.epochs == 0:
-                epoch_end(0, 0.0, emit=True)
+                epoch_end(0, 0.0)
             for epoch in range(start, cfg.epochs):
                 t0 = time.perf_counter()
                 for batch in _epoch_batches(rng, n_tr, s, opt.batching):
@@ -266,9 +262,7 @@ def run_single(cfg: RunConfig, dataset: Dataset, seed: int) -> RunResult:
                                          min(state.q_current, len(batch)),
                                          update=update)
                 elapsed = time.perf_counter() - t0
-                train_acc = epoch_end(
-                    epoch, elapsed, emit=(epoch + 1) % cfg.eval_every == 0
-                    or epoch == cfg.epochs - 1)
+                train_acc = epoch_end(epoch, elapsed)
                 # the q = s prefix ends with this epoch: store it once
                 if key is not None and epoch < cfg.epochs - 1 \
                         and adaptive_q_update(train_acc, s) < s:

@@ -31,11 +31,10 @@ from .selection import q_argmax, rank_by_loss  # noqa: F401
 
 # Enumeration cap: keeps verification runs under a minute.
 MAX_BRUTEFORCE_SUBSETS = 100_000
-# Subsets counted per block: enough that numpy, not the Python loop, does
-# the work.  A complement-branch block (2s > n) holds a (rows, n) mask and
-# np.nonzero's two (rows, s) index arrays, so it also holds at most
-# _ENUM_BLOCK_ENTRIES // n rows (at least one): 1024 for every n <= 1024.
-_ENUM_BLOCK_ROWS = 1024
+# Enumeration blocks have _ENUM_BLOCK_ENTRIES // n rows (at least one), so
+# a block's (rows, s) subsets and, in the complement branch (2s > n), its
+# (rows, n) mask and np.nonzero's two (rows, s) index arrays each hold at
+# most this many entries.
 _ENUM_BLOCK_ENTRIES = 2 ** 20
 
 
@@ -178,7 +177,7 @@ def rank_selection_counts(losses, s: int, q: int):
         raise ResourceError(f"C({n}, {s}) = {total} subsets exceeds the "
                             f"enumeration cap {MAX_BRUTEFORCE_SUBSETS}")
     kept = np.zeros(n, dtype=np.int64)  # per place
-    rows = max(1, min(_ENUM_BLOCK_ROWS, _ENUM_BLOCK_ENTRIES // n))
+    rows = max(1, _ENUM_BLOCK_ENTRIES // n)
     for block in _subset_blocks(n, s, rows):
         kept += np.bincount(block[:, :q].ravel(), minlength=n)
     counts = np.empty(n, dtype=np.int64)

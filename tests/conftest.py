@@ -17,6 +17,20 @@ def empty_prefix_store():
 
 ACCEPTANCE_RESULTS = {}
 
+# Settings and second spellings the config no longer takes, as override
+# text, each with the whole error message it gets.
+REMOVED_SETTINGS = {
+    "eval_every = 2": "unknown config keys: ['eval_every']",
+    "model.bias = false": "unknown config keys: ['model.bias']",
+    "data.stratified = false": "unknown config keys: ['data.stratified']",
+    "opt.beta1 = 0.8": "unknown config keys: ['opt.beta1']",
+    "opt.beta2 = 0.99": "unknown config keys: ['opt.beta2']",
+    "opt.eps = 1e-6": "unknown config keys: ['opt.eps']",
+    "opt.lr = 0.5": "unknown config keys: ['opt.lr']",
+    "opt.q = fixed:8":
+        "opt.q must be an integer or 'adaptive', got 'fixed:8'",
+}
+
 
 def stand_in_digits(seed=0, n=1593):
     """Semeion-shaped stand-in: n x 256 binary pixels, 10 classes."""

@@ -18,6 +18,8 @@ from osgd.cli import build_parser, main
 from osgd.coeffs import EXACT_N_LIMIT, gamma_weights, gamma_weights_float
 from osgd.data import load_cache
 
+from conftest import REMOVED_SETTINGS
+
 
 CONFIG_TEXT = """
 # tiny 2-D run
@@ -319,12 +321,25 @@ def test_config_error_is_one_line_and_exit_2(config_file, tmp_path,
     monkeypatch.chdir(tmp_path)
     assert main([*command, "--config", str(config_file),
                  "--override", "outdir = out",
-                 "--override", "model.bias = no"]) == 2
+                 "--override", "opt.batching = sometimes"]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert "model.bias must be true or false, got 'no'" in err
+    assert "opt.batching must be one of shuffle, iid, got 'sometimes'" in err
     assert not (tmp_path / "out").exists()
     assert not (tmp_path / "moreau.csv").exists()
+
+
+@pytest.mark.parametrize("text,message", [
+    *REMOVED_SETTINGS.items(),
+    ("seeds = 0, 0, 1", "seeds must not repeat a seed, got (0, 0, 1)")],
+    ids=[*REMOVED_SETTINGS, "repeated-seed"])
+def test_train_rejects_removed_settings_and_repeated_seeds(
+        config_file, tmp_path, monkeypatch, capsys, text, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(["train", "--config", str(config_file),
+                 "--override", "outdir = out", "--override", text]) == 2
+    assert capsys.readouterr().err == f"osgd train: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 class TestDataCommands:

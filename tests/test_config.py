@@ -15,6 +15,8 @@ from osgd.config import (DataConfig, ModelConfig, OptConfig, RunConfig,
 from osgd.data import FormatError, gen_rings_2d
 from osgd.optimizers import ScheduleSpec
 
+from conftest import REMOVED_SETTINGS
+
 
 def setting_keys(section=RunConfig()):
     """(dotted key, default) of every run setting, in declaration order."""
@@ -62,9 +64,16 @@ class TestParsing:
     def test_no_keys_give_the_default_config(self):
         assert config_from_flat({}) == RunConfig()
 
-    def test_fixed_q_syntax(self):
-        cfg = config_from_flat({"opt.q": "fixed:8"})
-        assert cfg.opt.q == 8
+    def test_one_spelling_for_each_of_24_settings(self):
+        assert len(KEYS) == len(set(KEYS)) == 24
+
+    @pytest.mark.parametrize("text,message", REMOVED_SETTINGS.items(),
+                             ids=list(REMOVED_SETTINGS))
+    def test_removed_setting_rejected_naming_it(self, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            config_from_flat(parse_config_text(text))
+
+    def test_integer_q(self):
         cfg = config_from_flat({"opt.q": "16"})
         assert cfg.opt.q == 16
 
@@ -72,12 +81,9 @@ class TestParsing:
         with pytest.raises(ValueError, match="adaptive"):
             config_from_flat({"opt.q": "sometimes"})
 
-    def test_opt_lr_feeds_schedule_base(self):
-        cfg = config_from_flat({"opt.lr": "0.5",
-                                "opt.schedule.kind": "constant"})
-        assert cfg.opt.schedule.base_lr == 0.5
+    def test_schedule_owns_the_rate(self):
         with pytest.raises(TypeError):
-            OptConfig(kind="osgd", lr=0.5)  # the schedule owns the rate
+            OptConfig(kind="osgd", lr=0.5)
 
     def test_seed_list_and_hidden_tuple(self):
         cfg = config_from_flat({"seeds": "3, 5, 8",
@@ -102,7 +108,7 @@ class TestBuilders:
 
     def test_split_fraction_applies(self):
         ds = build_dataset(DataConfig(kind="clusters", seed=4,
-                                      test_fraction=0.25, stratified=False))
+                                      test_fraction=0.25))
         assert len(ds.splits["test"]) == 50
         assert len(ds.splits["train"]) == 150
 
@@ -171,17 +177,12 @@ class TestBuilders:
 class TestRunSettingChecks:
     """Bad run settings fail when the config is built, naming the key."""
 
-    @pytest.mark.parametrize("value", ["0", "-2"])
-    def test_eval_every_below_one_rejected(self, value):
-        with pytest.raises(ValueError, match="eval_every must be at least 1"):
-            config_from_flat({"eval_every": value})
-
     def test_batch_size_below_one_rejected(self):
         with pytest.raises(ValueError,
                            match="opt.batch_size must be at least 1, got 0"):
             config_from_flat({"opt.batch_size": "0"})
 
-    @pytest.mark.parametrize("value", ["0", "-3", "fixed:0"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
     def test_integer_q_below_one_rejected(self, value):
         with pytest.raises(ValueError, match="opt.q must be at least 1"):
             config_from_flat({"opt.q": value})
@@ -192,10 +193,8 @@ class TestRunSettingChecks:
             config_from_flat({"opt.momentum": value})
 
     @pytest.mark.parametrize("key,value", [("opt.q", "2.5"),
-                                           ("opt.q", "fixed:2.5"),
                                            ("opt.batch_size", "20.5"),
-                                           ("epochs", "1.5"),
-                                           ("eval_every", "2.0")])
+                                           ("epochs", "1.5")])
     def test_non_integer_rejected(self, key, value):
         with pytest.raises(ValueError,
                            match=f"{re.escape(key)} must be an integer"):
@@ -213,25 +212,10 @@ class TestRunSettingChecks:
     @pytest.mark.parametrize("key,value", [("reg.l2", "nan"),
                                            ("reg.l2", "inf"),
                                            ("opt.schedule.base_lr", "nan"),
-                                           ("opt.schedule.base_lr", "inf"),
-                                           ("opt.lr", "inf")])
+                                           ("opt.schedule.base_lr", "inf")])
     def test_non_finite_rejected(self, key, value):
-        name = "reg.l2" if key == "reg.l2" else "opt.schedule.base_lr"
-        with pytest.raises(ValueError, match=f"{re.escape(name)} must be"):
+        with pytest.raises(ValueError, match=f"{re.escape(key)} must be"):
             config_from_flat({key: value})
-
-    @pytest.mark.parametrize("key", ["opt.beta1", "opt.beta2"])
-    @pytest.mark.parametrize("value", ["-1", "-0.1", "1.0", "1.5", "nan"])
-    def test_adam_betas_outside_unit_interval_rejected(self, key, value):
-        with pytest.raises(ValueError,
-                           match=rf"{re.escape(key)} must lie in \[0, 1\)"):
-            config_from_flat({"opt.kind": "oadam", key: value})
-
-    @pytest.mark.parametrize("value", ["0", "-1e-8", "nan", "inf"])
-    def test_adam_eps_not_positive_and_finite_rejected(self, value):
-        with pytest.raises(ValueError,
-                           match="opt.eps must be positive and finite"):
-            config_from_flat({"opt.kind": "oadam", "opt.eps": value})
 
     @pytest.mark.parametrize("value", ["16, -3", "0", "16, 0"])
     def test_hidden_width_below_one_rejected(self, value):
@@ -270,14 +254,10 @@ class TestRunSettingChecks:
         with pytest.raises(ValueError, match="model.hidden widths"):
             ModelConfig(kind="mlp", hidden=(16, -3))
 
-    @pytest.mark.parametrize("key,value", [("eval_every", "1"),
-                                           ("opt.batch_size", "1"),
+    @pytest.mark.parametrize("key,value", [("opt.batch_size", "1"),
                                            ("opt.q", "1"),
                                            ("opt.momentum", "0.0"),
                                            ("opt.momentum", "0.99"),
-                                           ("opt.beta1", "0.0"),
-                                           ("opt.beta2", "0.9999"),
-                                           ("opt.eps", "1e-300"),
                                            ("data.test_fraction", "0.0"),
                                            ("data.test_fraction", "0.99"),
                                            ("model.hidden", "1"),
@@ -286,10 +266,9 @@ class TestRunSettingChecks:
         config_from_flat({key: value})
 
     @pytest.mark.parametrize("key,value,rule", [
-        ("model.bias", "no", "must be true or false"),
-        ("data.stratified", "yes", "must be true or false"),
         ("data.seed", "1.5", "must be an integer"),
         ("data.seed", "-3", "must be nonnegative"),
+        ("seeds", "0, 0, 1", r"must not repeat a seed, got \(0, 0, 1\)$"),
         ("model.kind", "cnn", "must be one of linear, mlp"),
         ("model.activation", "gelu", "must be one of"),
         ("loss.kind", "mse", "must be one of"),
@@ -304,10 +283,9 @@ class TestRunSettingChecks:
             config_from_flat({key: value})
 
     @pytest.mark.parametrize("build,message", [
-        (lambda: ModelConfig(bias="no"), "model.bias must be true or false"),
-        (lambda: DataConfig(stratified=1), "data.stratified must be true"),
         (lambda: DataConfig(seed=1.5), "data.seed must be an integer"),
         (lambda: DataConfig(seed=-3), "data.seed must be nonnegative"),
+        (lambda: RunConfig(seeds=(2, 5, 2)), "seeds must not repeat a seed"),
         (lambda: ModelConfig(kind="cnn"), "model.kind must be one of"),
         (lambda: RunConfig(loss_kind="mse"), "loss.kind must be one of"),
         (lambda: ScheduleSpec(kind="linear"), "opt.schedule.kind must be"),
@@ -336,17 +314,12 @@ class TestRunSettingChecks:
         cfg = config_from_flat({"model.kind": "mlp", "model.hidden": "16"})
         assert cfg.model.hidden == (16,)
 
-    def test_strict_booleans_accept_true_and_false(self):
-        cfg = config_from_flat({"model.bias": "False",
-                                "data.stratified": "false"})
-        assert cfg.model.bias is False and cfg.data.stratified is False
-
 
 VALUES = st.one_of(
     st.integers(-3, 300).map(str),
     st.floats().map(repr),
     st.sampled_from(["nan", "inf", "-inf", "1e400", "true", "false", "yes",
-                     "adaptive", "fixed:8", "fixed:0", "mlp", "relu",
+                     "adaptive", "mlp", "relu",
                      "squared", "rings", "step-decay", "iid", "oadam"]),
     st.lists(st.integers(-3, 300), max_size=4).map(
         lambda v: ", ".join(map(str, v))),
@@ -355,20 +328,16 @@ VALUES = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.dictionaries(st.sampled_from(KEYS + ["opt.lr"]), VALUES,
-                       max_size=6))
+@given(st.dictionaries(st.sampled_from(KEYS), VALUES, max_size=6))
 def test_config_from_flat_fuzz(flat):
     """Random settings either build or fail naming a key that fails alone."""
     try:
         cfg = config_from_flat(flat)
     except ValueError as exc:
         named = str(exc).split()[0]
-        source = named
-        if named == "opt.schedule.base_lr" and named not in flat:
-            source = "opt.lr"  # the alias feeds base_lr
-        assert source in flat, str(exc)
+        assert named in flat, str(exc)
         with pytest.raises(ValueError, match=f"^{re.escape(named)} "):
-            config_from_flat({source: flat[source]})
+            config_from_flat({named: flat[named]})
     else:
         assert isinstance(cfg, RunConfig)
 

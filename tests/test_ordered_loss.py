@@ -253,7 +253,7 @@ class TestSelectionCounts:
     @pytest.mark.parametrize("n,s,q", [(3000, 2999, 1), (19, 9, 4)])
     def test_blocks_are_bounded_by_entries(self, n, s, q, monkeypatch):
         # the complement branch holds a (rows, n) mask per block, so a
-        # block's rows are capped at 2**20 // n as well as at 1024
+        # block's rows are capped at 2**20 // n
         shapes, subset_blocks = [], ordered_loss._subset_blocks
 
         def spy(*args):
@@ -264,7 +264,7 @@ class TestSelectionCounts:
         monkeypatch.setattr(ordered_loss, "_subset_blocks", spy)
         losses = np.random.default_rng(n).permutation(n) + 0.5
         counts, total = rank_selection_counts(losses, s, q)
-        rows = min(1024, 2 ** 20 // n)
+        rows = 2 ** 20 // n
         assert sum(r for r, _ in shapes) == total == comb(n, s)
         assert all(r * n <= 2 ** 20 and r <= rows and width == s
                    for r, width in shapes)
