@@ -12,7 +12,8 @@ from osgd._settings import Section, key_of
 from osgd.config import (DataConfig, ModelConfig, OptConfig, RunConfig,
                          build_dataset, build_objective, config_from_flat,
                          load_config, parse_config_text)
-from osgd.data import FormatError, gen_rings_2d
+from osgd.data import FormatError, gen_rings_2d, split_dataset
+from osgd.objectives import LOSS_KINDS
 from osgd.optimizers import ScheduleSpec
 
 from conftest import REMOVED_SETTINGS
@@ -112,6 +113,19 @@ class TestBuilders:
         assert len(ds.splits["test"]) == 50
         assert len(ds.splits["train"]) == 150
 
+    @pytest.mark.parametrize("fraction", [0.1, 0.25, 0.5])
+    @pytest.mark.parametrize("kind", ["clusters", "rings"])
+    def test_split_is_always_stratified(self, kind, fraction):
+        dc = DataConfig(kind=kind, seed=2, test_fraction=fraction)
+        ds = build_dataset(dc)
+        want = split_dataset(ds, fraction, 2, stratified=True)
+        for name in ("train", "test"):
+            np.testing.assert_array_equal(ds.splits[name], want.splits[name])
+        test_labels = ds.labels[ds.splits["test"]]
+        for cls in range(ds.n_classes):
+            count = int(np.sum(ds.labels == cls))
+            assert np.sum(test_labels == cls) == int(np.floor(count * fraction))
+
     def test_split_seed_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             config_from_flat({"data.split_seed": "11"})
@@ -165,6 +179,19 @@ class TestBuilders:
         assert obj.model.hidden == (5, 4)
         assert obj.model.activation == "sigmoid"
 
+    @pytest.mark.parametrize("loss_kind", LOSS_KINDS)
+    @pytest.mark.parametrize("model", [ModelConfig(kind="linear"),
+                                       ModelConfig(kind="mlp", hidden=(5, 3))],
+                             ids=["linear", "mlp"])
+    def test_objective_models_always_have_biases(self, model, loss_kind):
+        ds = build_dataset(DataConfig(kind="clusters", seed=0))
+        m = build_objective(RunConfig(model=model, loss_kind=loss_kind),
+                            ds).model
+        widths = (m.d_in, *m.hidden, m.d_out)
+        assert m.bias
+        assert m.n_params == sum((inp + 1) * out for inp, out
+                                 in zip(widths[:-1], widths[1:]))
+
     def test_invalid_optimizer_kind_rejected(self):
         with pytest.raises(ValueError):
             OptConfig(kind="lbfgs")
@@ -199,6 +226,12 @@ class TestRunSettingChecks:
         with pytest.raises(ValueError,
                            match=f"{re.escape(key)} must be an integer"):
             config_from_flat({key: value})
+
+    @pytest.mark.parametrize("value", ["0, 0", "3, 1, 3", "7, 7, 7"])
+    def test_repeated_seed_rejected(self, value):
+        with pytest.raises(ValueError,
+                           match="^seeds must not repeat a seed, got "):
+            config_from_flat({"seeds": value})
 
     def test_dataclasses_reject_non_integers(self):
         with pytest.raises(ValueError, match="opt.q must be an integer"):

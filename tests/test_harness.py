@@ -721,6 +721,14 @@ class TestLoggedMetrics:
         assert rec.q == q
         assert rec.train_ordered_loss == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("kind", ["osgd", "sgd", "oadam", "adam"])
+    def test_every_epoch_is_logged(self, kind):
+        cfg = tiny_config(kind=kind, epochs=4)
+        run = run_single(cfg, build_dataset(cfg.data), 0)
+        assert [rec.epoch for rec in run.records] == [0, 1, 2, 3]
+        steps = [rec.step for rec in run.records]
+        assert steps == [steps[0] * (e + 1) for e in range(4)] and steps[0] > 0
+
     @pytest.mark.parametrize("kind", ["osgd", "oadam"])
     def test_adaptive_q_follows_the_previous_epochs_accuracy(self, kind):
         cfg, ds = pinned_case("clusters-linear", kind)
