@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import analysis, coeffs, harness
-from .config import _load_rows, build_objective, load_config
+from .config import build_dataset, build_objective, load_config
 from .data import (gen_clusters_2d, gen_rings_2d, load_idx, load_semeion,
                    save_cache)
 
@@ -171,7 +171,7 @@ def _cmd_moreau(args):
     """Envelope gradient norm at a saved parameter vector, on the train
     split of the config's first seed."""
     cfg = load_config(args.config, overrides=args.override)
-    ds = cfg.data.split(_load_rows(cfg.data), cfg.seeds[0])
+    ds = cfg.data.split(build_dataset(cfg.data), cfg.seeds[0])
     obj = build_objective(cfg, ds)
     theta = np.load(args.theta)
     Xtr, ytr = ds.split("train")

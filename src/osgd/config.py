@@ -26,11 +26,21 @@ from ._settings import (AT_LEAST_1, NONNEG, NONNEG_ENTRIES, UNIT, Section,
                         from_flat, is_int, one_of, setting)
 from .data import (Dataset, gen_clusters_2d, gen_rings_2d, load_cache,
                    load_idx, load_semeion, split_dataset)
-from .objectives import (_ACTIVATIONS, LOSS_KINDS, MODEL_KINDS, Objective,
-                         make_model)
+from .objectives import (ACTIVATION_KINDS, LOSS_KINDS, MODEL_KINDS,
+                         Objective, make_model)
 from .optimizers import ScheduleSpec
 
-DATASET_KINDS = ("clusters", "rings", "semeion", "idx", "cache")
+# data.kind -> the configured rows, generated or read, without a split.
+# Each entry looks its loader up when called, so a loader patched on this
+# module is the one that runs.
+_LOADERS = {
+    "clusters": lambda dc: gen_clusters_2d(dc.seed),
+    "rings": lambda dc: gen_rings_2d(dc.seed),
+    "semeion": lambda dc: load_semeion(dc.path),
+    "idx": lambda dc: load_idx(dc.images, dc.labels),
+    "cache": lambda dc: load_cache(dc.path),
+}
+DATASET_KINDS = tuple(_LOADERS)
 OPT_KINDS = ("osgd", "sgd", "oadam", "adam")
 # Minibatch SGD and Adam: the ordered step with q pinned to the batch length.
 BASELINE_KINDS = ("sgd", "adam")
@@ -48,14 +58,15 @@ class DataConfig(Section):
     path: str = setting("")            # semeion/cache file
     images: str = setting("")          # idx image file
     labels: str = setting("")          # idx label file
-    seed: int = setting(0, NONNEG)     # generator seed; build_dataset's split
+    seed: int = setting(0, NONNEG)     # clusters/rings generator seed
     # 0 disables splitting: train = test = all rows
     test_fraction: float = setting(0.0, UNIT)
 
     def split(self, ds: Dataset, seed: int) -> Dataset:
         """``ds`` with the stratified train/test split of ``seed``, drawn
-        over every row whatever splits ``ds`` already has; with
-        test_fraction = 0 every row is both splits."""
+        over every row whatever splits ``ds`` already has.  With
+        test_fraction = 0 a ``ds`` with splits comes back unchanged, and
+        one without has every row as both splits."""
         if self.test_fraction > 0.0:
             return split_dataset(ds, self.test_fraction, seed, stratified=True)
         return ds.with_default_splits()
@@ -67,7 +78,7 @@ class ModelConfig(Section):
     kind: str = setting("linear", one_of(MODEL_KINDS))
     hidden: tuple[int, ...] = setting(
         (), (lambda v: min(v, default=1) >= 1, "widths must be at least 1"))
-    activation: str = setting("tanh", one_of(tuple(_ACTIVATIONS)))
+    activation: str = setting("tanh", one_of(ACTIVATION_KINDS))
 
     def __post_init__(self):
         super().__post_init__()
@@ -145,25 +156,9 @@ def config_from_flat(flat: dict) -> RunConfig:
 
 
 def build_dataset(dc: DataConfig) -> Dataset:
-    """Materialize the configured dataset with the split of ``dc.seed``."""
-    return dc.split(_load_rows(dc), dc.seed)
-
-
-def _load_rows(dc: DataConfig) -> Dataset:
-    """The configured rows, generated or read, without a split."""
-    if dc.kind == "clusters":
-        ds = gen_clusters_2d(dc.seed)
-    elif dc.kind == "rings":
-        ds = gen_rings_2d(dc.seed)
-    elif dc.kind == "semeion":
-        ds = load_semeion(dc.path)
-    elif dc.kind == "idx":
-        ds = load_idx(dc.images, dc.labels)
-    elif dc.kind == "cache":
-        ds = load_cache(dc.path)
-    else:
-        raise ValueError(f"unknown dataset kind {dc.kind!r}")
-    return ds
+    """The configured rows, generated or read, without a split: each run
+    takes its own with ``dc.split``."""
+    return _LOADERS[dc.kind](dc)
 
 
 def build_objective(cfg: RunConfig, dataset: Dataset) -> Objective:

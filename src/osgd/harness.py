@@ -31,10 +31,8 @@ from typing import get_type_hints
 import numpy as np
 
 from . import analysis, coeffs, objectives, optimizers, ordered_loss, selection
-# build_dataset is unused here but stays a harness attribute, which
-# bench/tracing.py wraps
 from .config import (BASELINE_KINDS, DataConfig, ModelConfig, OptConfig,
-                     RunConfig, _load_rows, build_dataset, build_objective)
+                     RunConfig, build_dataset, build_objective)
 from .data import Dataset, gen_clusters_2d
 from .optimizers import DivergenceError, adaptive_q_update, schedule_lr
 
@@ -98,25 +96,20 @@ class ExperimentResult:
     def records(self):
         return [rec for run in self.runs for rec in run.records]
 
-    def summary(self, baseline_mean=None):
+    def summary(self):
         """Mean/std of final test errors over completed seeds.
 
         Standard deviation is the sample standard deviation (ddof=1), 0.0
         for a single completed seed and nan for none.
-        ``rel_improvement_pct`` is filled when a baseline mean is supplied.
         """
         finals = [run.final_test_error for run in self.runs if not run.failed]
         mean = float(np.mean(finals)) if finals else float("nan")
         std = (float(np.std(finals, ddof=1)) if len(finals) > 1
                else 0.0 if finals else float("nan"))
-        rel = None
-        if baseline_mean is not None:
-            rel = analysis.relative_improvement(baseline_mean, mean)
         return {
             "config_id": self.config.name,
             "mean_test_err": mean,
             "std_test_err": std,
-            "rel_improvement_pct": rel,
             "final_test_errors": finals,
             "failed_seeds": [run.seed for run in self.runs if run.failed],
         }
@@ -284,12 +277,12 @@ def run_single(cfg: RunConfig, dataset: Dataset, seed: int) -> RunResult:
 def run_experiment(cfg: RunConfig, dataset: Dataset | None = None) -> ExperimentResult:
     """Run every seed of the config; failed seeds are reported, not fatal.
 
-    The data is built once, ``dataset`` standing for the rows ``cfg.data``
-    would load, and each seed runs on its own ``cfg.data.split``: with
-    test_fraction > 0 a seed re-splits every row, so splits the dataset
-    already has are not kept.
+    The data is built once by :func:`build_dataset`, or is ``dataset``
+    standing for those rows, and each seed runs on its own
+    ``cfg.data.split``: with test_fraction > 0 a seed re-splits every
+    row, so splits the dataset already has are not kept.
     """
-    data = dataset if dataset is not None else _load_rows(cfg.data)
+    data = dataset if dataset is not None else build_dataset(cfg.data)
     return ExperimentResult(config=cfg, runs=[
         run_single(cfg, cfg.data.split(data, seed), seed)
         for seed in cfg.seeds])
@@ -311,7 +304,7 @@ def sweep_q(cfg: RunConfig, q_values, dataset: Dataset | None = None) -> dict:
         raise ValueError("q_values must not be empty")
     if len(set(q_values)) < len(q_values):
         raise ValueError(f"q values {q_values} repeat a value")
-    data = dataset if dataset is not None else _load_rows(cfg.data)
+    data = dataset if dataset is not None else build_dataset(cfg.data)
     n_train = len(cfg.data.split(data, cfg.seeds[0]).splits["train"])
     s = min(cfg.opt.batch_size, n_train)
     bad = [q for q in q_values if not 1 <= q <= s]
@@ -345,12 +338,11 @@ def write_summary_csv(summaries, path):
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_COLUMNS)
         for summary in summaries:
-            rel = summary.get("rel_improvement_pct")
             writer.writerow([
                 summary["config_id"],
                 repr(summary["mean_test_err"]),
                 repr(summary["std_test_err"]),
-                "" if rel is None else repr(rel),
+                "",  # rel_improvement_pct: a summary has no baseline
             ])
 
 

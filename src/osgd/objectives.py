@@ -63,6 +63,7 @@ _ACTIVATIONS = {
         lambda h: h * (1.0 - h),
     ),
 }
+ACTIVATION_KINDS = tuple(_ACTIVATIONS)
 
 
 class FeedforwardModel:
@@ -202,14 +203,14 @@ class FeedforwardModel:
         return np.concatenate(blocks)
 
 
-def make_model(kind, d_in, d_out, hidden=(), activation="tanh", bias=True):
+def make_model(kind, d_in, d_out, hidden=(), activation="tanh"):
     if kind == "linear":
-        return FeedforwardModel(d_in, d_out, hidden=(), bias=bias)
+        return FeedforwardModel(d_in, d_out)
     if kind == "mlp":
         if not hidden:
             raise ValueError("mlp model needs at least one hidden width")
         return FeedforwardModel(d_in, d_out, hidden=hidden,
-                                activation=activation, bias=bias)
+                                activation=activation)
     raise ValueError(f"unknown model kind {kind!r}")
 
 

@@ -439,7 +439,7 @@ class TestAnalyzeCommands:
                                                    config_file, monkeypatch):
         overrides = ["data.test_fraction = 0.25", "seeds = 3"]
         cfg = config.load_config(str(config_file), overrides=overrides)
-        # the value when the rows were split at data.seed, then at seeds[0]
+        # the rows split once, at seeds[0]
         ds = cfg.data.split(config.build_dataset(cfg.data), 3)
         obj = config.build_objective(cfg, ds)
         theta = obj.init_params(np.random.default_rng(0))

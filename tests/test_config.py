@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from osgd import config
 from osgd._settings import Section, key_of
-from osgd.config import (DataConfig, ModelConfig, OptConfig, RunConfig,
-                         build_dataset, build_objective, config_from_flat,
-                         load_config, parse_config_text)
+from osgd.config import (DATASET_KINDS, DataConfig, ModelConfig, OptConfig,
+                         RunConfig, build_dataset, build_objective,
+                         config_from_flat, load_config, parse_config_text)
 from osgd.data import FormatError, gen_rings_2d, split_dataset
 from osgd.objectives import LOSS_KINDS
 from osgd.optimizers import ScheduleSpec
@@ -101,15 +102,52 @@ class TestParsing:
         assert cfg.epochs == 2
 
 
+# data.kind -> (its loader's name on osgd.config, the arguments that
+# LOADER_CONFIG passes it)
+LOADER_CALLS = {
+    "clusters": ("gen_clusters_2d", (7,)),
+    "rings": ("gen_rings_2d", (7,)),
+    "semeion": ("load_semeion", ("rows.data",)),
+    "idx": ("load_idx", ("images.idx", "labels.idx")),
+    "cache": ("load_cache", ("rows.data",)),
+}
+LOADER_CONFIG = dict(seed=7, path="rows.data", images="images.idx",
+                     labels="labels.idx")
+
+
 class TestBuilders:
+    def test_dataset_kinds_are_the_loader_table(self):
+        assert DATASET_KINDS == tuple(config._LOADERS) == tuple(LOADER_CALLS)
+        for kind in DATASET_KINDS:
+            assert DataConfig(kind=kind).kind == kind
+
+    @pytest.mark.parametrize("kind", list(LOADER_CALLS))
+    def test_build_dataset_calls_the_loader_patched_on_config(
+            self, monkeypatch, kind):
+        name, args = LOADER_CALLS[kind]
+        rows, calls = gen_rings_2d(0), []
+        monkeypatch.setattr(config, name,
+                            lambda *a: calls.append(a) or rows)
+        assert build_dataset(DataConfig(kind=kind, **LOADER_CONFIG)) is rows
+        assert calls == [args]
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.25])
+    def test_build_dataset_returns_the_rows_without_a_split(self, fraction):
+        dc = DataConfig(kind="clusters", seed=4, test_fraction=fraction)
+        ds = build_dataset(dc)
+        assert ds.splits == {}
+        np.testing.assert_array_equal(ds.features,
+                                      config.gen_clusters_2d(4).features)
+
     def test_synthetic_datasets_get_identity_splits(self):
-        ds = build_dataset(DataConfig(kind="rings", seed=1))
+        dc = DataConfig(kind="rings", seed=1)
+        ds = dc.split(build_dataset(dc), dc.seed)
         np.testing.assert_array_equal(ds.splits["train"], np.arange(1000))
         np.testing.assert_array_equal(ds.splits["test"], np.arange(1000))
 
     def test_split_fraction_applies(self):
-        ds = build_dataset(DataConfig(kind="clusters", seed=4,
-                                      test_fraction=0.25))
+        dc = DataConfig(kind="clusters", seed=4, test_fraction=0.25)
+        ds = dc.split(build_dataset(dc), dc.seed)
         assert len(ds.splits["test"]) == 50
         assert len(ds.splits["train"]) == 150
 
@@ -117,7 +155,7 @@ class TestBuilders:
     @pytest.mark.parametrize("kind", ["clusters", "rings"])
     def test_split_is_always_stratified(self, kind, fraction):
         dc = DataConfig(kind=kind, seed=2, test_fraction=fraction)
-        ds = build_dataset(dc)
+        ds = dc.split(build_dataset(dc), dc.seed)
         want = split_dataset(ds, fraction, 2, stratified=True)
         for name in ("train", "test"):
             np.testing.assert_array_equal(ds.splits[name], want.splits[name])
@@ -132,7 +170,7 @@ class TestBuilders:
 
     def test_split_redraws_over_every_row_with_its_seed(self):
         dc = DataConfig(kind="clusters", seed=0, test_fraction=0.2)
-        a = build_dataset(dc)  # split drawn with dc.seed
+        a = dc.split(build_dataset(dc), dc.seed)
         b = dc.split(a, 12)    # a's splits are not kept
         assert not np.array_equal(a.splits["test"], b.splits["test"])
         np.testing.assert_array_equal(

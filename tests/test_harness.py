@@ -143,7 +143,7 @@ def pinned_case(name, kind):
             loss_kind="binary-cross-entropy", l2=1e-4, epochs=10, seeds=(0,),
             opt=OptConfig(**{**opt, "q": 5}, schedule=ScheduleSpec(
                 kind="constant", base_lr=0.2)))
-        return cfg, build_dataset(cfg.data)
+        return cfg, cfg.data.split(build_dataset(cfg.data), cfg.data.seed)
     if name == "clusters-linear":
         cfg = RunConfig(
             name=name, data=DataConfig(kind="clusters", seed=0),
@@ -151,7 +151,7 @@ def pinned_case(name, kind):
             l2=1e-4, epochs=12, seeds=(0,),
             opt=OptConfig(**opt, schedule=ScheduleSpec(kind="constant",
                                                        base_lr=0.05)))
-        return cfg, build_dataset(cfg.data)
+        return cfg, cfg.data.split(build_dataset(cfg.data), cfg.data.seed)
     cfg = RunConfig(
         name=name, data=DataConfig(kind="semeion"),
         model=ModelConfig(kind="linear"), loss_kind=name, l2=1e-4,
@@ -258,13 +258,6 @@ class TestSummaries:
         assert np.isnan(none["mean_test_err"])
         assert np.isnan(none["std_test_err"])
         assert none["failed_seeds"] == [1]
-
-    def test_summary_with_baseline_computes_improvement(self):
-        cfg = tiny_config(seeds=(0, 1), epochs=2)
-        result = run_experiment(cfg)
-        summary = result.summary(baseline_mean=50.0)
-        assert summary["rel_improvement_pct"] == pytest.approx(
-            100.0 * (50.0 - summary["mean_test_err"]) / 50.0)
 
     def test_records_csv_roundtrip(self, tmp_path):
         cfg = tiny_config(seeds=(5,), epochs=3)
@@ -454,7 +447,7 @@ def with_opt(cfg, **changes):
 
 def shipped_setup(path, *overrides):
     cfg = load_config(path, list(overrides))
-    return cfg, build_dataset(cfg.data)
+    return cfg, cfg.data.split(build_dataset(cfg.data), cfg.data.seed)
 
 
 def split_digits_setup(loss_kind):
@@ -660,7 +653,8 @@ def counted_run(monkeypatch, cfg, forward_test_rows=False):
             return evaluate(obj, state, Xtr, ytr, Xte, yte, s)
 
     monkeypatch.setattr(harness, "_evaluate_epoch", counting_evaluate)
-    run = run_single(cfg, build_dataset(cfg.data), 0)
+    ds = cfg.data.split(build_dataset(cfg.data), cfg.data.seed)
+    run = run_single(cfg, ds, 0)
     monkeypatch.setattr(harness, "_evaluate_epoch", evaluate)
     return run, per_eval
 
@@ -830,7 +824,7 @@ class TestPerRunSetUp:
         monkeypatch.setattr(harness, "_evaluate_epoch", flagged_evaluate)
         monkeypatch.setattr(selection, "rank_by_loss", counting_rank)
         monkeypatch.setattr(ordered_loss, "rank_by_loss", counting_rank)
-        ds = build_dataset(cfg.data)
+        ds = cfg.data.split(build_dataset(cfg.data), cfg.data.seed)
         run = run_single(cfg, ds, 0)
         assert not run.failed and run.records[-1].step == 2 * 16
         assert checked == [len(ds.splits["train"])]
@@ -839,7 +833,7 @@ class TestPerRunSetUp:
     def test_out_of_range_train_label_fails_before_the_first_update(
             self, monkeypatch):
         cfg = load_config(RINGS_CFG, ["epochs = 2", "seeds = 0"])
-        ds = build_dataset(cfg.data)
+        ds = cfg.data.split(build_dataset(cfg.data), cfg.data.seed)
         labels = ds.labels.copy()
         labels[ds.splits["train"][-1]] = 2  # the data has 3 classes, the
         # binary cross-entropy objective 2

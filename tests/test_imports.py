@@ -5,8 +5,9 @@ parameter vectors, in ``FeedforwardModel``), batches are forwarded on one
 path (only ``TapedBatch`` reads the loss table), one loop runs a config's
 seeds, only ``run_single`` touches the store of q = s prefixes (the q = s
 self-check may empty it), the enumeration oracle names nothing from
-``osgd.coeffs``, and one ``argsort`` ranks every selection, with
-``q_argmax`` running ``topq_positions``.
+``osgd.coeffs``, one ``argsort`` ranks every selection, with
+``q_argmax`` running ``topq_positions``, and no module imports a private
+name of a sibling.
 
 Each case runs in a fresh interpreter, since a module once imported stays
 in ``sys.modules``.  Runs without binary cross-entropy, a sigmoid or the
@@ -301,3 +302,30 @@ def test_one_argsort_ranks_every_selection():
                for node in ast.walk(q_argmax)), (
         "q_argmax must select with topq_positions, the step's own "
         "selection, so the checks that call it certify what trains")
+
+
+PRIVATE_MODULES = {"_settings", "_special"}  # the package's private helpers
+
+
+def test_no_module_imports_a_private_name_of_a_sibling():
+    found = []
+    for name, tree in library_trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            module = node.module or ""
+            if node.level == 0:  # absolute: only osgd's own modules count
+                if module != "osgd" and not module.startswith("osgd."):
+                    continue
+                module = module[len("osgd."):]
+            if module in PRIVATE_MODULES:
+                continue
+            found += [f"{name}:{node.lineno} imports {alias.name}"
+                      + (f" from {module}" if module else "")
+                      for alias in node.names
+                      if alias.name.startswith("_")
+                      and alias.name not in PRIVATE_MODULES]
+    assert not found, (
+        f"{', '.join(found)}: an underscore name is private to its module; "
+        f"a sibling reads a public name (only the private modules "
+        f"{sorted(PRIVATE_MODULES)} are shared whole)")
