@@ -17,7 +17,7 @@ from .data import (Dataset, FormatError, gen_clusters_2d, gen_rings_2d,
                    split_dataset)
 from .harness import (ExperimentResult, RunRecord, RunResult, run_experiment,
                       run_single, run_verification_suite, sweep_q)
-from .objectives import FeedforwardModel, Objective, make_model
+from .objectives import FeedforwardModel, Objective
 from .optimizers import (DivergenceError, OptimizerState, ScheduleSpec,
                          adam_step, adaptive_q_update, init_state,
                          minibatch_sgd_step, ordered_adam_step, osgd_step,

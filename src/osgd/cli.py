@@ -1,8 +1,9 @@
 """Command-line entry point.
 
-Subcommands: train, sweep-q, verify, gamma, gamma-curve, data, analyze.
+Subcommands: train, sweep-q, verify, gamma, gamma-curve, analyze.
 Everything is a thin wrapper over the library; outputs are CSV files or
-plain text on stdout.
+plain text on stdout.  Rows reach a command only through a config's
+``data.*`` keys and ``build_dataset``.
 """
 from __future__ import annotations
 
@@ -17,8 +18,7 @@ import numpy as np
 
 from . import analysis, coeffs, harness
 from .config import build_dataset, build_objective, load_config
-from .data import (gen_clusters_2d, gen_rings_2d, load_idx, load_semeion,
-                   save_cache)
+from .ordered_loss import ResourceError
 
 
 def _write_csv(path, header, rows):
@@ -137,14 +137,6 @@ def _cmd_sweep_q(args):
     return 0 if all(completed) else 1  # 1: some q completed no seed
 
 
-def _cmd_data(args):
-    ds = args.load(args)
-    save_cache(ds, args.out)
-    print(f"wrote {ds.n} rows x {ds.d} features ({ds.n_classes} classes) "
-          f"to {args.out}")
-    return 0
-
-
 def _cmd_bound_term(args):
     value = analysis.concentration_term(args.M, args.s, args.q, args.n,
                                         args.delta)
@@ -174,6 +166,12 @@ def _cmd_moreau(args):
     ds = cfg.data.split(build_dataset(cfg.data), cfg.seeds[0])
     obj = build_objective(cfg, ds)
     theta = np.load(args.theta)
+    n_params = obj.model.n_params
+    if theta.shape != (n_params,):
+        held = (f"{theta.size} parameters" if theta.ndim == 1
+                else f"an array of shape {theta.shape}")
+        raise ValueError(f"{args.theta} holds {held}; the configured model "
+                         f"has {n_params}")
     Xtr, ytr = ds.split("train")
     s = min(cfg.opt.batch_size, Xtr.shape[0])
     gamma = coeffs.gamma_weights(Xtr.shape[0], s, cfg.opt.initial_q(s))
@@ -241,21 +239,6 @@ def build_parser():
                    help="comma-separated q values")
     p.set_defaults(fn=_cmd_sweep_q)
 
-    p = sub.add_parser("data", help="generate or import datasets")
-    data = p.add_subparsers(required=True)
-    for name, generate in (("gen-rings", gen_rings_2d),
-                           ("gen-clusters", gen_clusters_2d)):
-        p = data.add_parser(name, parents=[out])
-        p.add_argument("--seed", type=int, default=0)
-        p.set_defaults(fn=_cmd_data, load=lambda a, gen=generate: gen(a.seed))
-    p = data.add_parser("import-idx", parents=[out])
-    p.add_argument("--images", required=True)
-    p.add_argument("--labels", required=True)
-    p.set_defaults(fn=_cmd_data, load=lambda a: load_idx(a.images, a.labels))
-    p = data.add_parser("import-semeion", parents=[out])
-    p.add_argument("--path", required=True)
-    p.set_defaults(fn=_cmd_data, load=lambda a: load_semeion(a.path))
-
     p = sub.add_parser("analyze",
                        help="stationarity / gap / bound diagnostics")
     analyze = p.add_subparsers(required=True)
@@ -280,9 +263,10 @@ def build_parser():
 
 def main(argv=None):
     """Run one subcommand.  An input it cannot read or use (a missing or
-    malformed file, a bad config key or value) is one line on stderr and
-    exit status 2; ``train`` and ``sweep-q`` exit 1 when a configuration
-    completes no seed."""
+    malformed file, a bad config key or value, sizes whose enumeration
+    exceeds the subset cap) is one line on stderr and exit status 2;
+    ``train`` and ``sweep-q`` exit 1 when a configuration completes no
+    seed."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.fn is _cmd_unbiasedness and args.corrupt is not None:
@@ -291,7 +275,8 @@ def main(argv=None):
                      "unbiasedness")
     try:
         return args.fn(args)
-    except (OSError, ValueError) as exc:  # FormatError is a ValueError
+    # FormatError is a ValueError; ResourceError a RuntimeError
+    except (OSError, ValueError, ResourceError) as exc:
         print(f"osgd {args.command}: {exc}", file=sys.stderr)
         return 2
 

@@ -27,7 +27,7 @@ from ._settings import (AT_LEAST_1, NONNEG, NONNEG_ENTRIES, UNIT, Section,
 from .data import (Dataset, gen_clusters_2d, gen_rings_2d, load_cache,
                    load_idx, load_semeion, split_dataset)
 from .objectives import (ACTIVATION_KINDS, LOSS_KINDS, MODEL_KINDS,
-                         Objective, make_model)
+                         FeedforwardModel, Objective)
 from .optimizers import ScheduleSpec
 
 # data.kind -> the configured rows, generated or read, without a split.
@@ -85,6 +85,9 @@ class ModelConfig(Section):
         if self.kind == "mlp" and not self.hidden:
             raise ValueError("model.kind mlp needs at least one width in "
                              "model.hidden, got none")
+        if self.kind == "linear" and self.hidden:
+            raise ValueError(f"model.hidden must be empty for model.kind "
+                             f"linear, got {self.hidden}")
 
 
 @dataclass(frozen=True)
@@ -163,6 +166,6 @@ def build_dataset(dc: DataConfig) -> Dataset:
 
 def build_objective(cfg: RunConfig, dataset: Dataset) -> Objective:
     d_out = 1 if cfg.loss_kind == "binary-cross-entropy" else dataset.n_classes
-    model = make_model(cfg.model.kind, d_in=dataset.d, d_out=d_out,
-                       hidden=cfg.model.hidden, activation=cfg.model.activation)
+    model = FeedforwardModel(dataset.d, d_out, hidden=cfg.model.hidden,
+                             activation=cfg.model.activation)
     return Objective(model, cfg.loss_kind, l2=cfg.l2)

@@ -413,6 +413,8 @@ def unbiasedness_deviation(seed, n, s, q, trials):
     random logistic instances (n rows, 3 features) share one generator
     seeded with ``seed``; instances with tied losses are skipped.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
     model = objectives.FeedforwardModel(3, 1, bias=False)
     obj = objectives.Objective(model, "binary-cross-entropy", l2=0.1)
@@ -444,9 +446,8 @@ def _check_gradients():
               ("mlp", "binary-cross-entropy")]
     for kind, loss in combos:
         d_out = 1 if loss == "binary-cross-entropy" else 3
-        model = objectives.make_model(kind, d_in=4, d_out=d_out,
-                                      hidden=(6,) if kind == "mlp" else (),
-                                      activation="tanh")
+        model = objectives.FeedforwardModel(
+            4, d_out, hidden=(6,) if kind == "mlp" else (), activation="tanh")
         obj = objectives.Objective(model, loss)
         for _ in range(5):
             theta = rng.standard_normal(model.n_params) * 0.5

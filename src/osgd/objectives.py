@@ -48,7 +48,8 @@ MODEL_KINDS = ("linear", "mlp")
 
 # (activation, its derivative written in terms of the activation's output
 # h, so backward reads h from the tape instead of evaluating it again).
-# A sigmoid model binds scipy's expit itself when it is built.
+# A sigmoid model with hidden layers binds scipy's expit itself when it
+# is built; a linear model never applies its activation.
 _ACTIVATIONS = {
     "relu": (
         lambda z: np.maximum(z, 0.0),
@@ -84,7 +85,7 @@ class FeedforwardModel:
         self.activation = activation
         self.bias = bool(bias)
         self._act, self._dact = _ACTIVATIONS[activation]
-        if activation == "sigmoid":
+        if activation == "sigmoid" and self.hidden:
             self._act = _special.expit  # loads scipy.special, if not yet
         widths = (self.d_in, *self.hidden, self.d_out)
         # per layer: (weight slice, weight shape, bias slice or None)
@@ -201,17 +202,6 @@ class FeedforwardModel:
                 G = G.dot(W) * dact(H_in)  # H_in = act(Z) of layer i - 1
         blocks.reverse()
         return np.concatenate(blocks)
-
-
-def make_model(kind, d_in, d_out, hidden=(), activation="tanh"):
-    if kind == "linear":
-        return FeedforwardModel(d_in, d_out)
-    if kind == "mlp":
-        if not hidden:
-            raise ValueError("mlp model needs at least one hidden width")
-        return FeedforwardModel(d_in, d_out, hidden=hidden,
-                                activation=activation)
-    raise ValueError(f"unknown model kind {kind!r}")
 
 
 # -(2y - 1) for the labels y = 0, 1, the binary cross-entropy sign: that

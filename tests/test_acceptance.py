@@ -27,7 +27,7 @@ from osgd.config import build_objective, load_config
 from osgd.data import gen_clusters_2d, gen_rings_2d, load_semeion, \
     split_dataset
 from osgd.harness import _epoch_batches, run_experiment, run_single
-from osgd.objectives import FeedforwardModel, Objective, make_model
+from osgd.objectives import FeedforwardModel, Objective
 from osgd.optimizers import (ScheduleSpec, adam_step, heavy_ball, init_state,
                              minibatch_sgd_step, osgd_step, schedule_lr)
 from osgd.ordered_loss import (expected_step_bruteforce, loss_profile,
@@ -242,9 +242,9 @@ def test_acceptance_5_gradient_checks():
         # crc32, not hash(): str hashes are salted per interpreter
         rng = np.random.default_rng(
             zlib.crc32(f"{kind} {act} {loss}".encode()))
-        model = make_model(kind, d_in=4, d_out=d_out,
-                           hidden=(6, 5) if kind == "mlp" else (),
-                           activation=act)
+        model = FeedforwardModel(4, d_out,
+                                 hidden=(6, 5) if kind == "mlp" else (),
+                                 activation=act)
         obj = Objective(model, loss)
         checked = 0
         while checked < 50:
@@ -276,8 +276,7 @@ def test_acceptance_6_envelope_decay():
     sub = np.random.default_rng(123).choice(rings.n, size=100, replace=False)
     X, y = rings.features[sub], rings.labels[sub]
     n, s, q = 100, 20, 5
-    obj = Objective(make_model("mlp", d_in=2, d_out=1, hidden=(8,),
-                               activation="tanh"),
+    obj = Objective(FeedforwardModel(2, 1, hidden=(8,), activation="tanh"),
                     "binary-cross-entropy", l2=1e-4)
     gamma = gamma_weights(n, s, q)
     cfg = MoreauConfig(rho_hat=10.0, inner_tol=1e-7, inner_max_iter=30_000)

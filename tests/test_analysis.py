@@ -11,7 +11,7 @@ from osgd.analysis import (ConvergenceError, MoreauConfig, _subgradient_solve,
                            relative_improvement, zero_one_error)
 from osgd.coeffs import gamma_weights
 from osgd.data import gen_clusters_2d, gen_rings_2d
-from osgd.objectives import FeedforwardModel, Objective, make_model
+from osgd.objectives import FeedforwardModel, Objective
 from osgd.ordered_loss import (loss_profile, lq_subgradient,
                                ordered_empirical_loss)
 
@@ -346,8 +346,7 @@ class TestSolverPin:
         sub = np.random.default_rng(123).choice(rings.n, size=100,
                                                 replace=False)
         X, y = rings.features[sub], rings.labels[sub]
-        obj = Objective(make_model("mlp", d_in=2, d_out=1, hidden=(8,),
-                                   activation="tanh"),
+        obj = Objective(FeedforwardModel(2, 1, hidden=(8,), activation="tanh"),
                         "binary-cross-entropy", l2=1e-4)
         cfg = MoreauConfig(rho_hat=10.0, inner_tol=1e-7, inner_max_iter=30_000)
         for seed in range(3):

@@ -6,6 +6,7 @@ import gc
 import io
 import json
 import os
+import re
 import shlex
 import warnings
 from fractions import Fraction
@@ -16,7 +17,7 @@ import pytest
 from osgd import analysis, coeffs, config, data, harness
 from osgd.cli import build_parser, main
 from osgd.coeffs import EXACT_N_LIMIT, gamma_weights, gamma_weights_float
-from osgd.data import load_cache
+from osgd.ordered_loss import MAX_BRUTEFORCE_SUBSETS
 
 from conftest import REMOVED_SETTINGS
 
@@ -147,6 +148,21 @@ class TestVerifyCommand:
                      "--q", "2", "--trials", "5", "--seed", "3"]) == 0
         out = capsys.readouterr().out
         assert "max componentwise deviation" in out
+
+    def test_unbiasedness_over_the_subset_cap_is_one_line_and_exit_2(
+            self, capsys):
+        assert main(["verify", "unbiasedness", "--n", "100", "--s", "4",
+                     "--q", "2"]) == 2
+        assert capsys.readouterr() == (
+            "", f"osgd verify: C(100, 4) = 3921225 subsets exceeds the "
+                f"enumeration cap {MAX_BRUTEFORCE_SUBSETS}\n")
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_unbiasedness_without_a_trial_is_one_line_and_exit_2(
+            self, capsys, trials):
+        assert main(["verify", "unbiasedness", "--trials", trials]) == 2
+        assert capsys.readouterr() == (
+            "", f"osgd verify: trials must be at least 1, got {trials}\n")
 
 
 class TestTrainCommands:
@@ -342,44 +358,23 @@ def test_train_rejects_removed_settings_and_repeated_seeds(
     assert not (tmp_path / "out").exists()
 
 
-class TestDataCommands:
-    def test_gen_rings_cache(self, tmp_path):
-        out = tmp_path / "rings.osgd"
-        assert main(["data", "gen-rings", "--seed", "4", "--out", str(out)]) == 0
-        ds = load_cache(out)
-        assert ds.n == 1000 and ds.d == 2
-
-    def test_gen_clusters_cache(self, tmp_path):
-        out = tmp_path / "clusters.osgd"
-        assert main(["data", "gen-clusters", "--seed", "4", "--out", str(out)]) == 0
-        assert load_cache(out).n == 200
-
-    def test_import_semeion(self, tmp_path):
-        src = tmp_path / "semeion.data"
-        line = " ".join(["1.0000"] * 256) + " " + " ".join(
-            ["0"] * 9 + ["1"])
-        src.write_text(line + "\n")
-        out = tmp_path / "semeion.osgd"
-        assert main(["data", "import-semeion", "--path", str(src),
-                     "--out", str(out)]) == 0
-        ds = load_cache(out)
-        assert ds.labels.tolist() == [9]
-
-    @pytest.mark.parametrize("body, message", [
-        (None, "No such file"),
-        ("1 0 1\n", "semeion.data:1: expected 266 columns, got 3")],
-        ids=["missing", "malformed"])
-    def test_import_semeion_bad_file_is_one_line_and_exit_2(
-            self, tmp_path, capsys, body, message):
-        src = tmp_path / "semeion.data"
-        if body is not None:
-            src.write_text(body)
-        out = tmp_path / "semeion.osgd"
-        assert main(["data", "import-semeion", "--path", str(src),
-                     "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and message in err
-        assert not out.exists()
+@pytest.mark.parametrize("body, message", [
+    (None, "No such file"),
+    ("1 0 1\n", "semeion.data:1: expected 266 columns, got 3")],
+    ids=["missing", "malformed"])
+def test_train_bad_semeion_file_is_one_line_and_exit_2(
+        config_file, tmp_path, monkeypatch, capsys, body, message):
+    src = tmp_path / "semeion.data"
+    if body is not None:
+        src.write_text(body)
+    monkeypatch.chdir(tmp_path)
+    assert main(["train", "--config", str(config_file),
+                 "--override", "outdir = out",
+                 "--override", "data.kind = semeion",
+                 "--override", f"data.path = {src}"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+    assert not (tmp_path / "out").exists()
 
 
 class TestAnalyzeCommands:
@@ -478,16 +473,42 @@ class TestAnalyzeCommands:
         row = read_rows(out)[0]
         assert float(row["moreau_grad_norm"]) >= 0.0
 
+    @pytest.mark.parametrize("theta, held", [
+        (np.zeros(5), "5 parameters"),
+        (np.zeros((1, 3)), "an array of shape (1, 3)")],
+        ids=["length", "shape"])
+    def test_moreau_theta_of_another_model_is_one_line_and_exit_2(
+            self, tmp_path, config_file, capsys, theta, held):
+        path = tmp_path / "t.npy"
+        np.save(path, theta)
+        out = tmp_path / "moreau.csv"
+        assert main(["analyze", "moreau", "--config", str(config_file),
+                     "--theta", str(path), "--out", str(out)]) == 2
+        # the linear binary model on 2-D rows: 2 weights and a bias
+        assert capsys.readouterr().err == (
+            f"osgd analyze: {path} holds {held}; the configured model has 3\n")
+        assert not out.exists()
 
-def accepted_options(parser, path=()):
-    """(command path, sorted options) for the parser and each subcommand."""
-    yield " ".join(path), sorted(
-        flag for action in parser._actions for flag in action.option_strings
-        if flag not in ("-h", "--help"))
+
+def command_parsers(parser, path=()):
+    """(command path, parser) for the parser and each subcommand."""
+    yield " ".join(path), parser
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
             for name, sub in action.choices.items():
-                yield from accepted_options(sub, (*path, name))
+                yield from command_parsers(sub, (*path, name))
+
+
+def option_actions(parser):
+    """(flag, its action) for each option but help."""
+    return [(flag, action) for action in parser._actions
+            for flag in action.option_strings if flag not in ("-h", "--help")]
+
+
+def accepted_options(parser):
+    """(command path, sorted options) for the parser and each subcommand."""
+    for name, sub in command_parsers(parser):
+        yield name, sorted(flag for flag, _ in option_actions(sub))
 
 
 class TestParserContract:
@@ -504,11 +525,6 @@ class TestParserContract:
             "verify unbiasedness": sorted([*nsq, "--seed", "--trials"]),
             "train": ["--config", "--override", "--save-params"],
             "sweep-q": ["--config", "--override", "--q-values"],
-            "data": [],
-            "data gen-rings": ["--out", "--seed"],
-            "data gen-clusters": ["--out", "--seed"],
-            "data import-idx": ["--images", "--labels", "--out"],
-            "data import-semeion": ["--out", "--path"],
             "analyze": [],
             "analyze bound-term": sorted([*nsq, "--M", "--delta", "--out"]),
             "analyze gap": ["--column", "--history", "--out", "--star"],
@@ -519,19 +535,16 @@ class TestParserContract:
     @pytest.mark.parametrize("argv, message", [
         (["analyze", "gap", "--M", "1", "--history", "h.csv",
           "--out", "g.csv"], "unrecognized arguments: --M 1"),
-        (["data", "gen-rings", "--path", "x", "--out", "r.osgd"],
-         "unrecognized arguments: --path x"),
         (["verify", "unbiasedness", "--corrupt", "gamma-sum"],
          "unrecognized arguments: --corrupt gamma-sum"),
         (["verify", "--corrupt", "gamma-sum", "unbiasedness"],
          "argument --corrupt: not allowed with verify unbiasedness"),
         (["analyze", "moreau", "--config", "run.cfg", "--out", "m.csv"],
          "the following arguments are required: --theta"),
-        (["data", "import-idx", "--images", "i.idx", "--out", "d.osgd"],
-         "the following arguments are required: --labels")],
-        ids=["gap-M", "gen-rings-path", "unbiasedness-corrupt",
-             "corrupt-before-unbiasedness", "moreau-theta",
-             "import-idx-labels"])
+        (["data", "gen-rings", "--out", "r.osgd"],
+         "argument command: invalid choice: 'data'")],
+        ids=["gap-M", "unbiasedness-corrupt", "corrupt-before-unbiasedness",
+             "moreau-theta", "data"])
     def test_usage_error_exits_2(self, tmp_path, monkeypatch, capsys, argv,
                                  message):
         monkeypatch.chdir(tmp_path)
@@ -565,3 +578,31 @@ def test_readme_shows_every_subcommand():
 @pytest.mark.parametrize("argv", readme_command_lines(), ids=" ".join)
 def test_readme_command_line_parses(argv):
     build_parser().parse_args(argv)
+
+
+def readme_options_table():
+    """{subcommand: sorted (option, bold)} from README's table of the
+    options each subcommand accepts; a row may name several subcommands."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    table = text.split("| subcommand | options |\n|---|---|\n", 1)[1]
+    listed = {}
+    for row in table.split("\n\n", 1)[0].splitlines():
+        names, options = row.strip("|").split("|", 1)
+        flags = sorted((flag, bold == "**") for bold, flag in
+                       re.findall(r"(\*\*)?`(--[\w-]+)", options))
+        for name in re.findall(r"`([a-z][a-z -]*)`", names):
+            listed[name] = flags
+    return listed
+
+
+def test_readme_options_table_lists_each_subcommands_options():
+    """Every subcommand with options has a row, each option accepted is
+    listed and no other, and an option is bold exactly when required."""
+    declared = {}
+    for name, parser in command_parsers(build_parser()):
+        options = option_actions(parser)
+        if options:
+            declared[name] = sorted((flag, action.required)
+                                    for flag, action in options)
+    assert readme_options_table() == declared

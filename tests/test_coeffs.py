@@ -84,6 +84,33 @@ class TestGammaWeightsExamples:
         with pytest.raises(ValueError):
             gamma_weights(4, 2, 0)
 
+    def test_numpy_integer_sizes_match_python_ints(self):
+        n, s, q = np.int64(10), np.int32(5), np.uint8(2)
+        gw = gamma_weights(n, s, q)
+        assert (type(gw.n), type(gw.s), type(gw.q)) == (int, int, int)
+        assert gw.exact == gamma_weights(10, 5, 2).exact
+        assert gamma_weight_numerators(n, s, q) == \
+            gamma_weight_numerators(10, 5, 2)
+        assert gamma_weights_float(n, s, q).tobytes() == \
+            gamma_weights_float(10, 5, 2).tobytes()
+        assert gamma_rescaled_curve(n, s, q).values.tobytes() == \
+            gamma_rescaled_curve(10, 5, 2).values.tobytes()
+        assert gamma_asymptotic(0.3, s, q) == gamma_asymptotic(0.3, 5, 2)
+
+    @pytest.mark.parametrize("build", [
+        lambda: gamma_weights(True, True, True),
+        lambda: gamma_weight_numerators(10, 5, True),
+        lambda: gamma_weights_float(10, True, 1),
+        lambda: gamma_rescaled_curve(True, 1, 1)],
+        ids=["weights", "numerators", "float", "curve"])
+    def test_bool_sizes_rejected(self, build):
+        with pytest.raises(ValueError, match="n, s, q must be integers"):
+            build()
+
+    def test_asymptotic_rejects_bool_sizes(self):
+        with pytest.raises(ValueError, match="need integers"):
+            gamma_asymptotic(0.3, 2, True)
+
 
 class TestGammaWeightsInvariants:
     GRID = [(9, 4, 2), (50, 8, 3), (200, 16, 4), (1000, 64, 16),

@@ -334,13 +334,17 @@ class TestRunSettingChecks:
                                            ("model.hidden", "1"),
                                            ("seeds", "0, 7")])
     def test_edge_values_accepted(self, key, value):
-        config_from_flat({key: value})
+        # widths are accepted only with the mlp kind
+        kind = {"model.kind": "mlp"} if key == "model.hidden" else {}
+        config_from_flat({**kind, key: value})
 
     @pytest.mark.parametrize("key,value,rule", [
         ("data.seed", "1.5", "must be an integer"),
         ("data.seed", "-3", "must be nonnegative"),
         ("seeds", "0, 0, 1", r"must not repeat a seed, got \(0, 0, 1\)$"),
         ("model.kind", "cnn", "must be one of linear, mlp"),
+        ("model.hidden", "16", r"must be empty for model.kind linear, "
+                               r"got \(16,\)$"),
         ("model.activation", "gelu", "must be one of"),
         ("loss.kind", "mse", "must be one of"),
         ("opt.schedule.kind", "linear", "must be one of"),
@@ -358,6 +362,8 @@ class TestRunSettingChecks:
         (lambda: DataConfig(seed=-3), "data.seed must be nonnegative"),
         (lambda: RunConfig(seeds=(2, 5, 2)), "seeds must not repeat a seed"),
         (lambda: ModelConfig(kind="cnn"), "model.kind must be one of"),
+        (lambda: ModelConfig(hidden=(16, 16)),
+         "model.hidden must be empty for model.kind linear, got (16, 16)"),
         (lambda: RunConfig(loss_kind="mse"), "loss.kind must be one of"),
         (lambda: ScheduleSpec(kind="linear"), "opt.schedule.kind must be"),
         (lambda: ScheduleSpec(decay_factor=2.0),

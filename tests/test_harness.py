@@ -880,6 +880,12 @@ class TestVerificationSuite:
         assert "unbiasedness" in names
         assert "tie-break-determinism" in names
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_unbiasedness_needs_a_trial(self, trials):
+        with pytest.raises(ValueError,
+                           match=f"^trials must be at least 1, got {trials}$"):
+            harness.unbiasedness_deviation(0, 8, 4, 2, trials)
+
     def test_corrupted_gamma_fails_sum_check(self):
         report = run_verification_suite(corrupt="gamma-sum")
         assert not report["all_passed"]
@@ -1002,8 +1008,8 @@ class TestGradientOracle:
                                   for k, a, l, h, _ in GRADIENT_COMBOS])
     def test_central_difference_bytes_equal_the_coordinate_loop(
             self, kind, act, loss, hidden, d_out):
-        model = objectives.make_model(kind, d_in=4, d_out=d_out,
-                                      hidden=hidden, activation=act)
+        model = objectives.FeedforwardModel(4, d_out, hidden=hidden,
+                                            activation=act)
         obj = Objective(model, loss)
         rng = np.random.default_rng(5)
         for _ in range(5):

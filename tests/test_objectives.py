@@ -13,7 +13,7 @@ from scipy.special import expit
 
 from osgd.harness import _central_difference
 from osgd.objectives import (_ACTIVATIONS, _LOSSES, LOSS_KINDS,
-                             FeedforwardModel, Objective, make_model)
+                             FeedforwardModel, Objective)
 
 
 @pytest.mark.parametrize("name,derivative_at_input", [
@@ -61,7 +61,7 @@ def all_combos():
 class TestLossValues:
     def test_cross_entropy_uniform_logits(self):
         for K in (2, 5, 10):
-            model = make_model("linear", d_in=4, d_out=K)
+            model = FeedforwardModel(4, K)
             obj = Objective(model, "multinomial-cross-entropy")
             theta = np.zeros(model.n_params)
             x = np.random.default_rng(0).standard_normal(4)
@@ -70,14 +70,14 @@ class TestLossValues:
 
     def test_hinge_at_zero_logits(self):
         for K in (2, 4, 7):
-            model = make_model("linear", d_in=3, d_out=K)
+            model = FeedforwardModel(3, K)
             obj = Objective(model, "multiclass-hinge")
             theta = np.zeros(model.n_params)
             assert obj.per_sample_loss(theta, np.ones(3), K - 1) == pytest.approx(
                 K - 1.0, rel=1e-12)
 
     def test_binary_logistic_at_zero(self):
-        model = make_model("linear", d_in=3, d_out=1)
+        model = FeedforwardModel(3, 1)
         obj = Objective(model, "binary-cross-entropy")
         theta = np.zeros(model.n_params)
         for y in (0, 1):
@@ -89,7 +89,7 @@ class TestLossValues:
         for loss in ("multinomial-cross-entropy", "multiclass-hinge",
                      "binary-cross-entropy"):
             d_out = 1 if loss == "binary-cross-entropy" else 4
-            model = make_model("linear", d_in=3, d_out=d_out)
+            model = FeedforwardModel(3, d_out)
             obj = Objective(model, loss)
             for _ in range(20):
                 theta = rng.standard_normal(model.n_params)
@@ -98,13 +98,13 @@ class TestLossValues:
                 assert obj.per_sample_loss(theta, x, y) >= 0.0
 
     def test_label_out_of_range_rejected(self):
-        model = make_model("linear", d_in=2, d_out=3)
+        model = FeedforwardModel(2, 3)
         obj = Objective(model, "multinomial-cross-entropy")
         with pytest.raises(ValueError, match="label out of range"):
             obj.per_sample_loss(np.zeros(model.n_params), np.ones(2), 3)
 
     def test_labels_checked_whole_are_a_read_only_copy(self, monkeypatch):
-        model = make_model("linear", d_in=2, d_out=3)
+        model = FeedforwardModel(2, 3)
         obj = Objective(model, "multinomial-cross-entropy")
         y = np.array([0, 1, 2, 1, 0])
         labels = obj._checked_labels(y)
@@ -132,9 +132,9 @@ class TestStackedForward:
     @pytest.mark.parametrize("kind,act,loss,d_out", all_combos())
     def test_stacked_rows_equal_per_theta_calls(self, kind, act, loss,
                                                 d_out, m):
-        model = make_model(kind, d_in=4, d_out=d_out,
-                           hidden=(6, 5) if kind == "mlp" else (),
-                           activation=act)
+        model = FeedforwardModel(4, d_out,
+                                 hidden=(6, 5) if kind == "mlp" else (),
+                                 activation=act)
         obj = Objective(model, loss)
         rng = np.random.default_rng(
             zlib.crc32(f"{kind} {act} {loss} {m}".encode()))
@@ -154,9 +154,9 @@ class TestStackedForward:
     @pytest.mark.parametrize("kind,act,loss,d_out", all_combos())
     def test_stacked_predictions_equal_per_theta_calls(self, kind, act, loss,
                                                        d_out, m):
-        model = make_model(kind, d_in=4, d_out=d_out,
-                           hidden=(6, 5) if kind == "mlp" else (),
-                           activation=act)
+        model = FeedforwardModel(4, d_out,
+                                 hidden=(6, 5) if kind == "mlp" else (),
+                                 activation=act)
         obj = Objective(model, loss)
         rng = np.random.default_rng(
             zlib.crc32(f"predict {kind} {act} {loss} {m}".encode()))
@@ -174,13 +174,13 @@ class TestStackedForward:
                 obj.losses_and_predictions(theta, X, y)[0].tobytes()
 
     def test_per_sample_loss_rejects_a_stack(self):
-        model = make_model("linear", d_in=4, d_out=3)
+        model = FeedforwardModel(4, 3)
         obj = Objective(model, "multiclass-hinge")
         with pytest.raises(ValueError, match=r"got shape \(3, 15\)"):
             obj.per_sample_loss(np.zeros((3, model.n_params)), np.ones(4), 1)
 
     def test_stacked_gradients_raise(self):
-        model = make_model("mlp", d_in=4, d_out=3, hidden=(6,))
+        model = FeedforwardModel(4, 3, hidden=(6,))
         obj = Objective(model, "multinomial-cross-entropy")
         rng = np.random.default_rng(0)
         taped = obj.taped_batch(rng.standard_normal((2, model.n_params)),
@@ -200,9 +200,9 @@ class TestGradients:
         # crc32, not hash(): str hashes are salted per interpreter
         rng = np.random.default_rng(
             zlib.crc32(f"{kind} {act} {loss}".encode()))
-        model = make_model(kind, d_in=4, d_out=d_out,
-                           hidden=(6, 5) if kind == "mlp" else (),
-                           activation=act)
+        model = FeedforwardModel(4, d_out,
+                                 hidden=(6, 5) if kind == "mlp" else (),
+                                 activation=act)
         obj = Objective(model, loss)
         checked = 0
         while checked < 10:
@@ -240,7 +240,7 @@ class TestGradients:
         np.testing.assert_allclose(g, (theta @ x - y) * x, rtol=1e-12)
 
     def test_weighted_grad_is_weighted_sum(self):
-        model = make_model("mlp", d_in=3, d_out=2, hidden=(4,), activation="tanh")
+        model = FeedforwardModel(3, 2, hidden=(4,), activation="tanh")
         obj = Objective(model, "multinomial-cross-entropy")
         rng = np.random.default_rng(11)
         theta = rng.standard_normal(model.n_params)
@@ -330,8 +330,7 @@ class TestAnalyticProperties:
 
 class TestModelStructure:
     def test_layout_covers_every_parameter(self):
-        model = make_model("mlp", d_in=3, d_out=2, hidden=(5, 4),
-                           activation="relu")
+        model = FeedforwardModel(3, 2, hidden=(5, 4), activation="relu")
         layout = model.layout()
         covered = np.zeros(model.n_params, dtype=int)
         for sl in layout.values():
@@ -339,21 +338,17 @@ class TestModelStructure:
         assert (covered == 1).all()
 
     def test_init_within_fan_in_bounds(self):
-        model = make_model("mlp", d_in=9, d_out=2, hidden=(16,))
+        model = FeedforwardModel(9, 2, hidden=(16,))
         theta = model.init_params(np.random.default_rng(0))
         layout = model.layout()
         assert np.abs(theta[layout["W0"]]).max() <= 1.0 / 3.0
         assert np.abs(theta[layout["W1"]]).max() <= 0.25
 
     def test_init_is_seed_deterministic(self):
-        model = make_model("linear", d_in=6, d_out=3)
+        model = FeedforwardModel(6, 3)
         a = model.init_params(np.random.default_rng(5))
         b = model.init_params(np.random.default_rng(5))
         np.testing.assert_array_equal(a, b)
-
-    def test_mlp_requires_hidden_widths(self):
-        with pytest.raises(ValueError):
-            make_model("mlp", d_in=3, d_out=2)
 
 
 class TestBoundViews:
@@ -362,8 +357,7 @@ class TestBoundViews:
     @staticmethod
     def setup(seed=0):
         rng = np.random.default_rng(seed)
-        model = make_model("mlp", d_in=3, d_out=2, hidden=(5, 4),
-                           activation="tanh")
+        model = FeedforwardModel(3, 2, hidden=(5, 4), activation="tanh")
         X = rng.standard_normal((7, 3))
         G = rng.standard_normal((7, 2))
         return model, model.init_params(rng), X, G
@@ -371,8 +365,8 @@ class TestBoundViews:
     @staticmethod
     def fresh(model, theta, X, G):
         """Logits and gradient from a new model that never saw theta."""
-        other = make_model("mlp", d_in=model.d_in, d_out=model.d_out,
-                           hidden=model.hidden, activation=model.activation)
+        other = FeedforwardModel(model.d_in, model.d_out, hidden=model.hidden,
+                                 activation=model.activation)
         logits, tape = other.forward(theta.copy(), X)
         return logits, other.backward(theta.copy(), G, tape)
 
