@@ -21,13 +21,6 @@ from .config import build_dataset, build_objective, load_config
 from .ordered_loss import ResourceError
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _cmd_gamma(args):
     if args.float or not coeffs.uses_exact(args.n):
         rows = ([j, "", "", repr(float(val))] for j, val in enumerate(
@@ -39,8 +32,8 @@ def _cmd_gamma(args):
         for j, num in enumerate(nums, start=1):
             g = math.gcd(num, den)
             rows.append([j, num // g, den // g, repr(num / den)])
-    _write_csv(args.out, ["j", "gamma_exact_num", "gamma_exact_den",
-                          "gamma_float"], rows)
+    harness.write_csv(args.out, ["j", "gamma_exact_num", "gamma_exact_den",
+                                 "gamma_float"], rows)
     print(f"wrote {args.n} weights to {args.out}")
     return 0
 
@@ -61,8 +54,8 @@ def _curve_rows(curve, s, q):
 
 def _cmd_gamma_curve(args):
     curve = coeffs.gamma_rescaled_curve(args.n, args.s, args.q)
-    _write_csv(args.out, ["z", "n_gamma", "gamma_limit", "beta_gap"],
-               _curve_rows(curve, args.s, args.q))
+    harness.write_csv(args.out, ["z", "n_gamma", "gamma_limit", "beta_gap"],
+                      _curve_rows(curve, args.s, args.q))
     print(f"wrote curve ({'float' if curve.approximate else 'exact'} path) "
           f"to {args.out}")
     return 0
@@ -140,8 +133,9 @@ def _cmd_sweep_q(args):
 def _cmd_bound_term(args):
     value = analysis.concentration_term(args.M, args.s, args.q, args.n,
                                         args.delta)
-    _write_csv(args.out, ["M", "s", "q", "n", "delta", "bound_term"],
-               [[args.M, args.s, args.q, args.n, args.delta, repr(value)]])
+    harness.write_csv(args.out, ["M", "s", "q", "n", "delta", "bound_term"],
+                      [[args.M, args.s, args.q, args.n, args.delta,
+                        repr(value)]])
     print(f"bound term: {value!r} (wrote {args.out})")
     return 0
 
@@ -153,8 +147,8 @@ def _cmd_gap(args):
             raise ValueError(f"{args.history} has no column {args.column!r}")
         history = [float(row[args.column]) for row in reader]
     gaps = analysis.optimality_gap(history, args.star)
-    _write_csv(args.out, ["t", "running_min_gap"],
-               [[t, repr(float(g))] for t, g in enumerate(gaps)])
+    harness.write_csv(args.out, ["t", "running_min_gap"],
+                      [[t, repr(float(g))] for t, g in enumerate(gaps)])
     print(f"wrote {len(gaps)} gap values to {args.out}")
     return 0
 
@@ -177,8 +171,9 @@ def _cmd_moreau(args):
     gamma = coeffs.gamma_weights(Xtr.shape[0], s, cfg.opt.initial_q(s))
     mcfg = analysis.MoreauConfig(rho_hat=args.rho_hat, inner_tol=args.inner_tol)
     value = analysis.moreau_grad_norm(obj, theta, Xtr, ytr, gamma, mcfg)
-    _write_csv(args.out, ["rho_hat", "inner_tol", "moreau_grad_norm"],
-               [[args.rho_hat, args.inner_tol, repr(value)]])
+    harness.write_csv(args.out,
+                      ["rho_hat", "inner_tol", "moreau_grad_norm"],
+                      [[args.rho_hat, args.inner_tol, repr(value)]])
     print(f"envelope gradient norm: {value!r} (wrote {args.out})")
     return 0
 

@@ -316,12 +316,18 @@ def sweep_q(cfg: RunConfig, q_values, dataset: Dataset | None = None) -> dict:
             for q in q_values}
 
 
-def write_records_csv(records, path):
+def write_csv(path, header, rows):
+    """One header line, then ``rows``: every CSV file of the package."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(RECORD_COLUMNS)
-        for rec in records:
-            writer.writerow([getattr(rec, col) for col in RECORD_COLUMNS])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_records_csv(records, path):
+    write_csv(path, RECORD_COLUMNS,
+              ([getattr(rec, col) for col in RECORD_COLUMNS]
+               for rec in records))
 
 
 def read_records_csv(path):
@@ -334,16 +340,10 @@ def read_records_csv(path):
 
 
 def write_summary_csv(summaries, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_COLUMNS)
-        for summary in summaries:
-            writer.writerow([
-                summary["config_id"],
-                repr(summary["mean_test_err"]),
-                repr(summary["std_test_err"]),
-                "",  # rel_improvement_pct: a summary has no baseline
-            ])
+    # rel_improvement_pct stays empty: a summary has no baseline
+    write_csv(path, SUMMARY_COLUMNS,
+              ([summary["config_id"], repr(summary["mean_test_err"]),
+                repr(summary["std_test_err"]), ""] for summary in summaries))
 
 
 def format_comparison_table(rows):
@@ -411,14 +411,18 @@ def unbiasedness_deviation(seed, n, s, q, trials):
 
     The expected step is enumerated over all s-subsets.  The ``trials``
     random logistic instances (n rows, 3 features) share one generator
-    seeded with ``seed``; instances with tied losses are skipped.
+    seeded with ``seed``; instances with tied losses are skipped.  The
+    exact weights (n rationals) are built after the first enumeration,
+    so sizes past its subset cap are refused before that O(n) work.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if not 1 <= q <= s <= n:  # before the draws of n rows
+        raise ValueError(f"need 1 <= q <= s <= n, got (n={n}, s={s}, q={q})")
     rng = np.random.default_rng(seed)
     model = objectives.FeedforwardModel(3, 1, bias=False)
     obj = objectives.Objective(model, "binary-cross-entropy", l2=0.1)
-    gamma = coeffs.gamma_weights(n, s, q)
+    gamma = None
     worst = 0.0
     for _ in range(trials):
         X = rng.standard_normal((n, 3))
@@ -428,6 +432,8 @@ def unbiasedness_deviation(seed, n, s, q, trials):
         if np.unique(losses).size < losses.size:
             continue
         lhs = ordered_loss.expected_step_bruteforce(obj, theta, X, y, s, q)
+        if gamma is None:
+            gamma = coeffs.gamma_weights(n, s, q)
         rhs = ordered_loss.lq_subgradient(obj, theta, X, y, gamma)
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst
@@ -518,8 +524,8 @@ def _check_qs_equivalence():
     update = partial(optimizers.heavy_ball, momentum=opt.momentum)
     for _ in range(base.epochs):
         for batch in _epoch_batches(rng, ds.n, opt.batch_size, opt.batching):
-            optimizers.minibatch_sgd_step(state, obj, ds.features, ds.labels,
-                                          batch, update=update)
+            optimizers.osgd_step(state, obj, ds.features, ds.labels, batch,
+                                 len(batch), update=update)
     if osgd_run.final_theta is None or \
             osgd_run.final_theta.tobytes() != state.theta.tobytes():
         return False, "q=s ordered run diverged from the minibatch SGD loop"

@@ -8,9 +8,8 @@ value it does not compute).  ``update(state, g)`` applies g:
 :func:`heavy_ball` (plain SGD when momentum is 0) or :func:`adam`, whose
 buffers live on :class:`OptimizerState`; the runner binds the rule and
 its hyperparameters once per run.  With q equal to the batch size this
-is exactly minibatch SGD / Adam: :func:`minibatch_sgd_step`,
-:func:`ordered_adam_step` and :func:`adam_step` are one-line calls of
-:func:`osgd_step`, so the q = s trajectories are bit-identical by
+is exactly minibatch SGD / Adam, so every caller, baselines included,
+takes this one step and the q = s trajectories are bit-identical by
 construction.
 
 At q = s there is no selection, and backward reuses the batch forward's
@@ -33,7 +32,6 @@ already checked train labels (``Objective._checked_labels``).  The
 runner silences numpy's overflow warnings around its epoch loop, so a
 direct step call whose loss overflows may warn before it raises
 :class:`DivergenceError`.
-``last_grad_norm`` is ``sqrt(g.dot(g))``, bitwise ``np.linalg.norm(g)``.
 Products are written ``.dot``, not ``@``: the same BLAS call with less
 dispatch than the ``matmul`` ufunc (see :mod:`osgd.objectives`, also for
 why no product takes an array with its own transpose).
@@ -46,7 +44,7 @@ carry no analogous guarantee.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,7 +77,6 @@ class OptimizerState:
     m: np.ndarray | None = None
     v: np.ndarray | None = None
     step_count: int = 0
-    last_grad_norm: float = field(default=float("nan"))
 
 
 def init_state(theta, q, lr) -> OptimizerState:
@@ -132,12 +129,12 @@ def osgd_step(state, obj, X, y, batch, q, update=heavy_ball) -> OptimizerState:
     # At q = m every row is kept: no selection, backward reuses the tape.
     g = taped.mean_grad(None if q == m else topq_positions(taped.losses, q))
     g += obj.l2 * theta  # the regularizer's gradient; its value is unused
-    state.last_grad_norm = math.sqrt(g.dot(g))  # = np.linalg.norm(g)
     update(state, g)
     state.step_count += 1
     return state
 
 
+# Tracer only, deleted with ROADMAP 1a: the benchmark patches these three.
 def minibatch_sgd_step(state, obj, X, y, batch,
                        update=heavy_ball) -> OptimizerState:
     """Baseline step: the ordered step with q equal to the batch size."""

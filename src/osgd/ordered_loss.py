@@ -8,16 +8,16 @@ where L_(1) >= L_(2) >= ... are the per-sample losses sorted by value and
 gamma_j are the selection weights of :mod:`osgd.coeffs`.  Its value is
 computed in one place, :func:`ordered_empirical_loss`, from the losses
 and R(theta) alone: tied losses are equal, so the value needs no rank
-order.  :func:`loss_profile` forwards a model for those two inputs.  The
-analytic subgradient weights each sample's gradient by gamma_j / q at its
-place j in :func:`osgd.selection.rank_by_loss`, the order the top-q step
-selects by (:func:`rank_weights`).  Averaging the top-q update direction
-over every possible minibatch reproduces that subgradient exactly;
-:func:`expected_step_bruteforce` certifies this by enumeration, and both
-forward the data once.  The enumeration (:func:`rank_selection_counts`)
-counts the s-subsets of the ``rank_by_loss`` places directly, as
-ascending rows of numpy tables: the places relabel the samples one to
-one, and a row's first q places are the ones its batch keeps.
+order.  The analytic subgradient weights each sample's gradient by
+gamma_j / q at its place j in :func:`osgd.selection.rank_by_loss`, the
+order the top-q step selects by (:func:`rank_weights`).  Averaging the
+top-q update direction over every possible minibatch reproduces that
+subgradient exactly; :func:`expected_step_bruteforce` certifies this by
+enumeration, and both forward the data once.  The enumeration
+(:func:`rank_selection_counts`) counts the s-subsets of the
+``rank_by_loss`` places directly, as ascending rows of numpy tables: the
+places relabel the samples one to one, and a row's first q places are
+the ones its batch keeps.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from math import comb
 import numpy as np
 
 from .coeffs import GammaWeights
-# q_argmax is not called here; the benchmark's tracer patches this name.
+# q_argmax: tracer only, deleted with ROADMAP 1a (the benchmark patches it).
 from .selection import q_argmax, rank_by_loss  # noqa: F401
 
 # Enumeration cap: keeps verification runs under a minute.
@@ -42,6 +42,7 @@ class ResourceError(RuntimeError):
     """Raised when an exhaustive enumeration would exceed the subset cap."""
 
 
+# Tracer only, deleted with ROADMAP 1a: the benchmark patches it; no caller.
 def loss_profile(obj, theta, X, y):
     """``(losses, reg_value)``: the per-sample losses of X and the
     regularizer value at theta, the inputs of :func:`ordered_empirical_loss`."""

@@ -28,8 +28,8 @@ from osgd.data import gen_clusters_2d, gen_rings_2d, load_semeion, \
     split_dataset
 from osgd.harness import _epoch_batches, run_experiment, run_single
 from osgd.objectives import FeedforwardModel, Objective
-from osgd.optimizers import (ScheduleSpec, adam_step, heavy_ball, init_state,
-                             minibatch_sgd_step, osgd_step, schedule_lr)
+from osgd.optimizers import (ScheduleSpec, adam, heavy_ball, init_state,
+                             osgd_step, schedule_lr)
 from osgd.ordered_loss import (expected_step_bruteforce, loss_profile,
                                lq_subgradient, ordered_empirical_loss)
 from osgd.selection import q_argmax, sample_minibatch
@@ -416,15 +416,13 @@ def _plain_baseline_theta(cfg, ds, kind):
     X, y = ds.split("train")
     rng = np.random.default_rng(0)
     state = init_state(obj.init_params(rng), 64, cfg.opt.schedule.base_lr)
-    momentum = functools.partial(heavy_ball, momentum=0.9)
+    update = (functools.partial(heavy_ball, momentum=0.9) if kind == "sgd"
+              else adam)
     for epoch in range(cfg.epochs):
         for batch in _epoch_batches(rng, len(y), 64, cfg.opt.batching):
             state.lr_current = schedule_lr(cfg.opt.schedule, epoch,
                                            state.step_count)
-            if kind == "sgd":
-                minibatch_sgd_step(state, obj, X, y, batch, update=momentum)
-            else:
-                adam_step(state, obj, X, y, batch)
+            osgd_step(state, obj, X, y, batch, len(batch), update=update)
     return state.theta
 
 

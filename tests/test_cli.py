@@ -149,13 +149,25 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "max componentwise deviation" in out
 
+    @pytest.mark.parametrize("n,s,q,total", [("100", "4", "2", 3921225),
+                                             ("200000", "2", "1", 19999900000)])
     def test_unbiasedness_over_the_subset_cap_is_one_line_and_exit_2(
-            self, capsys):
-        assert main(["verify", "unbiasedness", "--n", "100", "--s", "4",
-                     "--q", "2"]) == 2
+            self, capsys, n, s, q, total):
+        assert main(["verify", "unbiasedness", "--n", n, "--s", s,
+                     "--q", q]) == 2
         assert capsys.readouterr() == (
-            "", f"osgd verify: C(100, 4) = 3921225 subsets exceeds the "
+            "", f"osgd verify: C({n}, {s}) = {total} subsets exceeds the "
                 f"enumeration cap {MAX_BRUTEFORCE_SUBSETS}\n")
+
+    @pytest.mark.parametrize("n,s,q", [("-1", "4", "2"), ("3", "4", "2"),
+                                       ("8", "4", "5"), ("8", "4", "0")])
+    def test_unbiasedness_bad_sizes_are_one_line_and_exit_2(self, capsys, n,
+                                                            s, q):
+        assert main(["verify", "unbiasedness", "--n", n, "--s", s,
+                     "--q", q]) == 2
+        assert capsys.readouterr() == (
+            "", f"osgd verify: need 1 <= q <= s <= n, got (n={n}, s={s}, "
+                f"q={q})\n")
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_unbiasedness_without_a_trial_is_one_line_and_exit_2(

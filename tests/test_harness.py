@@ -22,9 +22,8 @@ from osgd.harness import (RECORD_COLUMNS, _check_qs_equivalence,
                           run_single, run_verification_suite, sweep_q,
                           write_records_csv, write_summary_csv)
 from osgd.objectives import FeedforwardModel, Objective
-from osgd.optimizers import (ScheduleSpec, adam_step, adaptive_q_update,
-                             heavy_ball, init_state, minibatch_sgd_step,
-                             schedule_lr)
+from osgd.optimizers import (ScheduleSpec, adam, adaptive_q_update,
+                             heavy_ball, init_state, osgd_step, schedule_lr)
 
 from conftest import stand_in_digits
 
@@ -50,24 +49,22 @@ def strip_time(record):
 
 
 def baseline_theta(cfg, seed, kind):
-    """Final theta of a loop of the one-line baseline step (``"sgd"``:
-    minibatch_sgd_step, ``"adam"``: adam_step) over the batches the runner
-    draws for ``cfg`` at ``seed``."""
+    """Final theta of a loop of the baseline step (``osgd_step`` at q equal
+    to the batch length, through heavy-ball for ``"sgd"`` and Adam for
+    ``"adam"``) over the batches the runner draws for ``cfg`` at ``seed``."""
     ds = cfg.data.split(build_dataset(cfg.data), seed)
     obj = build_objective(cfg, ds)
     X, y = ds.split("train")
     s = min(cfg.opt.batch_size, len(y))
     rng = np.random.default_rng(seed)
     state = init_state(obj.init_params(rng), s, cfg.opt.schedule.base_lr)
-    momentum = partial(heavy_ball, momentum=cfg.opt.momentum)
+    update = (partial(heavy_ball, momentum=cfg.opt.momentum) if kind == "sgd"
+              else adam)
     for epoch in range(cfg.epochs):
         for batch in _epoch_batches(rng, len(y), s, cfg.opt.batching):
             state.lr_current = schedule_lr(cfg.opt.schedule, epoch,
                                            state.step_count)
-            if kind == "sgd":
-                minibatch_sgd_step(state, obj, X, y, batch, update=momentum)
-            else:
-                adam_step(state, obj, X, y, batch)
+            osgd_step(state, obj, X, y, batch, len(batch), update=update)
     return state.theta
 
 
@@ -907,6 +904,110 @@ class TestVerificationSuite:
         assert not report["all_passed"]
         failing = {c["name"] for c in report["checks"] if not c["passed"]}
         assert failing == {"tie-break-determinism"}
+
+    @staticmethod
+    def failing_checks(report):
+        assert not report["all_passed"]
+        return {c["name"]: c["detail"] for c in report["checks"]
+                if not c["passed"]}
+
+    def test_miscounted_enumeration_fails_only_its_check(self, monkeypatch):
+        counts_of = ordered_loss.rank_selection_counts
+
+        def miscounted(losses, s, q):  # the suite's losses are n..1
+            counts, total = counts_of(losses, s, q)
+            if (losses.size, s, q) == (5, 3, 2):
+                counts = counts.copy()
+                counts[[0, 4]] = counts[[4, 0]]
+            return counts, total
+
+        monkeypatch.setattr(ordered_loss, "rank_selection_counts", miscounted)
+        assert self.failing_checks(run_verification_suite()) == {
+            "gamma-enumeration": "mismatch at (n=5, s=3, q=2)"}
+
+    def test_biased_subgradient_fails_only_the_unbiasedness_check(
+            self, monkeypatch):
+        subgradient = ordered_loss.lq_subgradient
+        monkeypatch.setattr(ordered_loss, "lq_subgradient",
+                            lambda *args: subgradient(*args) + 1e-9)
+        assert self.failing_checks(run_verification_suite()) == {
+            "unbiasedness": "max deviation 1.00e-09 > 1e-10"}
+
+    def test_instance_with_tied_losses_is_skipped(self, monkeypatch):
+        losses_of, instances, enumerated = Objective.per_example_losses, [], []
+
+        def tie_first(self, theta, X, y):  # ties the first instance only
+            losses = losses_of(self, theta, X, y)
+            instances.append(X)
+            if len(instances) == 1:
+                losses[1] = losses[0]
+            return losses
+
+        def counting(*args):
+            enumerated.append(args)
+            return bruteforce(*args)
+
+        bruteforce = ordered_loss.expected_step_bruteforce
+        monkeypatch.setattr(Objective, "per_example_losses", tie_first)
+        monkeypatch.setattr(ordered_loss, "expected_step_bruteforce", counting)
+        worst = harness.unbiasedness_deviation(seed=7, n=8, s=4, q=2, trials=3)
+        assert (len(instances), len(enumerated)) == (3, 2)
+        assert enumerated[0][2] is instances[1]  # the tied one was skipped
+        assert worst <= harness.UNBIASEDNESS_TOL
+
+    def test_shifted_limit_curve_fails_only_the_beta_cdf_check(
+            self, monkeypatch):
+        limit = coeffs.gamma_asymptotic
+        monkeypatch.setattr(coeffs, "gamma_asymptotic",
+                            lambda z, s, q: limit(z, s, q) + 1e-6 * s)
+        assert self.failing_checks(run_verification_suite()) == {
+            "beta-cdf-agreement": "identity residual 1.00e-06 > 1e-9"}
+
+    def test_wrong_uniform_cdf_fails_only_the_beta_cdf_check(
+            self, monkeypatch):
+        cdf = coeffs.beta_cdf
+
+        def off_at_one_one(z, a, b):
+            return cdf(z, a, b) + (1e-3 if (a, b) == (1.0, 1.0) else 0.0)
+
+        monkeypatch.setattr(coeffs, "beta_cdf", off_at_one_one)
+        assert self.failing_checks(run_verification_suite()) == {
+            "beta-cdf-agreement": "I_z(1,1) != z at z=0.0"}
+
+    def test_baseline_run_off_by_a_record_fails_only_the_q_equals_s_check(
+            self, monkeypatch):
+        run = harness.run_single
+
+        def baseline_off(cfg, dataset, seed):
+            result = run(cfg, dataset, seed)
+            if cfg.opt.kind == "sgd":
+                first = result.records[0]
+                result.records[0] = dataclasses.replace(
+                    first, train_avg_loss=first.train_avg_loss * 2.0)
+            return result
+
+        monkeypatch.setattr(harness, "run_single", baseline_off)
+        assert self.failing_checks(run_verification_suite()) == {
+            "q-equals-s-equivalence":
+                "q=s ordered run diverged from baseline run"}
+
+    def test_crashing_oracle_fails_only_its_check(self, monkeypatch):
+        def crash(z, s, q):
+            raise ZeroDivisionError("limit curve crashed")
+
+        monkeypatch.setattr(coeffs, "gamma_asymptotic", crash)
+        assert self.failing_checks(run_verification_suite()) == {
+            "beta-cdf-agreement": "exception: limit curve crashed"}
+
+    def test_unbiasedness_past_the_subset_cap_builds_no_gamma(
+            self, monkeypatch):
+        built = []
+        monkeypatch.setattr(coeffs, "gamma_weights",
+                            lambda *args: built.append(args))
+        with pytest.raises(ordered_loss.ResourceError,
+                           match=r"^C\(200000, 2\) = 19999900000 subsets"):
+            harness.unbiasedness_deviation(0, 200_000, 2, 1, trials=20)
+        assert built == []
 
     @staticmethod
     def swap_middle(nums, q, top):

@@ -6,8 +6,9 @@ path (only ``TapedBatch`` reads the loss table), one loop runs a config's
 seeds, only ``run_single`` touches the store of q = s prefixes (the q = s
 self-check may empty it), the enumeration oracle names nothing from
 ``osgd.coeffs``, one ``argsort`` ranks every selection, with
-``q_argmax`` running ``topq_positions``, and no module imports a private
-name of a sibling.
+``q_argmax`` running ``topq_positions``, no module imports a private
+name of a sibling, nothing calls the names kept only for the benchmark's
+tracer, and one function writes every CSV file.
 
 Each case runs in a fresh interpreter, since a module once imported stays
 in ``sys.modules``.  Runs without binary cross-entropy, a sigmoid hidden
@@ -85,15 +86,15 @@ PUBLIC_NAMES = [
     "ExperimentResult", "FeedforwardModel", "FormatError", "GammaCurve",
     "GammaWeights", "ModelConfig", "MoreauConfig", "Objective",
     "OptConfig", "OptimizerState", "ResourceError", "RunConfig",
-    "RunRecord", "RunResult", "ScheduleSpec", "adam_step",
+    "RunRecord", "RunResult", "ScheduleSpec",
     "adaptive_q_update", "analysis", "beta_cdf", "build_dataset",
     "build_objective", "coeffs", "concentration_term", "config", "data",
     "expected_step_bruteforce", "gamma_asymptotic", "gamma_rescaled_curve",
     "gamma_weights", "gamma_weights_float", "gen_clusters_2d",
     "gen_rings_2d", "harness", "init_state", "load_cache", "load_config",
-    "load_idx", "load_semeion", "loss_profile", "lq_subgradient",
-    "minibatch_sgd_step", "moreau_grad_norm", "objectives",
-    "optimality_gap", "optimizers", "ordered_adam_step",
+    "load_idx", "load_semeion", "lq_subgradient",
+    "moreau_grad_norm", "objectives",
+    "optimality_gap", "optimizers",
     "ordered_empirical_loss", "ordered_loss", "osgd_step", "q_argmax",
     "rank_by_loss", "rank_selection_counts", "reference_optimum",
     "relative_improvement", "run_experiment", "run_single",
@@ -110,7 +111,7 @@ def test_public_names_are_the_listed_ones():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert sorted(proc.stdout.split()) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 68
+    assert len(PUBLIC_NAMES) == 64
 
 
 def trees_in(directory):
@@ -332,3 +333,56 @@ def test_no_module_imports_a_private_name_of_a_sibling():
         f"{', '.join(found)}: an underscore name is private to its module; "
         f"a sibling reads a public name (only the private modules "
         f"{sorted(PRIVATE_MODULES)} are shared whole)")
+
+
+# Kept only because the benchmark's tracer patches them by name: the step
+# wrappers (one-line calls of osgd_step), ordered_loss.loss_profile, and
+# ordered_loss's import of q_argmax.
+TRACER_ONLY = {"minibatch_sgd_step", "ordered_adam_step", "adam_step",
+               "loss_profile"}
+
+
+def test_no_module_calls_a_tracer_only_name():
+    found = []
+    scripts = trees_in(os.path.join(os.path.dirname(SRC), "scripts"))
+    for name, tree in [*library_trees(), *scripts]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                found += [f"{name}:{node.lineno} imports {alias.name}"
+                          for alias in node.names
+                          if alias.name in TRACER_ONLY
+                          or (alias.name == "q_argmax"
+                              and (node.module or "").endswith("ordered_loss"))]
+            if isinstance(node, ast.Attribute) and (
+                    node.attr in TRACER_ONLY
+                    or (node.attr == "q_argmax"
+                        and getattr(node.value, "id", None) == "ordered_loss")):
+                found.append(f"{name}:{node.lineno} reads .{node.attr}")
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and (node.func.id in TRACER_ONLY
+                         or (node.func.id == "q_argmax"
+                             and name == "ordered_loss.py"))):
+                found.append(f"{name}:{node.lineno} calls {node.func.id}")
+    assert not found, (
+        f"{', '.join(found)}: {sorted(TRACER_ONLY)} and ordered_loss's "
+        f"q_argmax import stay only for the benchmark's tracer; the package "
+        f"and the scripts step with osgd_step and select with "
+        f"selection.q_argmax")
+
+
+def test_only_write_csv_makes_a_csv_writer():
+    found = []
+    for name, tree in library_trees():
+        for scope, call in calls_by_scope(tree):
+            func = call.func
+            made = (getattr(func, "attr", None) if isinstance(
+                func, ast.Attribute) and getattr(func.value, "id", None)
+                == "csv" else getattr(func, "id", None))
+            if made in ("writer", "DictWriter") and (name, *scope) != (
+                    "harness.py", "write_csv"):
+                found.append(f"{name}:{call.lineno} in "
+                             f"{'.'.join(scope) or 'module'}")
+    assert not found, (
+        f"csv writers at {', '.join(found)}: every CSV file of the package "
+        f"is written by harness.write_csv")
