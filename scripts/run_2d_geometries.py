@@ -11,7 +11,6 @@ Writes per-seed CSV rows next to the printed table.
 Usage: python scripts/run_2d_geometries.py [--seeds 10] [--outdir runs-2d]
 """
 import argparse
-import csv
 import os
 import sys
 
@@ -22,11 +21,13 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from osgd.analysis import zero_one_error
 from osgd.config import build_dataset, build_objective, load_config
-from osgd.harness import format_comparison_table, run_experiment
+from osgd.harness import format_comparison_table, run_experiment, write_csv
 
 # (table label, config file, focus group of the dataset)
 GEOMETRIES = (("rings/inner", "rings_osgd.cfg", "inner"),
               ("clusters/sub", "clusters_osgd.cfg", "subcluster"))
+# the keys of run_geometry's rows: the columns of the per-seed CSV files
+COLUMNS = ("optimizer", "seed", "focus_acc", "overall_acc")
 
 
 def run_geometry(config_file, seeds, focus_group):
@@ -56,11 +57,11 @@ def run_geometry(config_file, seeds, focus_group):
     return rows, medians, cfg.model.kind
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser()
     parser.add_argument("--seeds", type=int, default=10)
     parser.add_argument("--outdir", default="runs-2d")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     seeds = range(args.seeds)
     os.makedirs(args.outdir, exist_ok=True)
 
@@ -68,10 +69,8 @@ def main():
     for name, config_file, group in GEOMETRIES:
         rows, medians, model = run_geometry(config_file, seeds, group)
         path = os.path.join(args.outdir, name.replace("/", "-") + ".csv")
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
+        write_csv(path, COLUMNS,
+                  ([row[col] for col in COLUMNS] for row in rows))
         table_rows.append({
             "dataset": name, "model": model,
             "base_mean": 100.0 * (1.0 - medians["sgd"][0]),

@@ -20,6 +20,16 @@ def is_int(v):
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
+def check_sizes(n, s, q):
+    """(n, s, q) as Python ints, after the integer rule of :func:`is_int`
+    and 1 <= q <= s <= n: the one size check of every oracle."""
+    if not (is_int(n) and is_int(s) and is_int(q)):
+        raise ValueError(f"n, s, q must be integers, got ({n!r}, {s!r}, {q!r})")
+    if not 1 <= q <= s <= n:
+        raise ValueError(f"need 1 <= q <= s <= n, got (n={n}, s={s}, q={q})")
+    return int(n), int(s), int(q)
+
+
 def _int_list(raw):
     return tuple(int(tok) for tok in raw.replace(",", " ").split())
 

@@ -25,6 +25,7 @@ from math import log, sqrt
 
 import numpy as np
 
+from ._settings import check_sizes
 from .ordered_loss import (lq_value_and_subgradient, ordered_empirical_loss,
                            rank_weights)
 from .selection import rank_by_loss
@@ -85,35 +86,29 @@ def _tie_mixed_subgradient(obj, beta, X, y, gamma, pull, taped=None):
         taped = obj.taped_batch(beta, X, y)
     order = rank_by_loss(taped.losses)
     srt = taped.losses[order]
-    n = order.shape[0]
     u = rank_weights(order, gamma)
     _, reg = obj.regularizer(beta)
     fixed = reg + pull
 
-    groups = []
-    start = 0
-    for j in range(1, n + 1):
-        if j == n or abs(srt[j] - srt[j - 1]) > _TIE_RTOL * (1.0 + abs(srt[j])):
-            if j - start > 1:
-                ranks = np.arange(start, j)
-                wts = gamma.approx[ranks]
-                if wts.max() > wts.min():
-                    groups.append(ranks)
-            start = j
+    # A group is a run of sorted ranks between two breaks of the losses;
+    # edges holds each run's first rank, then the number of ranks.
+    breaks = np.abs(np.diff(srt)) > _TIE_RTOL * (1.0 + np.abs(srt[1:]))
+    edges = np.flatnonzero(np.concatenate(([True], breaks, [True])))
+    wide = np.flatnonzero(np.diff(edges) > 1)
+    groups = []  # (member ids, their weight caps) of each group
+    for start, end in zip(edges[wide].tolist(), edges[wide + 1].tolist()):
+        wts = gamma.approx[start:end]
+        if wts.max() > wts.min():
+            ids = order[start:end]
+            groups.append((ids.tolist(), u[ids]))
     g = taped.grad(u) + fixed
     if not groups:
         return g
 
-    member_grads = {}
-    for ranks in groups:
-        for i in order[ranks]:
-            member_grads[int(i)] = obj.per_sample_grad(beta, X[int(i)],
-                                                       int(y[int(i)]))
-    caps = {tuple(order[ranks]): u[order[ranks]] for ranks in groups}
+    member_grads = {i: obj.per_sample_grad(beta, X[i], int(y[i]))
+                    for ids, _ in groups for i in ids}
     for _ in range(_TIE_SWEEPS):
-        for ranks in groups:
-            ids = [int(i) for i in order[ranks]]
-            cap = caps[tuple(order[ranks])]
+        for ids, cap in groups:
             for ai in range(len(ids)):
                 for bi in range(ai + 1, len(ids)):
                     a, b = ids[ai], ids[bi]
@@ -125,7 +120,7 @@ def _tie_mixed_subgradient(obj, beta, X, y, gamma, pull, taped=None):
                     for _ in range(20):
                         if m == 0.0:
                             break
-                        trial = u[ids].copy()
+                        trial = u[ids]
                         trial[ai] -= m
                         trial[bi] += m
                         if _is_majorized(trial, cap):
@@ -279,8 +274,7 @@ def concentration_term(M: float, s: int, q: int, n: int, delta: float) -> float:
         raise ValueError(f"M must be nonnegative, got {M}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if not 1 <= q <= s <= n:
-        raise ValueError(f"need 1 <= q <= s <= n, got (n={n}, s={s}, q={q})")
+    check_sizes(n, s, q)
     return (M * s / q) * sqrt(log(1.0 / delta) / (2.0 * n))
 
 

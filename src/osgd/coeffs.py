@@ -26,7 +26,7 @@ from math import comb, exp, lgamma, log, log1p
 import numpy as np
 
 from . import _special
-from ._settings import is_int
+from ._settings import check_sizes, is_int
 
 # Above this n the float vectors of gamma_vector come from the log-space
 # path instead of the exact integers (those stay correct but get slow).
@@ -64,16 +64,6 @@ class GammaCurve:
     approximate: bool = False
 
 
-def _check_nsq(n, s, q):
-    """(n, s, q) as Python ints, after the config's integer rule (numpy
-    integers pass, bools do not) and 1 <= q <= s <= n."""
-    if not (is_int(n) and is_int(s) and is_int(q)):
-        raise ValueError(f"n, s, q must be integers, got ({n!r}, {s!r}, {q!r})")
-    if not 1 <= q <= s <= n:
-        raise ValueError(f"need 1 <= q <= s <= n, got (n={n}, s={s}, q={q})")
-    return int(n), int(s), int(q)
-
-
 def gamma_weight_numerators(n, s, q):
     """Integer numerators of gamma_1..gamma_n over the common denominator C(n, s).
 
@@ -87,7 +77,7 @@ def gamma_weight_numerators(n, s, q):
     integer step D_{j-1} = D_j * (j-q)(n-j) // ((j-1)(n-j-s+q+1)), so only
     the first D_j and C(n, s) are full binomials.  Exact integers, O(n).
     """
-    n, s, q = _check_nsq(n, s, q)
+    n, s, q = check_sizes(n, s, q)
     if q == s:
         return [comb(n - 1, s - 1)] * n, comb(n, s)
     nums = [0] * n
@@ -108,7 +98,7 @@ def gamma_weights(n: int, s: int, q: int) -> GammaWeights:
     Uses arbitrary-precision integers throughout; the float vector is a
     single rounding of the exact rationals.
     """
-    n, s, q = _check_nsq(n, s, q)
+    n, s, q = check_sizes(n, s, q)
     nums, den = gamma_weight_numerators(n, s, q)
     exact = tuple(Fraction(m, den) for m in nums)
     approx = np.array([m / den for m in nums], dtype=np.float64)
@@ -124,7 +114,7 @@ def gamma_weights_float(n: int, s: int, q: int) -> np.ndarray:
     l < j <= n-s+l+1 and is read there from slices of the table; outside
     that range it is -inf and leaves the log-sum unchanged.
     """
-    n, s, q = _check_nsq(n, s, q)
+    n, s, q = check_sizes(n, s, q)
     lg = _special.gammaln(np.arange(1, n + 2))  # lg[k] = ln k!
     log_den = (lg[n] - lg[s]) - lg[n - s]
     m = n - s + 1  # the l-th term exists on ranks j = l+1 .. l+m
@@ -242,7 +232,7 @@ def gamma_rescaled_curve(n: int, s: int, q: int) -> GammaCurve:
     The curve is flagged approximate beyond EXACT_N_LIMIT, where the values
     come from the log-space float path.
     """
-    n, s, q = _check_nsq(n, s, q)
+    n, s, q = check_sizes(n, s, q)
     z = np.arange(1, n + 1, dtype=np.float64) / n
     return GammaCurve(z_grid=z, values=gamma_vector(n, s, q, scale=n),
                       approximate=not uses_exact(n))

@@ -412,17 +412,17 @@ def unbiasedness_deviation(seed, n, s, q, trials):
     The expected step is enumerated over all s-subsets.  The ``trials``
     random logistic instances (n rows, 3 features) share one generator
     seeded with ``seed``; instances with tied losses are skipped.  The
-    exact weights (n rationals) are built after the first enumeration,
-    so sizes past its subset cap are refused before that O(n) work.
+    sizes pass :func:`ordered_loss.subset_count` first, so sizes past the
+    enumeration's subset cap are refused before the model, any draw or
+    the exact weights (n rationals, built once up front) exist.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    if not 1 <= q <= s <= n:  # before the draws of n rows
-        raise ValueError(f"need 1 <= q <= s <= n, got (n={n}, s={s}, q={q})")
+    ordered_loss.subset_count(n, s, q)
     rng = np.random.default_rng(seed)
     model = objectives.FeedforwardModel(3, 1, bias=False)
     obj = objectives.Objective(model, "binary-cross-entropy", l2=0.1)
-    gamma = None
+    gamma = coeffs.gamma_weights(n, s, q)
     worst = 0.0
     for _ in range(trials):
         X = rng.standard_normal((n, 3))
@@ -432,8 +432,6 @@ def unbiasedness_deviation(seed, n, s, q, trials):
         if np.unique(losses).size < losses.size:
             continue
         lhs = ordered_loss.expected_step_bruteforce(obj, theta, X, y, s, q)
-        if gamma is None:
-            gamma = coeffs.gamma_weights(n, s, q)
         rhs = ordered_loss.lq_subgradient(obj, theta, X, y, gamma)
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst

@@ -103,10 +103,6 @@ class FeedforwardModel:
         self.n_params = off
         self._bound = (None, None)  # (theta array, its layer views)
 
-    @property
-    def kind(self):
-        return "linear" if not self.hidden else "mlp"
-
     def layout(self):
         """Map from parameter-block name (W0, b0, W1, ...) to its slice."""
         out = {}

@@ -25,6 +25,7 @@ from math import comb
 
 import numpy as np
 
+from ._settings import check_sizes
 from .coeffs import GammaWeights
 # q_argmax: tracer only, deleted with ROADMAP 1a (the benchmark patches it).
 from .selection import q_argmax, rank_by_loss  # noqa: F401
@@ -40,6 +41,17 @@ _ENUM_BLOCK_ENTRIES = 2 ** 20
 
 class ResourceError(RuntimeError):
     """Raised when an exhaustive enumeration would exceed the subset cap."""
+
+
+def subset_count(n: int, s: int, q: int) -> int:
+    """C(n, s), the number of batches an enumeration of (n, s, q) visits,
+    after the size check; ResourceError past ``MAX_BRUTEFORCE_SUBSETS``."""
+    n, s, q = check_sizes(n, s, q)
+    total = comb(n, s)
+    if total > MAX_BRUTEFORCE_SUBSETS:
+        raise ResourceError(f"C({n}, {s}) = {total} subsets exceeds the "
+                            f"enumeration cap {MAX_BRUTEFORCE_SUBSETS}")
+    return total
 
 
 # Tracer only, deleted with ROADMAP 1a: the benchmark patches it; no caller.
@@ -167,16 +179,12 @@ def rank_selection_counts(losses, s: int, q: int):
     its first q places are the ones its batch keeps, with no gather or
     sort; mapped back to samples once, they give the integers of ranking
     every batch.  They never read the gamma formula, so they stay an
-    independent oracle for it.  A non-finite loss is rejected with its index.
+    independent oracle for it.  The sizes pass :func:`subset_count` before
+    any work, and a non-finite loss is rejected with its index.
     """
+    n = len(losses)
+    total = subset_count(n, s, q)
     order = rank_by_loss(losses)
-    n = order.shape[0]
-    if not 1 <= q <= s <= n:
-        raise ValueError(f"need 1 <= q <= s <= n, got (n={n}, s={s}, q={q})")
-    total = comb(n, s)
-    if total > MAX_BRUTEFORCE_SUBSETS:
-        raise ResourceError(f"C({n}, {s}) = {total} subsets exceeds the "
-                            f"enumeration cap {MAX_BRUTEFORCE_SUBSETS}")
     kept = np.zeros(n, dtype=np.int64)  # per place
     rows = max(1, _ENUM_BLOCK_ENTRIES // n)
     for block in _subset_blocks(n, s, rows):

@@ -61,6 +61,16 @@ class TestMoreau:
         for t in (-3.0, -0.1, 0.0, 0.4, 7.0):
             assert moreau_grad_norm(obj, np.array([t]), X, y, gamma, cfg) >= 0.0
 
+    @pytest.mark.parametrize("settings,match", [
+        ({"rho_hat": 0.0}, r"^rho_hat must be positive, got 0.0$"),
+        ({"rho_hat": -1.0}, r"^rho_hat must be positive, got -1.0$"),
+        ({"rho_hat": 1.0, "inner_tol": 0.0},
+         r"^inner_tol must be positive, got 0.0$"),
+    ], ids=["zero-rho", "negative-rho", "zero-tol"])
+    def test_bad_settings_rejected(self, settings, match):
+        with pytest.raises(ValueError, match=match):
+            MoreauConfig(**settings)
+
     def test_budget_exhaustion_raises(self):
         rng = np.random.default_rng(4)
         X = rng.standard_normal((12, 3))
@@ -121,6 +131,13 @@ class TestConcentrationTerm:
             concentration_term(1.0, 4, 2, 10, 1.0)
         with pytest.raises(ValueError):
             concentration_term(1.0, 4, 8, 10, 0.1)
+
+    @pytest.mark.parametrize("s,q,n", [(4.0, 2, 10), (4, True, 10),
+                                       (4, 2, "10")])
+    def test_non_integer_sizes_rejected(self, s, q, n):
+        with pytest.raises(ValueError, match=r"^n, s, q must be integers, "
+                                             r"got \("):
+            concentration_term(1.0, s, q, n, 0.1)
 
 
 class TestZeroOneError:

@@ -109,12 +109,18 @@ class TestGammaCommands:
                      r["gamma_float"]) for r in rows[9:]] == \
                 [("0", "1", "0.0")] * 3
 
-    def test_gamma_curve_columns(self, tmp_path):
+    @pytest.mark.parametrize("n,s,q", [(100, 10, 3), (20, 5, 5)])
+    def test_gamma_curve_columns(self, tmp_path, n, s, q):
         out = tmp_path / "curve.csv"
-        assert main(["gamma-curve", "--n", "100", "--s", "10", "--q", "3",
-                     "--out", str(out)]) == 0
+        assert main(["gamma-curve", "--n", str(n), "--s", str(s), "--q",
+                     str(q), "--out", str(out)]) == 0
         rows = read_rows(out)
         assert list(rows[0]) == ["z", "n_gamma", "gamma_limit", "beta_gap"]
+        if q == s:  # every rank kept: n * gamma and its limit are s, no gap
+            assert len(rows) == n
+            assert {(r["n_gamma"], r["gamma_limit"], r["beta_gap"])
+                    for r in rows} == {(repr(float(s)), repr(float(s)), "")}
+            return
         interior = [r for r in rows if r["beta_gap"] != ""]
         assert all(abs(float(r["beta_gap"])) < 1e-9 for r in interior)
 

@@ -2,6 +2,7 @@
 import hashlib
 import os
 import pathlib
+import re
 import tempfile
 import struct
 
@@ -15,6 +16,20 @@ from osgd.data import (RINGS_2D, RINGS_NOISE_SIGMA, Dataset, FormatError,
                        load_semeion, save_cache, split_dataset)
 
 SEMEION_PATH = os.environ.get("OSGD_SEMEION_PATH", "data/semeion.data")
+
+
+class TestDatasetChecks:
+    @pytest.mark.parametrize("features,labels,match", [
+        (np.zeros((3, 2)), np.zeros(2, dtype=np.int64),
+         r"^row count mismatch: 3 feature rows vs 2 labels$"),
+        (np.zeros((2, 2)), np.array([0, 3]), r"^labels must lie in \[0, 3\)$"),
+        (np.zeros((2, 2)), np.array([-1, 0]), r"^labels must lie in \[0, 3\)$"),
+        (np.array([[0.0, np.nan], [1.0, 1.0]]), np.array([0, 1]),
+         r"^features contain non-finite values$"),
+    ], ids=["row-count", "label-above", "label-below", "non-finite"])
+    def test_inconsistent_arrays_rejected(self, features, labels, match):
+        with pytest.raises(ValueError, match=match):
+            Dataset(features=features, labels=labels, n_classes=3)
 
 
 class TestClusters:
@@ -211,6 +226,14 @@ class TestSemeion:
                                               rf"not finite \({value}\)"):
             load_semeion(path)
 
+    @pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank"])
+    def test_file_without_rows_rejected(self, tmp_path, text):
+        path = tmp_path / "empty.data"
+        path.write_text(text)
+        with pytest.raises(FormatError,
+                           match=rf"^{re.escape(str(path))}: no data rows$"):
+            load_semeion(path)
+
     @pytest.mark.skipif(not os.path.exists(SEMEION_PATH),
                         reason=f"canonical file not present at {SEMEION_PATH}")
     def test_canonical_file_row_count(self):
@@ -285,6 +308,18 @@ class TestCache:
         path = tmp_path / "junk.osgd"
         path.write_bytes(b"NOTACACHE" + bytes(64))
         with pytest.raises(FormatError, match="magic"):
+            load_cache(path)
+
+    @pytest.mark.parametrize("version", [0, 2])
+    def test_other_version_rejected(self, tmp_path, version):
+        path = tmp_path / "future.osgd"
+        save_cache(gen_clusters_2d(0), path)
+        whole = bytearray(path.read_bytes())
+        whole[8:12] = struct.pack("<I", version)  # right after the magic
+        path.write_bytes(bytes(whole))
+        with pytest.raises(FormatError,
+                           match=rf"^{re.escape(str(path))}: unsupported "
+                                 rf"cache version {version} at byte 8$"):
             load_cache(path)
 
     def test_truncated_matrix_rejected(self, tmp_path):

@@ -1009,6 +1009,22 @@ class TestVerificationSuite:
             harness.unbiasedness_deviation(0, 200_000, 2, 1, trials=20)
         assert built == []
 
+    def test_unbiasedness_past_the_subset_cap_builds_no_model(
+            self, monkeypatch):
+        def no_model(*args, **kwargs):
+            raise AssertionError("model built before the subset cap")
+
+        monkeypatch.setattr(objectives, "FeedforwardModel", no_model)
+        with pytest.raises(ordered_loss.ResourceError,
+                           match=r"^C\(200000, 2\) = 19999900000 subsets"):
+            harness.unbiasedness_deviation(0, 200_000, 2, 1, trials=20)
+
+    @pytest.mark.parametrize("n,s,q", [(8.0, 4, 2), (8, 4, True)])
+    def test_unbiasedness_refuses_non_integer_sizes(self, n, s, q):
+        with pytest.raises(ValueError, match=r"^n, s, q must be integers, "
+                                             r"got \("):
+            harness.unbiasedness_deviation(0, n, s, q, trials=1)
+
     @staticmethod
     def swap_middle(nums, q, top):
         nums[q], nums[q + 1] = nums[q + 1], nums[q]

@@ -8,7 +8,8 @@ self-check may empty it), the enumeration oracle names nothing from
 ``osgd.coeffs``, one ``argsort`` ranks every selection, with
 ``q_argmax`` running ``topq_positions``, no module imports a private
 name of a sibling, nothing calls the names kept only for the benchmark's
-tracer, and one function writes every CSV file.
+tracer, one function writes every CSV file, and one function writes the
+size rule ``1 <= q <= s <= n``.
 
 Each case runs in a fresh interpreter, since a module once imported stays
 in ``sys.modules``.  Runs without binary cross-entropy, a sigmoid hidden
@@ -59,9 +60,12 @@ def loads_scipy_special(code):
     "from osgd.coeffs import gamma_vector\ngamma_vector(10_000, 64, 8)",
     "from osgd import cli\ntry:\n    cli.main(['--help'])\n"
     "except SystemExit:\n    pass",
+    "from osgd import cli\nassert cli.main(['verify', 'unbiasedness', "
+    "'--n', '200000', '--s', '2', '--q', '1']) == 2",
 ], ids=["import", "linear-multinomial", "linear-hinge",
         "linear-sigmoid-squared", "relu-mlp-squared",
-        "gamma-weights", "gamma-vector-exact", "cli-help"])
+        "gamma-weights", "gamma-vector-exact", "cli-help",
+        "unbiasedness-past-the-cap"])
 def test_paths_without_scipy_never_import_it(code):
     assert not loads_scipy_special(code)
 
@@ -76,6 +80,13 @@ def test_paths_without_scipy_never_import_it(code):
 ], ids=["bce-objective", "sigmoid-model", "gamma-weights-float"])
 def test_paths_with_scipy_import_it_when_built_or_called(code):
     assert loads_scipy_special(code)
+
+
+def test_unknown_special_name_is_an_attribute_error():
+    from osgd import _special
+    with pytest.raises(AttributeError, match=r"^module 'osgd._special' has "
+                                             r"no attribute 'erf'$"):
+        _special.erf
 
 
 # The package's public names after a bare ``import osgd``.  The list is
@@ -373,7 +384,8 @@ def test_no_module_calls_a_tracer_only_name():
 
 def test_only_write_csv_makes_a_csv_writer():
     found = []
-    for name, tree in library_trees():
+    scripts = trees_in(os.path.join(os.path.dirname(SRC), "scripts"))
+    for name, tree in [*library_trees(), *scripts]:
         for scope, call in calls_by_scope(tree):
             func = call.func
             made = (getattr(func, "attr", None) if isinstance(
@@ -385,4 +397,21 @@ def test_only_write_csv_makes_a_csv_writer():
                              f"{'.'.join(scope) or 'module'}")
     assert not found, (
         f"csv writers at {', '.join(found)}: every CSV file of the package "
-        f"is written by harness.write_csv")
+        f"and the scripts is written by harness.write_csv")
+
+
+def is_size_chain(node):
+    """Whether ``node`` is the comparison ``1 <= q <= s <= n``."""
+    return (isinstance(node, ast.Compare)
+            and isinstance(node.left, ast.Constant) and node.left.value == 1
+            and all(isinstance(op, ast.LtE) for op in node.ops)
+            and [getattr(c, "id", None) for c in node.comparators]
+            == ["q", "s", "n"])
+
+
+def test_one_size_check():
+    found = [(name, *scope) for name, tree in library_trees()
+             for scope, node in nodes_by_scope(tree) if is_size_chain(node)]
+    assert found == [("_settings.py", "check_sizes")], (
+        f"1 <= q <= s <= n in {found}: every oracle checks its sizes with "
+        f"_settings.check_sizes, the one place that writes the rule")

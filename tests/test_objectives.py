@@ -103,6 +103,34 @@ class TestLossValues:
         with pytest.raises(ValueError, match="label out of range"):
             obj.per_sample_loss(np.zeros(model.n_params), np.ones(2), 3)
 
+    @pytest.mark.parametrize("y", [np.array([0.0, 1.0]),
+                                   np.array(["0", "1"])], ids=["float", "str"])
+    def test_non_integer_labels_rejected(self, y):
+        model = FeedforwardModel(2, 3)
+        obj = Objective(model, "multinomial-cross-entropy")
+        with pytest.raises(ValueError, match=rf"^labels must be integers, "
+                                             rf"got dtype {y.dtype}$"):
+            obj.per_example_losses(np.zeros(model.n_params), np.ones((2, 2)),
+                                   y)
+
+    @pytest.mark.parametrize("make,match", [
+        (lambda: FeedforwardModel(2, 1, hidden=(3,), activation="gelu"),
+         r"^unknown activation 'gelu'; choose from \['relu', 'sigmoid', "
+         r"'tanh'\]$"),
+        (lambda: Objective(FeedforwardModel(2, 2), "hinge"),
+         r"^unknown loss kind 'hinge'; choose from \("),
+        (lambda: Objective(FeedforwardModel(2, 2), "binary-cross-entropy"),
+         r"^binary-cross-entropy needs a scalar-output model$"),
+        (lambda: Objective(FeedforwardModel(2, 1), "multinomial-cross-entropy"),
+         r"^multinomial-cross-entropy needs at least two output units$"),
+        (lambda: Objective(FeedforwardModel(2, 1), "multiclass-hinge"),
+         r"^multiclass-hinge needs at least two output units$"),
+    ], ids=["activation", "loss", "bce-width", "multinomial-width",
+            "hinge-width"])
+    def test_unknown_or_mismatched_kind_rejected(self, make, match):
+        with pytest.raises(ValueError, match=match):
+            make()
+
     def test_labels_checked_whole_are_a_read_only_copy(self, monkeypatch):
         model = FeedforwardModel(2, 3)
         obj = Objective(model, "multinomial-cross-entropy")

@@ -485,6 +485,18 @@ class TestSchedules:
         with pytest.raises(ValueError):
             ScheduleSpec(kind="linear", base_lr=0.1)
 
+    @pytest.mark.parametrize("epoch,step", [(-1, 0), (0, -1)])
+    def test_negative_epoch_or_step_rejected(self, epoch, step):
+        with pytest.raises(ValueError,
+                           match="^epoch and step must be nonnegative$"):
+            schedule_lr(ScheduleSpec(), epoch, step)
+
+
+@pytest.mark.parametrize("q", [0, -2])
+def test_state_needs_a_kept_sample(q):
+    with pytest.raises(ValueError, match=f"^q must be at least 1, got {q}$"):
+        init_state(np.zeros(3), q=q, lr=0.1)
+
 
 class TestStatisticalProperties:
     def test_monte_carlo_mean_matches_analytic_subgradient(self):

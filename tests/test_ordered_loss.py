@@ -15,7 +15,8 @@ from osgd.ordered_loss import (MAX_BRUTEFORCE_SUBSETS, ResourceError,
                                _lex_subsets, _subset_blocks,
                                expected_step_bruteforce, loss_profile,
                                lq_subgradient, lq_value_and_subgradient,
-                               ordered_empirical_loss, rank_selection_counts)
+                               ordered_empirical_loss, rank_selection_counts,
+                               rank_weights, subset_count)
 from osgd.selection import q_argmax, rank_by_loss
 
 
@@ -119,6 +120,11 @@ class TestLqSubgradient:
         np.testing.assert_allclose(lq_subgradient(obj, theta, X, y, gamma),
                                    expected, rtol=1e-10)
 
+    def test_rank_weights_reject_another_n(self):
+        with pytest.raises(ValueError,
+                           match=r"^gamma built for n=4, data has n=3$"):
+            rank_weights(np.arange(3), gamma_weights(4, 2, 1))
+
     def test_matches_bruteforce_oracle(self):
         obj, theta, X, y = logistic_instance(3)
         gamma = gamma_weights(8, 4, 2)
@@ -150,6 +156,31 @@ class TestBruteforceOracle:
         losses = np.arange(30, dtype=np.float64)
         with pytest.raises(ResourceError):
             rank_selection_counts(losses, 15, 3)
+
+    @pytest.mark.parametrize("n,s", [(5, 2), (30, 4), (60, 3), (12, 12)])
+    def test_subset_count_is_the_binomial(self, n, s):
+        assert subset_count(n, s, 1) == comb(n, s) <= MAX_BRUTEFORCE_SUBSETS
+        assert type(subset_count(np.int64(n), s, 1)) is int
+
+    @pytest.mark.parametrize("n,s,total", [(30, 15, 155117520),
+                                           (200_000, 2, 19999900000)])
+    def test_subset_count_refuses_past_the_cap(self, n, s, total):
+        with pytest.raises(ResourceError,
+                           match=rf"^C\({n}, {s}\) = {total} subsets exceeds "
+                                 rf"the enumeration cap "
+                                 rf"{MAX_BRUTEFORCE_SUBSETS}$"):
+            subset_count(n, s, 1)
+
+    @pytest.mark.parametrize("n,s,q,match", [
+        (3, 4, 2, r"^need 1 <= q <= s <= n, got \(n=3, s=4, q=2\)$"),
+        (8, 4, 0, r"^need 1 <= q <= s <= n, got \(n=8, s=4, q=0\)$"),
+        (8, 4.0, 2, r"^n, s, q must be integers, got \(8, 4.0, 2\)$"),
+    ], ids=["s-above-n", "q-zero", "float-s"])
+    def test_bad_sizes_refused_before_the_enumeration(self, n, s, q, match):
+        for call in (lambda: subset_count(n, s, q),
+                     lambda: rank_selection_counts(np.arange(float(n)), s, q)):
+            with pytest.raises(ValueError, match=match):
+                call()
 
     def test_unbiasedness_across_all_small_tuples(self):
         # One random smooth instance per (n, s, q) with n <= 9.

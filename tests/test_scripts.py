@@ -1,4 +1,5 @@
 """Smoke tests of the scripts in scripts/: each runs end to end."""
+import importlib.util
 import os
 import subprocess
 import sys
@@ -61,3 +62,22 @@ def test_semeion_table_single_seed_std_is_zero(tmp_path):
     for row in rows:
         assert "nan" not in row
         assert row.count("(0.00)") == 2  # baseline and ordered std
+
+
+def test_2d_geometries_script_single_seed(tmp_path, capsys):
+    path = os.path.join(SCRIPTS, "run_2d_geometries.py")
+    spec = importlib.util.spec_from_file_location("run_2d_geometries", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    script.main(["--seeds", "1", "--outdir", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert "Focus-region error rates (%):" in out
+    assert sum(line.startswith(("rings/inner", "clusters/sub"))
+               for line in out.splitlines()) == 4  # a summary and a table row
+    assert sorted(os.listdir(tmp_path)) == ["clusters-sub.csv",
+                                            "rings-inner.csv"]
+    for name in os.listdir(tmp_path):
+        lines = (tmp_path / name).read_text().splitlines()
+        assert lines[0] == "optimizer,seed,focus_acc,overall_acc"
+        assert [line.split(",")[:2] for line in lines[1:]] == [
+            ["sgd", "0"], ["osgd", "0"]]

@@ -60,6 +60,12 @@ class TestQArgmax:
         with pytest.raises(ValueError):
             q_argmax(np.array([1.0, 2.0]), np.array([0, 1]), 3)
 
+    @pytest.mark.parametrize("q", [0, 4])
+    def test_positions_need_q_in_range(self, q):
+        with pytest.raises(ValueError, match=rf"^need 1 <= q <= len\(values\) "
+                                             rf"= 3, got q={q}$"):
+            topq_positions(np.array([1.0, 2.0, 3.0]), q)
+
     def test_only_batch_members_selected(self):
         values = np.array([9.0, 1.0, 8.0, 2.0])
         batch = np.array([1, 3])
