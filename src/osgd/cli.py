@@ -62,7 +62,7 @@ def _cmd_gamma_curve(args):
 
 
 def _cmd_verify(args):
-    report = harness.run_verification_suite(corrupt=args.corrupt)
+    report = harness.run_verification_suite()
     print(json.dumps(report, indent=2))
     if not report["all_passed"]:
         failing = [c["name"] for c in report["checks"] if not c["passed"]]
@@ -214,8 +214,6 @@ def build_parser():
     p.set_defaults(fn=_cmd_gamma_curve)
 
     p = sub.add_parser("verify", help="run the oracle verification suite")
-    p.add_argument("--corrupt", default=None, choices=harness.CORRUPT_HOOKS,
-                   help="negative-control hook")
     p.set_defaults(fn=_cmd_verify)
     p = p.add_subparsers().add_parser("unbiasedness",
                                       parents=[_sizes(n=8, s=4, q=2)])
@@ -262,12 +260,7 @@ def main(argv=None):
     exceeds the subset cap) is one line on stderr and exit status 2;
     ``train`` and ``sweep-q`` exit 1 when a configuration completes no
     seed."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.fn is _cmd_unbiasedness and args.corrupt is not None:
-        # given before the nested subcommand, it lands on the verify parser
-        parser.error("argument --corrupt: not allowed with verify "
-                     "unbiasedness")
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     # FormatError is a ValueError; ResourceError a RuntimeError

@@ -102,8 +102,16 @@ class OptConfig(Section):
     batching: str = setting("shuffle", one_of(("shuffle", "iid")))
     schedule: ScheduleSpec = ScheduleSpec(kind="step-decay", decay_epochs=(9,))
 
+    def __post_init__(self):
+        super().__post_init__()
+        if self.q != "adaptive" and self.q > self.batch_size:
+            raise ValueError(f"opt.q must be at most opt.batch_size = "
+                             f"{self.batch_size}, got {self.q}")
+
     def initial_q(self, s: int) -> int:
-        """q of the first step at batch size s: s for baselines and adaptive q."""
+        """q of the first step at batch size s: s for baselines and adaptive
+        q.  A fixed q is at most opt.batch_size, and s is below that only
+        when the train split is."""
         if self.kind in BASELINE_KINDS or self.q == "adaptive":
             return s
         return min(int(self.q), s)
@@ -127,16 +135,19 @@ class RunConfig(Section):
 
 
 def parse_config_text(text: str) -> dict:
-    """Flat dict of dotted keys to raw string values."""
-    flat = {}
+    """Flat dict of dotted keys to raw string values; a key may appear on
+    one line only."""
+    flat, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        flat[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in lines:
+            raise ValueError(f"line {lineno}: {key} repeats line {lines[key]}")
+        flat[key], lines[key] = value, lineno
     return flat
 
 

@@ -14,7 +14,7 @@ suite and the benchmark digests depend on their exact draws.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -61,10 +61,7 @@ class Dataset:
         return self.features[idx], self.labels[idx]
 
     def with_splits(self, splits):
-        return Dataset(features=self.features, labels=self.labels,
-                       n_classes=self.n_classes, splits=dict(splits),
-                       groups=self.groups, provenance=self.provenance,
-                       seed=self.seed)
+        return replace(self, splits=dict(splits))
 
     def with_default_splits(self):
         """This dataset, or, where it has no splits, a copy whose train and

@@ -370,16 +370,11 @@ def format_comparison_table(rows):
 # Verification suite: wraps the module oracles into one pass/fail report.
 # ---------------------------------------------------------------------------
 
-CORRUPT_HOOKS = ("gamma-sum",)  # run_verification_suite's negative controls
-
-
-def _check_gamma_identities(corrupt=None):
+def _check_gamma_identities():
     # gamma_j = N_j / C(n, s), checked on the integer numerators N_j
     grid = [(12, 5, 2), (30, 8, 3), (64, 16, 4), (200, 32, 8)]
     for n, s, q in grid:
         nums, den = coeffs.gamma_weight_numerators(n, s, q)
-        if corrupt == "gamma-sum":
-            nums[0] += 1
         if sum(nums) != q * den:
             return False, f"sum(gamma) != q for (n={n}, s={s}, q={q})"
         if any(nums[j] < nums[j + 1] for j in range(n - 1)):
@@ -546,18 +541,10 @@ def _check_tie_breaking():
     return True, "200 randomized tie cases"
 
 
-def run_verification_suite(corrupt=None) -> dict:
-    """Execute the cross-module oracle checks and report machine-readably.
-
-    ``corrupt`` names a negative-control hook of :data:`CORRUPT_HOOKS`
-    ("gamma-sum" perturbs one weight numerator before the sum identity
-    is checked); any other name but None is a ``ValueError``.
-    """
-    if corrupt is not None and corrupt not in CORRUPT_HOOKS:
-        raise ValueError(f"unknown negative-control hook {corrupt!r}; "
-                         f"choose from {CORRUPT_HOOKS}")
+def run_verification_suite() -> dict:
+    """Execute the cross-module oracle checks and report machine-readably."""
     checks = [
-        ("gamma-identities", lambda: _check_gamma_identities(corrupt)),
+        ("gamma-identities", _check_gamma_identities),
         ("gamma-enumeration", _check_gamma_enumeration),
         ("unbiasedness", _check_unbiasedness),
         ("gradient-checks", _check_gradients),

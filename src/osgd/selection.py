@@ -63,20 +63,12 @@ def q_argmax(values: np.ndarray, batch: np.ndarray, q: int) -> np.ndarray:
     return np.take_along_axis(batch, topq_positions(vals, q), axis=-1)
 
 
-def finite_losses(losses) -> np.ndarray:
-    """``losses`` as float64; a non-finite entry is rejected by its index.
-
-    Non-finite losses signal divergence upstream.
-    """
+def rank_by_loss(losses: np.ndarray) -> np.ndarray:
+    """Permutation listing sample indices by nonincreasing loss, ties
+    toward the smaller index.  A non-finite loss, the sign of a diverged
+    run, is rejected by its index."""
     losses = np.asarray(losses, dtype=np.float64)
     if not np.isfinite(losses).all():
         bad = int(np.flatnonzero(~np.isfinite(losses))[0])
         raise ValueError(f"non-finite loss at index {bad}; run has diverged")
-    return losses
-
-
-def rank_by_loss(losses: np.ndarray) -> np.ndarray:
-    """Permutation listing sample indices by nonincreasing loss, ties
-    toward the smaller index.  Non-finite losses are rejected
-    (:func:`finite_losses`)."""
-    return _rank_order(finite_losses(losses))
+    return _rank_order(losses)

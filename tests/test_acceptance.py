@@ -13,7 +13,6 @@ import os
 import time
 import zlib
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -23,18 +22,20 @@ from osgd.analysis import (MoreauConfig, moreau_grad_norm, optimality_gap,
                            reference_optimum)
 from osgd.coeffs import (beta_cdf, gamma_asymptotic, gamma_rescaled_curve,
                          gamma_weights)
-from osgd.config import build_objective, load_config
+from osgd.config import load_config
 from osgd.data import gen_clusters_2d, gen_rings_2d, load_semeion, \
     split_dataset
-from osgd.harness import _epoch_batches, run_experiment, run_single
+from osgd.harness import run_experiment, run_single
 from osgd.objectives import FeedforwardModel, Objective
-from osgd.optimizers import (ScheduleSpec, adam, heavy_ball, init_state,
-                             osgd_step, schedule_lr)
+from osgd.optimizers import (ScheduleSpec, init_state, osgd_step,
+                             schedule_lr)
 from osgd.ordered_loss import (expected_step_bruteforce, loss_profile,
                                lq_subgradient, ordered_empirical_loss)
 from osgd.selection import q_argmax, sample_minibatch
 
-from conftest import record_acceptance, stand_in_digits
+from conftest import (all_combos, away_from_kinks, baseline_theta,
+                      enumerate_rank_frequencies, record_acceptance,
+                      stand_in_digits)
 
 SEMEION_PATH = os.environ.get("OSGD_SEMEION_PATH", "data/semeion.data")
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(
@@ -74,23 +75,13 @@ def criterion(number, budget_seconds=None):
 # 1. Exact weight identities
 # --------------------------------------------------------------------------
 
-def enumerated_rank_frequencies(n, s, q):
-    counts = [0] * n
-    total = 0
-    for subset in combinations(range(n), s):
-        total += 1
-        for rank in subset[:q]:  # ascending rank = descending loss
-            counts[rank] += 1
-    return [Fraction(c, total) for c in counts]
-
-
 @criterion(1, budget_seconds=60)
 def test_acceptance_1_gamma_exactness():
     for n in range(1, 10):
         for s in range(1, n + 1):
             for q in range(1, s + 1):
                 gw = gamma_weights(n, s, q)
-                assert list(gw.exact) == enumerated_rank_frequencies(n, s, q), \
+                assert list(gw.exact) == enumerate_rank_frequencies(n, s, q), \
                     (n, s, q)
     grid = [(20, 6, 2), (100, 16, 5), (500, 64, 16), (1000, 64, 48),
             (2000, 64, 1), (2000, 64, 32), (2000, 64, 64)]
@@ -213,30 +204,9 @@ def test_acceptance_4_convex_gap_decay():
 # 5. Gradient correctness for every model/loss combination
 # --------------------------------------------------------------------------
 
-def near_kink(obj, theta, x, y, margin=1e-3):
-    if obj.model.hidden and obj.model.activation == "relu":
-        _, tape = obj.model.forward(theta, np.atleast_2d(x))
-        if any(np.abs(Z).min() < margin for _, Z in tape[:-1]):
-            return True
-    if obj.loss == "multiclass-hinge":
-        A = obj.model.logits(theta, np.atleast_2d(x))[0]
-        margins = 1.0 + A - A[y]
-        margins[y] = 1.0
-        if np.abs(margins).min() < margin:
-            return True
-    return False
-
-
 @criterion(5, budget_seconds=60)
 def test_acceptance_5_gradient_checks():
-    losses = ("multinomial-cross-entropy", "multiclass-hinge",
-              "binary-cross-entropy", "squared")
-    combos = []
-    for loss in losses:
-        d_out = 1 if loss == "binary-cross-entropy" else 3
-        combos.append(("linear", "tanh", loss, d_out))
-        for act in ("relu", "tanh", "sigmoid"):
-            combos.append(("mlp", act, loss, d_out))
+    combos = all_combos()
     worst = 0.0
     for kind, act, loss, d_out in combos:
         # crc32, not hash(): str hashes are salted per interpreter
@@ -251,7 +221,7 @@ def test_acceptance_5_gradient_checks():
             theta = rng.standard_normal(model.n_params) * 0.7
             x = rng.standard_normal(4)
             y = int(rng.integers(0, 2 if d_out == 1 else d_out))
-            if near_kink(obj, theta, x, y):
+            if not away_from_kinks(obj, theta, x, y):
                 continue
             fd = harness._central_difference(obj, theta, x, y)
             if np.linalg.norm(fd) < 1e-3:
@@ -407,23 +377,8 @@ def test_acceptance_9_q_equals_s_bit_identical():
         # both runs take the runner's one step path: the plain baseline
         # step looped over the same batches is the independent reference
         assert a.final_theta.tobytes() == \
-            _plain_baseline_theta(cfg, ds, plain_kind).tobytes()
+            baseline_theta(cfg, ds, 0, plain_kind).tobytes()
     return f"osgd==sgd and oadam==adam over 3 epochs on {source}"
-
-
-def _plain_baseline_theta(cfg, ds, kind):
-    obj = build_objective(cfg, ds)
-    X, y = ds.split("train")
-    rng = np.random.default_rng(0)
-    state = init_state(obj.init_params(rng), 64, cfg.opt.schedule.base_lr)
-    update = (functools.partial(heavy_ball, momentum=0.9) if kind == "sgd"
-              else adam)
-    for epoch in range(cfg.epochs):
-        for batch in _epoch_batches(rng, len(y), 64, cfg.opt.batching):
-            state.lr_current = schedule_lr(cfg.opt.schedule, epoch,
-                                           state.step_count)
-            osgd_step(state, obj, X, y, batch, len(batch), update=update)
-    return state.theta
 
 
 # --------------------------------------------------------------------------

@@ -131,23 +131,11 @@ class TestVerifyCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["all_passed"]
 
-    def test_corrupt_hook_fails(self, capsys):
-        assert main(["verify", "--corrupt", "gamma-sum"]) == 1
+    def test_failing_check_exits_1(self, capsys, gamma_sum_off_by_one):
+        assert main(["verify"]) == 1
         out, err = capsys.readouterr()
         assert not json.loads(out)["all_passed"]  # the full suite's report
         assert err.startswith("FAILED checks: ")
-
-    def test_misspelled_corrupt_hook_is_a_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            main(["verify", "--corrupt", "gamma_sum"])
-        assert exit_info.value.code == 2
-        out, err = capsys.readouterr()
-        assert out == ""  # no suite ran
-        assert "argument --corrupt: invalid choice: 'gamma_sum'" in err
-
-    def test_suite_rejects_an_unknown_corrupt_hook(self):
-        with pytest.raises(ValueError, match="'gamma_sum'.*'gamma-sum'"):
-            harness.run_verification_suite(corrupt="gamma_sum")
 
     def test_unbiasedness_subcommand(self, capsys):
         assert main(["verify", "unbiasedness", "--n", "8", "--s", "4",
@@ -539,7 +527,7 @@ class TestParserContract:
             "": [],
             "gamma": sorted([*nsq, "--float", "--out"]),
             "gamma-curve": sorted([*nsq, "--out"]),
-            "verify": ["--corrupt"],
+            "verify": [],
             "verify unbiasedness": sorted([*nsq, "--seed", "--trials"]),
             "train": ["--config", "--override", "--save-params"],
             "sweep-q": ["--config", "--override", "--q-values"],
@@ -553,15 +541,18 @@ class TestParserContract:
     @pytest.mark.parametrize("argv, message", [
         (["analyze", "gap", "--M", "1", "--history", "h.csv",
           "--out", "g.csv"], "unrecognized arguments: --M 1"),
+        (["verify", "--corrupt", "gamma-sum"],
+         "argument {unbiasedness}: invalid choice: 'gamma-sum'"),
         (["verify", "unbiasedness", "--corrupt", "gamma-sum"],
          "unrecognized arguments: --corrupt gamma-sum"),
         (["verify", "--corrupt", "gamma-sum", "unbiasedness"],
-         "argument --corrupt: not allowed with verify unbiasedness"),
+         "argument {unbiasedness}: invalid choice: 'gamma-sum'"),
         (["analyze", "moreau", "--config", "run.cfg", "--out", "m.csv"],
          "the following arguments are required: --theta"),
         (["data", "gen-rings", "--out", "r.osgd"],
          "argument command: invalid choice: 'data'")],
-        ids=["gap-M", "unbiasedness-corrupt", "corrupt-before-unbiasedness",
+        ids=["gap-M", "verify-corrupt", "unbiasedness-corrupt",
+             "corrupt-before-unbiasedness",
              "moreau-theta", "data"])
     def test_usage_error_exits_2(self, tmp_path, monkeypatch, capsys, argv,
                                  message):
@@ -615,12 +606,11 @@ def readme_options_table():
 
 
 def test_readme_options_table_lists_each_subcommands_options():
-    """Every subcommand with options has a row, each option accepted is
+    """Every subcommand that runs has a row, each option accepted is
     listed and no other, and an option is bold exactly when required."""
     declared = {}
     for name, parser in command_parsers(build_parser()):
-        options = option_actions(parser)
-        if options:
+        if parser.get_default("fn") is not None:
             declared[name] = sorted((flag, action.required)
-                                    for flag, action in options)
+                                    for flag, action in option_actions(parser))
     assert readme_options_table() == declared

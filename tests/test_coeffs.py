@@ -2,7 +2,6 @@
 import math
 from math import comb
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -16,21 +15,7 @@ from osgd.coeffs import (EXACT_N_LIMIT, beta_cdf, gamma_asymptotic,
                          gamma_weight_numerators, gamma_weights,
                          gamma_weights_float)
 
-
-def enumerate_rank_frequencies(n, s, q):
-    """Test-local oracle: selection frequency of each rank over all s-subsets.
-
-    Ranks are positions 0..n-1; the sample with rank r is treated as having
-    the r-th largest loss, ties impossible.  Counts how often each rank is
-    among the q largest-loss members of the subset.
-    """
-    counts = [0] * n
-    total = 0
-    for subset in combinations(range(n), s):
-        total += 1
-        for rank in sorted(subset)[:q]:  # smaller rank = larger loss
-            counts[rank] += 1
-    return [Fraction(c, total) for c in counts]
+from conftest import enumerate_rank_frequencies
 
 
 def gamma_numerators_double_sum(n, s, q):

@@ -48,6 +48,11 @@ class TestParsing:
         with pytest.raises(ValueError, match="line 2"):
             parse_config_text("a = 1\nnonsense\n")
 
+    def test_repeated_key_rejected_with_both_lines(self):
+        with pytest.raises(ValueError,
+                           match=r"^line 4: opt\.q repeats line 2$"):
+            parse_config_text("name = a\nopt.q = 8\n# opt.q = 2\nopt.q = 4\n")
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             config_from_flat({"not.a.key": "1"})
@@ -251,6 +256,18 @@ class TestRunSettingChecks:
     def test_integer_q_below_one_rejected(self, value):
         with pytest.raises(ValueError, match="opt.q must be at least 1"):
             config_from_flat({"opt.q": value})
+
+    @pytest.mark.parametrize("flat", [
+        {"opt.q": "100"},
+        {"opt.q": "9", "opt.batch_size": "8"},
+        {"opt.q": "9", "opt.batch_size": "8", "opt.kind": "sgd"}])
+    def test_integer_q_above_batch_size_rejected(self, flat):
+        size = flat.get("opt.batch_size", "64")
+        with pytest.raises(ValueError, match=(
+                f"^opt.q must be at most opt.batch_size = {size}, "
+                f"got {flat['opt.q']}$")):
+            config_from_flat(flat)
+        assert config_from_flat({**flat, "opt.q": size}).opt.q == int(size)
 
     @pytest.mark.parametrize("value", ["-0.1", "1.0", "1.5"])
     def test_momentum_outside_unit_interval_rejected(self, value):

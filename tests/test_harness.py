@@ -4,7 +4,6 @@ import dataclasses
 import hashlib
 import json
 import os
-from functools import partial
 from itertools import combinations, permutations
 from math import factorial
 from types import SimpleNamespace
@@ -22,10 +21,13 @@ from osgd.harness import (RECORD_COLUMNS, _check_qs_equivalence,
                           run_single, run_verification_suite, sweep_q,
                           write_records_csv, write_summary_csv)
 from osgd.objectives import FeedforwardModel, Objective
-from osgd.optimizers import (ScheduleSpec, adam, adaptive_q_update,
-                             heavy_ball, init_state, osgd_step, schedule_lr)
+from osgd.optimizers import ScheduleSpec, adaptive_q_update
 
-from conftest import stand_in_digits
+from conftest import baseline_theta, stand_in_digits
+
+
+DIGESTS_PATH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "bench", "digests.json")
 
 
 def tiny_config(kind="osgd", q="adaptive", seeds=(0,), epochs=3, name="tiny"):
@@ -48,34 +50,15 @@ def strip_time(record):
     return tuple(row.items())
 
 
-def baseline_theta(cfg, seed, kind):
-    """Final theta of a loop of the baseline step (``osgd_step`` at q equal
-    to the batch length, through heavy-ball for ``"sgd"`` and Adam for
-    ``"adam"``) over the batches the runner draws for ``cfg`` at ``seed``."""
-    ds = cfg.data.split(build_dataset(cfg.data), seed)
-    obj = build_objective(cfg, ds)
-    X, y = ds.split("train")
-    s = min(cfg.opt.batch_size, len(y))
-    rng = np.random.default_rng(seed)
-    state = init_state(obj.init_params(rng), s, cfg.opt.schedule.base_lr)
-    update = (partial(heavy_ball, momentum=cfg.opt.momentum) if kind == "sgd"
-              else adam)
-    for epoch in range(cfg.epochs):
-        for batch in _epoch_batches(rng, len(y), s, cfg.opt.batching):
-            state.lr_current = schedule_lr(cfg.opt.schedule, epoch,
-                                           state.step_count)
-            osgd_step(state, obj, X, y, batch, len(batch), update=update)
-    return state.theta
-
-
 class TestEquivalences:
     def test_q_equals_s_matches_sgd_stream(self):
         cfg = tiny_config(kind="osgd", q=20, seeds=(1, 2))
         result = run_experiment(cfg)
         for run in result.runs:
             assert [rec.q for rec in run.records] == [20] * cfg.epochs
+            ds = cfg.data.split(build_dataset(cfg.data), run.seed)
             assert run.final_theta.tobytes() == \
-                baseline_theta(cfg, run.seed, "sgd").tobytes()
+                baseline_theta(cfg, ds, run.seed, "sgd").tobytes()
 
     def test_rerun_reproduces_records(self):
         cfg = tiny_config(seeds=(3, 4), epochs=4)
@@ -98,8 +81,9 @@ class TestBaselines:
         for rec in run.records:  # L_s is the average loss
             assert rec.train_ordered_loss == pytest.approx(rec.train_avg_loss,
                                                            rel=1e-12)
+        ds = cfg.data.split(build_dataset(cfg.data), 4)
         assert run.final_theta.tobytes() == \
-            baseline_theta(cfg, 4, kind).tobytes()
+            baseline_theta(cfg, ds, 4, kind).tobytes()
 
 
 STEP_NAMES = ("osgd_step", "minibatch_sgd_step", "ordered_adam_step",
@@ -883,8 +867,8 @@ class TestVerificationSuite:
                            match=f"^trials must be at least 1, got {trials}$"):
             harness.unbiasedness_deviation(0, 8, 4, 2, trials)
 
-    def test_corrupted_gamma_fails_sum_check(self):
-        report = run_verification_suite(corrupt="gamma-sum")
+    def test_corrupted_gamma_fails_sum_check(self, gamma_sum_off_by_one):
+        report = run_verification_suite()
         assert not report["all_passed"]
         failing = {c["name"] for c in report["checks"] if not c["passed"]}
         assert failing == {"gamma-identities"}
@@ -1054,6 +1038,15 @@ class TestVerificationSuite:
         monkeypatch.setattr(coeffs, "gamma_weight_numerators", corrupted)
         assert harness._check_gamma_identities() == (
             False, f"gamma {detail} for (n=12, s=5, q=2)")
+
+    def test_report_bytes_match_the_benchmark_digest(self):
+        # hashed as the oracle-certify workload hashes it, against the
+        # digest it recorded (for one numpy/BLAS build, as PINNED_RECORDS)
+        with open(DIGESTS_PATH) as fh:
+            recorded = json.load(fh)["workloads"]["oracle-certify"]
+        text = json.dumps(run_verification_suite(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            recorded["verification_suite"]
 
     def test_report_schema_roundtrips_through_json(self):
         report = run_verification_suite()

@@ -15,6 +15,8 @@ from osgd.harness import _central_difference
 from osgd.objectives import (_ACTIVATIONS, _LOSSES, LOSS_KINDS,
                              FeedforwardModel, Objective)
 
+from conftest import all_combos, away_from_kinks
+
 
 @pytest.mark.parametrize("name,derivative_at_input", [
     ("relu", lambda z: (z > 0.0).astype(np.float64)),
@@ -29,33 +31,6 @@ def test_derivative_from_output_is_bitwise_derivative_at_input(
     z = np.concatenate([5.0 * np.random.default_rng(3).standard_normal(1000),
                         [0.0, -0.0, 1e-300, 40.0, -40.0, 800.0, -800.0]])
     assert dact(act(z)).tobytes() == derivative_at_input(z).tobytes()
-
-
-def away_from_kinks(obj, theta, x, y, margin=1e-3):
-    """Reject points near a relu or hinge kink, where derivatives jump."""
-    if obj.model.hidden and obj.model.activation == "relu":
-        _, tape = obj.model.forward(theta, np.atleast_2d(x))
-        for _, Z in tape[:-1]:
-            if np.abs(Z).min() < margin:
-                return False
-    if obj.loss == "multiclass-hinge":
-        A = obj.model.logits(theta, np.atleast_2d(x))[0]
-        margins = 1.0 + A - A[y]
-        margins[y] = 1.0
-        if np.abs(margins).min() < margin:
-            return False
-    return True
-
-
-def all_combos():
-    """Every valid (model kind, activation, loss) combination."""
-    combos = []
-    for loss in LOSS_KINDS:
-        d_out = 1 if loss == "binary-cross-entropy" else 3
-        combos.append(("linear", "tanh", loss, d_out))
-        for act in ("relu", "tanh", "sigmoid"):
-            combos.append(("mlp", act, loss, d_out))
-    return combos
 
 
 class TestLossValues:
