@@ -13,8 +13,7 @@ from .coeffs import (GammaCurve, GammaWeights, beta_cdf, gamma_asymptotic,
 from .config import (DataConfig, ModelConfig, OptConfig, RunConfig,
                      build_dataset, build_objective, load_config)
 from .data import (Dataset, FormatError, gen_clusters_2d, gen_rings_2d,
-                   load_cache, load_idx, load_semeion, save_cache,
-                   split_dataset)
+                   load_idx, load_semeion, split_dataset)
 from .harness import (ExperimentResult, RunRecord, RunResult, run_experiment,
                       run_single, run_verification_suite, sweep_q)
 from .objectives import FeedforwardModel, Objective

@@ -142,10 +142,14 @@ def _cmd_bound_term(args):
 
 def _cmd_gap(args):
     with open(args.history, newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(fh, restval="")  # a short row reads ""
         if args.column not in (reader.fieldnames or ()):
             raise ValueError(f"{args.history} has no column {args.column!r}")
-        history = [float(row[args.column]) for row in reader]
+        try:
+            history = [float(row[args.column]) for row in reader]
+        except ValueError as exc:  # reader.line_num: the row that failed
+            raise ValueError(f"{args.history}:{reader.line_num}: "
+                             f"{args.column}: {exc}") from None
     gaps = analysis.optimality_gap(history, args.star)
     harness.write_csv(args.out, ["t", "running_min_gap"],
                       [[t, repr(float(g))] for t, g in enumerate(gaps)])
@@ -159,7 +163,11 @@ def _cmd_moreau(args):
     cfg = load_config(args.config, overrides=args.override)
     ds = cfg.data.split(build_dataset(cfg.data), cfg.seeds[0])
     obj = build_objective(cfg, ds)
-    theta = np.load(args.theta)
+    try:
+        with open(args.theta, "rb") as fh:
+            theta = np.lib.format.read_array(fh)
+    except ValueError:
+        raise ValueError(f"{args.theta} is not a .npy array file") from None
     n_params = obj.model.n_params
     if theta.shape != (n_params,):
         held = (f"{theta.size} parameters" if theta.ndim == 1

@@ -24,11 +24,21 @@ from dataclasses import dataclass
 
 from ._settings import (AT_LEAST_1, NONNEG, NONNEG_ENTRIES, UNIT, Section,
                         from_flat, is_int, one_of, setting)
-from .data import (Dataset, gen_clusters_2d, gen_rings_2d, load_cache,
-                   load_idx, load_semeion, split_dataset)
+from .data import (Dataset, gen_clusters_2d, gen_rings_2d, load_idx,
+                   load_semeion, split_dataset)
+from .data import load_cache  # noqa: F401 (tracer only, ROADMAP 1a)
 from .objectives import (ACTIVATION_KINDS, LOSS_KINDS, MODEL_KINDS,
                          FeedforwardModel, Objective)
 from .optimizers import ScheduleSpec
+
+
+def _files(dc, *keys):
+    """The ``data.*`` file settings ``keys``, each checked to be set."""
+    unset = " and ".join(f"data.{key}" for key in keys if not getattr(dc, key))
+    if unset:
+        raise ValueError(f"data.kind {dc.kind} needs {unset} set")
+    return [getattr(dc, key) for key in keys]
+
 
 # data.kind -> the configured rows, generated or read, without a split.
 # Each entry looks its loader up when called, so a loader patched on this
@@ -36,9 +46,8 @@ from .optimizers import ScheduleSpec
 _LOADERS = {
     "clusters": lambda dc: gen_clusters_2d(dc.seed),
     "rings": lambda dc: gen_rings_2d(dc.seed),
-    "semeion": lambda dc: load_semeion(dc.path),
-    "idx": lambda dc: load_idx(dc.images, dc.labels),
-    "cache": lambda dc: load_cache(dc.path),
+    "semeion": lambda dc: load_semeion(*_files(dc, "path")),
+    "idx": lambda dc: load_idx(*_files(dc, "images", "labels")),
 }
 DATASET_KINDS = tuple(_LOADERS)
 OPT_KINDS = ("osgd", "sgd", "oadam", "adam")
@@ -55,7 +64,7 @@ _Q = (lambda raw: raw if raw == "adaptive" else int(raw),
 class DataConfig(Section):
     _prefix = "data."
     kind: str = setting("clusters", one_of(DATASET_KINDS))
-    path: str = setting("")            # semeion/cache file
+    path: str = setting("")            # semeion file
     images: str = setting("")          # idx image file
     labels: str = setting("")          # idx label file
     seed: int = setting(0, NONNEG)     # clusters/rings generator seed

@@ -1,4 +1,4 @@
-"""Datasets: synthetic 2-D geometries, digit-file ingestion, splits, cache.
+"""Datasets: synthetic 2-D geometries, digit-file ingestion, splits.
 
 The two synthetic generators reproduce the qualitative structure used in
 the 2-D experiments: class-imbalanced Gaussian blobs with small mid-field
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -33,7 +34,6 @@ class Dataset:
     splits: dict = field(default_factory=dict)
     groups: dict = field(default_factory=dict)
     provenance: str = ""
-    seed: int | None = None
 
     def __post_init__(self):
         if self.features.shape[0] != self.labels.shape[0]:
@@ -100,7 +100,7 @@ RINGS_NOISE_SIGMA = 0.15  # standard deviation of the radial noise
 def gen_clusters_2d(seed: int) -> Dataset:
     """Gaussian blob mixture of :data:`CLUSTERS_2D`; deterministic in seed."""
     rng = np.random.default_rng(seed)
-    return _geometry_dataset(f"gen_clusters_2d(seed={seed})", seed, [
+    return _geometry_dataset(f"gen_clusters_2d(seed={seed})", [
         (np.asarray(center) + sigma * rng.standard_normal((count, 2)),
          label, group)
         for center, count, sigma, label, group in CLUSTERS_2D])
@@ -116,10 +116,10 @@ def gen_rings_2d(seed: int) -> Dataset:
         r = radius + RINGS_NOISE_SIGMA * rng.standard_normal(count)
         blocks.append((np.column_stack([r * np.cos(angles), r * np.sin(angles)]),
                        label, group))
-    return _geometry_dataset(f"gen_rings_2d(seed={seed})", seed, blocks)
+    return _geometry_dataset(f"gen_rings_2d(seed={seed})", blocks)
 
 
-def _geometry_dataset(provenance, seed, blocks):
+def _geometry_dataset(provenance, blocks):
     """Two-class dataset of (points, label, group) blocks stacked in order;
     groups are named in order of first appearance."""
     counts = [len(pts) for pts, _, _ in blocks]
@@ -132,7 +132,6 @@ def _geometry_dataset(provenance, seed, blocks):
         groups={g: np.flatnonzero(owner == g)
                 for g in dict.fromkeys(group for _, _, group in blocks)},
         provenance=provenance,
-        seed=seed,
     )
 
 
@@ -147,7 +146,7 @@ def load_idx(images_path, labels_path) -> Dataset:
     bytes row-major.  Labels: magic 0x00000801, count, bytes.  Pixels are
     scaled to [0, 1].
     """
-    img = _read_bytes(images_path)
+    img = Path(images_path).read_bytes()
     if len(img) < 16:
         raise FormatError(f"{images_path}: truncated image header, "
                           f"{len(img)} bytes before offset 16")
@@ -160,7 +159,7 @@ def load_idx(images_path, labels_path) -> Dataset:
         raise FormatError(f"{images_path}: expected {need} pixel bytes from "
                           f"offset 16, found {len(img) - 16}")
 
-    lab = _read_bytes(labels_path)
+    lab = Path(labels_path).read_bytes()
     if len(lab) < 8:
         raise FormatError(f"{labels_path}: truncated label header, "
                           f"{len(lab)} bytes before offset 8")
@@ -181,11 +180,6 @@ def load_idx(images_path, labels_path) -> Dataset:
     return Dataset(features=features, labels=labels,
                    n_classes=max(int(labels.max()) + 1, 2) if n else 2,
                    provenance=f"idx:{images_path}")
-
-
-def _read_bytes(path):
-    with open(path, "rb") as fh:
-        return fh.read()
 
 
 def load_semeion(path) -> Dataset:
@@ -253,126 +247,8 @@ def split_dataset(ds: Dataset, test_fraction: float, seed: int,
     return ds.with_splits({"train": np.flatnonzero(mask), "test": test})
 
 
-# Binary cache layout (all integers little-endian):
-#   magic "OSGDCACH" | u32 version=1 | u64 n | u64 d | u32 n_classes |
-#   i64 seed (-1 for none) | u32 prov_len | prov utf-8 |
-#   u32 n_splits | per split: u32 name_len, name, u64 count, u64 indices... |
-#   u32 n_groups | same encoding |
-#   features as n*d little-endian float64 | labels as n little-endian int64
-_CACHE_MAGIC = b"OSGDCACH"
+def save_cache(*args, **kwargs):  # tracer only, deleted with ROADMAP 1a
+    raise NotImplementedError("osgd has no binary dataset cache")
 
 
-def save_cache(ds: Dataset, path) -> None:
-    """Write the dataset in the documented little-endian cache layout."""
-    prov = ds.provenance.encode("utf-8")
-    parts = [
-        _CACHE_MAGIC,
-        struct.pack("<IQQIq", 1, ds.n, ds.d, ds.n_classes,
-                    -1 if ds.seed is None else ds.seed),
-        struct.pack("<I", len(prov)), prov,
-        _pack_index_table(ds.splits),
-        _pack_index_table(ds.groups),
-        np.ascontiguousarray(ds.features, dtype="<f8").tobytes(),
-        np.ascontiguousarray(ds.labels, dtype="<i8").tobytes(),
-    ]
-    with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
-
-
-def _pack_index_table(table):
-    parts = [struct.pack("<I", len(table))]
-    for name, idx in table.items():
-        enc = name.encode("utf-8")
-        parts.append(struct.pack("<I", len(enc)))
-        parts.append(enc)
-        parts.append(struct.pack("<Q", len(idx)))
-        parts.append(np.ascontiguousarray(idx, dtype="<u8").tobytes())
-    return b"".join(parts)
-
-
-def load_cache(path) -> Dataset:
-    """Read a dataset written by :func:`save_cache` (lossless round-trip).
-
-    A file that ends early, holds a split or group index outside [0, n),
-    a label outside [0, n_classes) or a non-finite feature raises
-    :class:`FormatError` naming the byte offset.
-    """
-    r = _CacheReader(path, _read_bytes(path))
-    magic = bytes(r.take(8, "magic"))
-    if magic != _CACHE_MAGIC:
-        raise FormatError(f"{path}: bad cache magic {magic!r} at byte 0")
-    version, n, d, n_classes, seed = r.unpack("<IQQIq", "header")
-    if version != 1:
-        raise FormatError(f"{path}: unsupported cache version {version} "
-                          f"at byte 8")
-    prov = r.text("provenance")
-    splits = r.index_table("split", n)
-    groups = r.index_table("group", n)
-    features = r.array("<f8", n * d, "features", np.isfinite, "not finite")
-    labels = r.array("<i8", n, "labels", lambda v: (v >= 0) & (v < n_classes),
-                     f"outside [0, n_classes={n_classes})")
-    if r.off != len(r.buf):
-        raise FormatError(f"{path}: {len(r.buf) - r.off} trailing bytes "
-                          f"from offset {r.off}")
-    return Dataset(features=features.reshape(n, d).copy(),
-                   labels=labels.astype(np.int64),
-                   n_classes=n_classes, splits=splits, groups=groups,
-                   provenance=prov, seed=None if seed == -1 else seed)
-
-
-class _CacheReader:
-    """Sequential reads from a cache file; a short read is a FormatError."""
-
-    def __init__(self, path, buf):
-        self.path, self.buf, self.off = path, memoryview(buf), 0
-
-    def take(self, size, what):
-        if self.off + size > len(self.buf):
-            raise FormatError(f"{self.path}: truncated at byte "
-                              f"{len(self.buf)}, expected {size} bytes of "
-                              f"{what} from offset {self.off}")
-        self.off += size
-        return self.buf[self.off - size:self.off]
-
-    def unpack(self, fmt, what):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
-
-    def array(self, dtype, count, what, valid=None, rule=""):
-        """``count`` values; the first one that fails ``valid`` is a
-        FormatError naming its offset and the ``rule`` it breaks."""
-        dtype = np.dtype(dtype)
-        start = self.off
-        arr = np.frombuffer(self.take(count * dtype.itemsize, what),
-                            dtype=dtype)
-        bad = np.flatnonzero(~valid(arr)) if valid is not None else ()
-        if len(bad):
-            i = int(bad[0])
-            raise FormatError(f"{self.path}: {what}[{i}] = {arr[i]} at offset "
-                              f"{start + i * dtype.itemsize} is {rule}")
-        return arr
-
-    def text(self, what):
-        (size,) = self.unpack("<I", f"{what} length")
-        start = self.off
-        raw = bytes(self.take(size, what))
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{self.path}: {what} at offset {start} is not "
-                              f"UTF-8 ({exc.reason})") from None
-
-    def index_table(self, kind, n):
-        """Named index arrays, each index checked against the row count n."""
-        (count,) = self.unpack("<I", f"{kind} count")
-        table = {}
-        for _ in range(count):
-            name = self.text(f"{kind} name")
-            (m,) = self.unpack("<Q", f"{kind} '{name}' length")
-            start = self.off
-            idx = self.array("<u8", m, f"{kind} '{name}' indices")
-            if m and idx.max() >= n:
-                raise FormatError(
-                    f"{self.path}: {kind} '{name}' from offset {start} holds "
-                    f"index {int(idx.max())}, outside [0, n={n})")
-            table[name] = idx.astype(np.int64)
-        return table
+load_cache = save_cache

@@ -383,6 +383,32 @@ def test_train_bad_semeion_file_is_one_line_and_exit_2(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("overrides, message", [
+    (["data.kind = semeion"], "data.kind semeion needs data.path set"),
+    (["data.kind = idx"],
+     "data.kind idx needs data.images and data.labels set"),
+    (["data.kind = idx", "data.images = images.idx"],
+     "data.kind idx needs data.labels set"),
+    (["data.kind = cache"],
+     "data.kind must be one of clusters, rings, semeion, idx, got 'cache'")],
+    ids=["semeion-path", "idx-both", "idx-labels", "cache"])
+def test_train_unset_data_file_or_cache_kind_is_one_line_and_exit_2(
+        config_file, tmp_path, monkeypatch, capsys, overrides, message):
+    monkeypatch.chdir(tmp_path)  # images.idx is absent: no file is opened
+    assert main(["train", "--config", str(config_file),
+                 "--override", "outdir = out",
+                 *(arg for o in overrides for arg in ("--override", o))]) == 2
+    assert capsys.readouterr().err == f"osgd train: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def saved_bytes(save, *args, **kwargs):
+    """The bytes numpy's ``save`` or ``savez`` writes for these arguments."""
+    buf = io.BytesIO()
+    save(buf, *args, **kwargs)
+    return buf.getvalue()
+
+
 class TestAnalyzeCommands:
     def test_bound_term(self, tmp_path, capsys):
         out = tmp_path / "bound.csv"
@@ -435,6 +461,23 @@ class TestAnalyzeCommands:
                      "--out", str(tmp_path / "g.csv")]) == 2
         assert "no column 'train_loss'" in capsys.readouterr().err
         assert not (tmp_path / "g.csv").exists()
+
+    @pytest.mark.parametrize("body, held", [
+        ("epoch,train_ordered_loss\n0,1.5\n1\n", "''"),
+        ("epoch,train_ordered_loss\n0,1.5\n1,\n", "''"),
+        ("epoch,train_ordered_loss\n0,1.5\n1,low\n", "'low'")],
+        ids=["short-row", "empty", "text"])
+    def test_gap_bad_entry_is_one_line_and_exit_2(self, tmp_path, capsys,
+                                                  body, held):
+        path = tmp_path / "records.csv"
+        path.write_text(body)
+        out = tmp_path / "g.csv"
+        assert main(["analyze", "gap", "--history", str(path),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"osgd analyze: {path}:3: train_ordered_loss: could not convert "
+            f"string to float: {held}\n")
+        assert not out.exists()
 
     def test_moreau_loads_and_splits_the_rows_once(self, tmp_path,
                                                    config_file, monkeypatch):
@@ -493,6 +536,24 @@ class TestAnalyzeCommands:
         # the linear binary model on 2-D rows: 2 weights and a bias
         assert capsys.readouterr().err == (
             f"osgd analyze: {path} holds {held}; the configured model has 3\n")
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("body", [
+        saved_bytes(np.savez, theta=np.zeros(3)),
+        b"0.0 0.0 0.0\n",
+        b"",
+        saved_bytes(np.save, np.array([0.0, None, 0.0]), allow_pickle=True)],
+        ids=["npz", "text", "empty", "object-array"])
+    def test_moreau_theta_not_a_npy_array_is_one_line_and_exit_2(
+            self, tmp_path, config_file, capsys, body):
+        path = tmp_path / "theta.npy"
+        path.write_bytes(body)
+        out = tmp_path / "moreau.csv"
+        assert main(["analyze", "moreau", "--config", str(config_file),
+                     "--theta", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"osgd analyze: {path} is not a .npy array file\n")
         assert not out.exists()
 
 

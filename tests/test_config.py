@@ -114,7 +114,6 @@ LOADER_CALLS = {
     "rings": ("gen_rings_2d", (7,)),
     "semeion": ("load_semeion", ("rows.data",)),
     "idx": ("load_idx", ("images.idx", "labels.idx")),
-    "cache": ("load_cache", ("rows.data",)),
 }
 LOADER_CONFIG = dict(seed=7, path="rows.data", images="images.idx",
                      labels="labels.idx")
@@ -195,16 +194,32 @@ class TestBuilders:
                                 "test": np.arange(10, 20)})
         assert dc.split(given, 5) is given
 
-    def test_cache_roundtrip_through_config(self, tmp_path):
-        from osgd.data import gen_clusters_2d, save_cache
-        path = tmp_path / "c.osgd"
-        save_cache(gen_clusters_2d(3), path)
-        ds = build_dataset(DataConfig(kind="cache", path=str(path)))
-        assert ds.n == 200
+    @pytest.mark.parametrize("kind, files, missing", [
+        ("semeion", {}, "data.path"),
+        ("idx", {}, "data.images and data.labels"),
+        ("idx", {"labels": "labels.idx"}, "data.images"),
+        ("idx", {"images": "images.idx"}, "data.labels")],
+        ids=["semeion", "idx-both", "idx-images", "idx-labels"])
+    def test_build_dataset_names_an_unset_file_before_loading(
+            self, monkeypatch, kind, files, missing):
+        dc = DataConfig(kind=kind, **files)  # a config without files builds
+        name, _ = LOADER_CALLS[kind]
+        calls = []
+        monkeypatch.setattr(config, name, lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match=rf"^data.kind {kind} needs "
+                                             rf"{missing} set$"):
+            build_dataset(dc)
+        assert calls == []
 
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):
             DataConfig(kind="imagenet")
+
+    def test_cache_kind_is_gone(self):
+        with pytest.raises(ValueError, match=r"^data.kind must be one of "
+                                             r"clusters, rings, semeion, idx, "
+                                             r"got 'cache'$"):
+            DataConfig(kind="cache")
 
     def test_objective_output_arity(self):
         ds = build_dataset(DataConfig(kind="clusters", seed=0))
