@@ -150,6 +150,8 @@ def _cmd_gap(args):
         except ValueError as exc:  # reader.line_num: the row that failed
             raise ValueError(f"{args.history}:{reader.line_num}: "
                              f"{args.column}: {exc}") from None
+    if not history:
+        raise ValueError(f"{args.history} has no rows under its header")
     gaps = analysis.optimality_gap(history, args.star)
     harness.write_csv(args.out, ["t", "running_min_gap"],
                       [[t, repr(float(g))] for t, g in enumerate(gaps)])
@@ -161,13 +163,13 @@ def _cmd_moreau(args):
     """Envelope gradient norm at a saved parameter vector, on the train
     split of the config's first seed."""
     cfg = load_config(args.config, overrides=args.override)
-    ds = cfg.data.split(build_dataset(cfg.data), cfg.seeds[0])
-    obj = build_objective(cfg, ds)
-    try:
+    try:  # before the rows are loaded: a bad file costs no data load
         with open(args.theta, "rb") as fh:
             theta = np.lib.format.read_array(fh)
     except ValueError:
         raise ValueError(f"{args.theta} is not a .npy array file") from None
+    ds = cfg.data.split(build_dataset(cfg.data), cfg.seeds[0])
+    obj = build_objective(cfg, ds)
     n_params = obj.model.n_params
     if theta.shape != (n_params,):
         held = (f"{theta.size} parameters" if theta.ndim == 1

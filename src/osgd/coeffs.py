@@ -108,9 +108,13 @@ def gamma_weights(n: int, s: int, q: int) -> GammaWeights:
 def gamma_weights_float(n: int, s: int, q: int) -> np.ndarray:
     """Float64 gamma vector via log-gamma, for n too large for rationals.
 
-    Accurate to ~1e-12 relative; use :func:`gamma_weights` when exactness
-    matters.  One table ``lg[k] = ln k!`` serves every log-binomial: the
-    l-th term, ln C(j-1, l) + ln C(n-j, s-l-1) - ln C(n, s), exists for
+    Its relative error grows roughly like machine epsilon times ln(n!), the
+    size of the log-gamma terms that cancel: against the exact rationals,
+    on entries at least 1e-6 of the largest, it is 1.9e-12 at
+    (n, s, q) = (1000, 64, 32) and 4.9e-11 at (10_000, 64, 32).  Use
+    :func:`gamma_weights` when exactness matters.  One table
+    ``lg[k] = ln k!`` serves every log-binomial: the l-th term,
+    ln C(j-1, l) + ln C(n-j, s-l-1) - ln C(n, s), exists for
     l < j <= n-s+l+1 and is read there from slices of the table; outside
     that range it is -inf and leaves the log-sum unchanged.
     """

@@ -134,21 +134,11 @@ def osgd_step(state, obj, X, y, batch, q, update=heavy_ball) -> OptimizerState:
     return state
 
 
-# Tracer only, deleted with ROADMAP 1a: the benchmark patches these three.
-def minibatch_sgd_step(state, obj, X, y, batch,
-                       update=heavy_ball) -> OptimizerState:
-    """Baseline step: the ordered step with q equal to the batch size."""
-    return osgd_step(state, obj, X, y, batch, len(batch), update=update)
+def minibatch_sgd_step(*args, **kwargs):  # tracer only, deleted with ROADMAP 1a
+    raise NotImplementedError("every step is osgd_step")
 
 
-def ordered_adam_step(state, obj, X, y, batch, q) -> OptimizerState:
-    """The ordered step through :func:`adam` with its default moments."""
-    return osgd_step(state, obj, X, y, batch, q, update=adam)
-
-
-def adam_step(state, obj, X, y, batch) -> OptimizerState:
-    """Baseline Adam step: ordered Adam with q equal to the batch size."""
-    return osgd_step(state, obj, X, y, batch, len(batch), update=adam)
+ordered_adam_step = adam_step = minibatch_sgd_step
 
 
 def adaptive_q_update(train_acc: float, s: int) -> int:

@@ -54,13 +54,8 @@ def subset_count(n: int, s: int, q: int) -> int:
     return total
 
 
-# Tracer only, deleted with ROADMAP 1a: the benchmark patches it; no caller.
-def loss_profile(obj, theta, X, y):
-    """``(losses, reg_value)``: the per-sample losses of X and the
-    regularizer value at theta, the inputs of :func:`ordered_empirical_loss`."""
-    losses = obj.per_example_losses(theta, X, y)
-    reg_value, _ = obj.regularizer(theta)
-    return losses, reg_value
+def loss_profile(*args, **kwargs):  # tracer only, deleted with ROADMAP 1a
+    raise NotImplementedError("Objective.per_example_losses, Objective.regularizer")
 
 
 def ordered_empirical_loss(losses, reg_value, gamma: GammaWeights) -> float:

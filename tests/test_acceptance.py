@@ -29,8 +29,8 @@ from osgd.harness import run_experiment, run_single
 from osgd.objectives import FeedforwardModel, Objective
 from osgd.optimizers import (ScheduleSpec, init_state, osgd_step,
                              schedule_lr)
-from osgd.ordered_loss import (expected_step_bruteforce, loss_profile,
-                               lq_subgradient, ordered_empirical_loss)
+from osgd.ordered_loss import (expected_step_bruteforce, lq_subgradient,
+                               ordered_empirical_loss)
 from osgd.selection import q_argmax, sample_minibatch
 
 from conftest import (all_combos, away_from_kinks, baseline_theta,
@@ -189,7 +189,8 @@ def test_acceptance_4_convex_gap_decay():
             state.lr_current = schedule_lr(spec, 0, t)
             osgd_step(state, obj, X, y, sample_minibatch(rng, n, s), q)
             history.append(ordered_empirical_loss(
-                *loss_profile(obj, state.theta, X, y), gamma))
+                obj.per_example_losses(state.theta, X, y),
+                obj.regularizer(state.theta)[0], gamma))
         gaps = optimality_gap(history, lq_star)
         ratios.append(gaps[9_999] / gaps[99])
         most_negative = min(most_negative, float(gaps.min()))

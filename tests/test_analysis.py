@@ -12,8 +12,7 @@ from osgd.analysis import (ConvergenceError, MoreauConfig, _subgradient_solve,
 from osgd.coeffs import gamma_weights
 from osgd.data import gen_clusters_2d, gen_rings_2d
 from osgd.objectives import FeedforwardModel, Objective
-from osgd.ordered_loss import (loss_profile, lq_subgradient,
-                               ordered_empirical_loss)
+from osgd.ordered_loss import lq_subgradient, ordered_empirical_loss
 
 
 def quadratic_objective():
@@ -98,6 +97,11 @@ class TestOptimalityGap:
         rng = np.random.default_rng(0)
         gaps = optimality_gap(rng.uniform(1, 5, 100), 0.5)
         assert np.all(np.diff(gaps) <= 0.0)
+
+    def test_nan_entries_are_skipped(self):
+        np.testing.assert_array_equal(
+            optimality_gap([np.nan, 0.5, np.nan, 0.7, 0.2], 0.0),
+            [np.nan, 0.5, 0.5, 0.5, 0.2])
 
 
 class TestConcentrationTerm:
@@ -205,7 +209,8 @@ class TestSolverForwards:
     def two_forward_coarse_phase(obj, X, y, gamma, beta0, base_lr, iters):
         """The coarse phase with separate value and subgradient calls."""
         def value(b):
-            return ordered_empirical_loss(*loss_profile(obj, b, X, y), gamma)
+            return ordered_empirical_loss(obj.per_example_losses(b, X, y),
+                                          obj.regularizer(b)[0], gamma)
 
         beta = np.array(beta0, dtype=np.float64)
         best_val, best_beta = value(beta), beta.copy()

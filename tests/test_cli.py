@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from osgd import analysis, coeffs, config, data, harness
+from osgd import analysis, cli, coeffs, config, data, harness
 from osgd.cli import build_parser, main
 from osgd.coeffs import EXACT_N_LIMIT, gamma_weights, gamma_weights_float
 from osgd.ordered_loss import MAX_BRUTEFORCE_SUBSETS
@@ -479,6 +479,17 @@ class TestAnalyzeCommands:
             f"string to float: {held}\n")
         assert not out.exists()
 
+    def test_gap_header_without_rows_is_one_line_and_exit_2(self, tmp_path,
+                                                             capsys):
+        path = tmp_path / "records.csv"
+        path.write_text("epoch,train_ordered_loss\n")
+        out = tmp_path / "g.csv"
+        assert main(["analyze", "gap", "--history", str(path),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"osgd analyze: {path} has no rows under its header\n")
+        assert not out.exists()
+
     def test_moreau_loads_and_splits_the_rows_once(self, tmp_path,
                                                    config_file, monkeypatch):
         overrides = ["data.test_fraction = 0.25", "seeds = 3"]
@@ -549,6 +560,21 @@ class TestAnalyzeCommands:
             self, tmp_path, config_file, capsys, body):
         path = tmp_path / "theta.npy"
         path.write_bytes(body)
+        out = tmp_path / "moreau.csv"
+        assert main(["analyze", "moreau", "--config", str(config_file),
+                     "--theta", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"osgd analyze: {path} is not a .npy array file\n")
+        assert not out.exists()
+
+    def test_moreau_reads_theta_before_loading_rows(
+            self, tmp_path, config_file, capsys, monkeypatch):
+        def no_rows(data_cfg):
+            raise AssertionError("rows loaded before --theta was read")
+
+        monkeypatch.setattr(cli, "build_dataset", no_rows)
+        path = tmp_path / "theta.npy"
+        path.write_bytes(b"0.0 0.0 0.0\n")
         out = tmp_path / "moreau.csv"
         assert main(["analyze", "moreau", "--config", str(config_file),
                      "--theta", str(path), "--out", str(out)]) == 2

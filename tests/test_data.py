@@ -1,4 +1,4 @@
-"""Generators, file-format parsers and splits; the cache names are stubs."""
+"""Generators, file-format parsers and splits."""
 import hashlib
 import os
 import pathlib
@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osgd.data import (RINGS_2D, RINGS_NOISE_SIGMA, Dataset, FormatError,
-                       gen_clusters_2d, gen_rings_2d, load_cache, load_idx,
-                       load_semeion, save_cache, split_dataset)
+                       gen_clusters_2d, gen_rings_2d, load_idx,
+                       load_semeion, split_dataset)
 
 SEMEION_PATH = os.environ.get("OSGD_SEMEION_PATH", "data/semeion.data")
 
@@ -284,17 +284,6 @@ class TestSplit:
             split_dataset(ds, 1.0, seed=0)
         with pytest.raises(ValueError):
             split_dataset(ds, 0.01, seed=0)  # floor gives zero test rows
-
-
-@pytest.mark.parametrize("call", [
-    lambda: save_cache(gen_clusters_2d(0), "rows.osgd"),
-    lambda: load_cache("rows.osgd")], ids=["save", "load"])
-def test_cache_names_are_stubs_that_raise(call, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    with pytest.raises(NotImplementedError,
-                       match=r"^osgd has no binary dataset cache$"):
-        call()
-    assert not os.listdir(tmp_path)
 
 
 SEMEION_TOKENS = st.sampled_from(

@@ -7,9 +7,9 @@ seeds, only ``run_single`` touches the store of q = s prefixes (the q = s
 self-check may empty it), the enumeration oracle names nothing from
 ``osgd.coeffs``, one ``argsort`` ranks every selection, with
 ``q_argmax`` running ``topq_positions``, no module imports a private
-name of a sibling, nothing calls the names kept only for the benchmark's
-tracer, one function writes every CSV file, and one function writes the
-size rule ``1 <= q <= s <= n``.
+name of a sibling, the names kept only for the benchmark's tracer are
+its targets, stubs that raise and called by nothing, one function writes
+every CSV file, and one function writes the size rule ``1 <= q <= s <= n``.
 
 Each case runs in a fresh interpreter, since a module once imported stays
 in ``sys.modules``.  Runs without binary cross-entropy, a sigmoid hidden
@@ -18,7 +18,9 @@ import it when they are built or called, before any step.
 """
 import ast
 import glob
+import importlib.util
 import os
+import re
 import subprocess
 import sys
 
@@ -346,13 +348,43 @@ def test_no_module_imports_a_private_name_of_a_sibling():
         f"{sorted(PRIVATE_MODULES)} are shared whole)")
 
 
-# Kept only because the benchmark's tracer patches them by name: the step
-# wrappers (one-line calls of osgd_step), ordered_loss.loss_profile, the
-# cache stubs of osgd.data, ordered_loss's import of q_argmax and config's
-# import of load_cache.
-TRACER_ONLY = {"minibatch_sgd_step", "ordered_adam_step", "adam_step",
-               "loss_profile", "save_cache", "load_cache"}
+# Kept only because the benchmark's tracer patches them by name, each a
+# stub that raises: name -> (its module, the stub's message).  Also kept:
+# ordered_loss's import of q_argmax and config's import of load_cache.
+STEP_STUB = "every step is osgd_step"
+CACHE_STUB = "osgd has no binary dataset cache"
+TRACER_ONLY = {
+    "minibatch_sgd_step": ("optimizers", STEP_STUB),
+    "ordered_adam_step": ("optimizers", STEP_STUB),
+    "adam_step": ("optimizers", STEP_STUB),
+    "loss_profile": ("ordered_loss",
+                     "Objective.per_example_losses, Objective.regularizer"),
+    "save_cache": ("data", CACHE_STUB),
+    "load_cache": ("data", CACHE_STUB),
+}
 TRACER_IMPORTS = {("config.py", "load_cache")}  # (importer, name) kept
+
+
+def tracer_targets():
+    """(owner's ``__name__``, attribute) for each target that
+    ``bench/tracing.py::trace_targets`` lists, read from the file as it is."""
+    path = os.path.join(os.path.dirname(SRC), "bench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return {(owner.__name__, attr)
+            for owner, attr, _ in tracing.trace_targets()}
+
+
+@pytest.mark.parametrize("name", sorted(TRACER_ONLY))
+def test_tracer_only_name_is_a_traced_stub_that_raises(name):
+    module, message = TRACER_ONLY[name]
+    assert (f"osgd.{module}", name) in tracer_targets(), (
+        f"{module}.{name} is no longer a tracer target: drop it from "
+        f"TRACER_ONLY, and from osgd.{module} with ROADMAP 1a")
+    stub = getattr(importlib.import_module(f"osgd.{module}"), name)
+    with pytest.raises(NotImplementedError, match=f"^{re.escape(message)}$"):
+        stub()
 
 
 def test_no_module_calls_a_tracer_only_name():

@@ -339,39 +339,6 @@ class TestStepSetUp:
         assert not hasattr(state, "last_grad_norm")
 
 
-# name -> (wrapper call, the osgd_step call it stands for); each wrapper is
-# kept only for the benchmark's tracer, which patches it by name
-WRAPPERS = {
-    "minibatch_sgd_step": (
-        lambda st, obj, X, y, b: optimizers.minibatch_sgd_step(
-            st, obj, X, y, b, update=MOMENTUM_09),
-        lambda st, obj, X, y, b: osgd_step(st, obj, X, y, b, len(b),
-                                           update=MOMENTUM_09)),
-    "ordered_adam_step": (
-        lambda st, obj, X, y, b: optimizers.ordered_adam_step(
-            st, obj, X, y, b, 3),
-        lambda st, obj, X, y, b: osgd_step(st, obj, X, y, b, 3, update=adam)),
-    "adam_step": (
-        lambda st, obj, X, y, b: optimizers.adam_step(st, obj, X, y, b),
-        lambda st, obj, X, y, b: osgd_step(st, obj, X, y, b, len(b),
-                                           update=adam)),
-}
-
-
-@pytest.mark.parametrize("name", sorted(WRAPPERS))
-def test_tracer_only_wrapper_is_bit_equal_to_osgd_step(name):
-    wrapper, step = WRAPPERS[name]
-    obj, theta, X, y, rng = logistic_setup(13)
-    a = init_state(theta.copy(), q=3, lr=0.05)
-    b = init_state(theta.copy(), q=3, lr=0.05)
-    for _ in range(20):
-        batch = sample_minibatch(rng, 40, 6)
-        wrapper(a, obj, X, y, batch)
-        step(b, obj, X, y, batch)
-    assert a.step_count == b.step_count == 20
-    assert a.theta.tobytes() == b.theta.tobytes()
-
-
 class TestOrderedAdam:
     def test_q_equals_s_matches_plain_adam(self):
         obj, theta, X, y, _ = logistic_setup(3)
@@ -556,7 +523,7 @@ def test_convex_descent_on_quadratic():
     gamma = gamma_weights(n, s, q)
     state = init_state(rng.standard_normal(d) * 2.0, q=q, lr=0.5)
     spec = ScheduleSpec(kind="inverse-sqrt", base_lr=0.5)
-    from osgd.ordered_loss import loss_profile, ordered_empirical_loss
+    from osgd.ordered_loss import ordered_empirical_loss
     values = []
     for step in range(2000):
         state.lr_current = schedule_lr(spec, 0, step)
@@ -564,6 +531,7 @@ def test_convex_descent_on_quadratic():
         osgd_step(state, obj, X, y, batch, q)
         if step % 100 == 0:
             values.append(ordered_empirical_loss(
-                *loss_profile(obj, state.theta, X, y), gamma))
+                obj.per_example_losses(state.theta, X, y),
+                obj.regularizer(state.theta)[0], gamma))
     assert values[-1] < values[0] * 0.05
     assert values[-1] < min(values[:5])

@@ -13,8 +13,8 @@ from osgd.coeffs import gamma_weight_numerators, gamma_weights
 from osgd.objectives import FeedforwardModel, Objective
 from osgd.ordered_loss import (MAX_BRUTEFORCE_SUBSETS, ResourceError,
                                _lex_subsets, _subset_blocks,
-                               expected_step_bruteforce, loss_profile,
-                               lq_subgradient, lq_value_and_subgradient,
+                               expected_step_bruteforce, lq_subgradient,
+                               lq_value_and_subgradient,
                                ordered_empirical_loss, rank_selection_counts,
                                rank_weights, subset_count)
 from osgd.selection import q_argmax, rank_by_loss
@@ -22,7 +22,7 @@ from osgd.selection import q_argmax, rank_by_loss
 
 def profile_from(losses, reg=0.0):
     """``(losses, reg)``, the arguments of ordered_empirical_loss before
-    gamma, as :func:`loss_profile` returns them."""
+    gamma: per-sample losses and the regularizer value."""
     return np.asarray(losses, dtype=np.float64), reg
 
 
@@ -367,14 +367,6 @@ class TestSelectionCounts:
             expected_step_bruteforce(obj, theta, X, y, 3, 1)
 
 
-def test_loss_profile_roundtrip():
-    obj, theta, X, y = logistic_instance(6)
-    losses, reg_value = loss_profile(obj, theta, X, y)
-    assert losses.shape == (8,)
-    assert losses.tobytes() == obj.per_example_losses(theta, X, y).tobytes()
-    assert reg_value == obj.regularizer(theta)[0]
-
-
 class TestOneForward:
     """Each L_q subgradient forwards X once and backpropagates its weights
     through that tape; the result is bitwise the two-forward form."""
@@ -450,8 +442,9 @@ class TestOneForward:
     def test_lq_value_and_subgradient(self, monkeypatch, seed):
         obj, theta, X, y, _ = self.instance(seed)
         gamma = gamma_weights(10, 5, 2)
-        want_value = ordered_empirical_loss(*loss_profile(obj, theta, X, y),
-                                            gamma)
+        want_value = ordered_empirical_loss(
+            obj.per_example_losses(theta, X, y), obj.regularizer(theta)[0],
+            gamma)
         want_grad = lq_subgradient(obj, theta, X, y, gamma)
         calls = self.count_forwards(monkeypatch)
         value, grad = lq_value_and_subgradient(obj, theta, X, y, gamma)
