@@ -5,9 +5,9 @@ samples of each batch, the exact rank-selection weights describing the
 objective they minimize, enumeration oracles certifying the estimator's
 unbiasedness, and a seeded experiment harness for desk-scale comparisons.
 """
-from .analysis import (ConvergenceError, MoreauConfig, concentration_term,
-                       moreau_grad_norm, optimality_gap, reference_optimum,
-                       relative_improvement, zero_one_error)
+from .analysis import (ConvergenceError, concentration_term, moreau_grad_norm,
+                       optimality_gap, reference_optimum, relative_improvement,
+                       zero_one_error)
 from .coeffs import (GammaCurve, GammaWeights, beta_cdf, gamma_asymptotic,
                      gamma_rescaled_curve, gamma_weights, gamma_weights_float)
 from .config import (DataConfig, ModelConfig, OptConfig, RunConfig,

@@ -47,11 +47,20 @@ _TYPES = {
 }
 
 AT_LEAST_1 = (lambda v: v >= 1, "must be at least 1")
-NONNEG = (lambda v: v >= 0, "must be nonnegative")
+FINITE = (math.isfinite, "must be finite")
+NONNEG = (lambda v: v >= 0, "must be nonnegative")  # also rejects nan
 NONNEG_ENTRIES = (lambda v: min(v, default=0) >= 0, "must be nonnegative")
 POSITIVE_FINITE = (lambda v: math.isfinite(v) and v > 0,
                    "must be positive and finite")
 UNIT = (lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)")  # also rejects nan
+
+
+def check_value(name, value, *checks):
+    """Raise a one-line ValueError naming ``name`` and the rule of the first
+    ``(test, rule)`` check that ``value`` fails."""
+    for test, rule in checks:
+        if not test(value):
+            raise ValueError(f"{name} {rule}, got {value!r}")
 
 
 def one_of(choices):
@@ -79,11 +88,8 @@ class Section:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            for test, rule in f.metadata.get("checks", ()):
-                if not test(value):
-                    raise ValueError(
-                        f"{key_of(self, f)} {rule}, got {value!r}")
+            check_value(key_of(self, f), getattr(self, f.name),
+                        *f.metadata.get("checks", ()))
 
 
 def from_flat(section, flat):

@@ -20,12 +20,12 @@ when every single-selection subgradient does not.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import log, sqrt
 
 import numpy as np
 
-from ._settings import check_sizes
+from ._settings import (FINITE, NONNEG, POSITIVE_FINITE, check_sizes,
+                        check_value)
 from .ordered_loss import (lq_value_and_subgradient, ordered_empirical_loss,
                            rank_weights)
 from .selection import rank_by_loss
@@ -42,21 +42,6 @@ class ConvergenceError(RuntimeError):
         self.iterations = iterations
         self.last_step = last_step
         self.grad_norm = grad_norm
-
-
-@dataclass(frozen=True)
-class MoreauConfig:
-    """Inner-solver settings; rho_hat must exceed the weak-convexity modulus."""
-
-    rho_hat: float
-    inner_tol: float = 1e-8
-    inner_max_iter: int = 50_000
-
-    def __post_init__(self):
-        if self.rho_hat <= 0:
-            raise ValueError(f"rho_hat must be positive, got {self.rho_hat}")
-        if self.inner_tol <= 0:
-            raise ValueError(f"inner_tol must be positive, got {self.inner_tol}")
 
 
 def _is_majorized(vec, cap):
@@ -224,19 +209,23 @@ def _subgradient_solve(obj, X, y, gamma, beta0, base_lr, step_tol, grad_tol,
                            max_iter, last_step, float(np.linalg.norm(g)))
 
 
-def moreau_grad_norm(obj, theta, X, y, gamma, cfg: MoreauConfig) -> float:
+def moreau_grad_norm(obj, theta, X, y, gamma, rho_hat, inner_tol=1e-8,
+                     inner_max_iter=50_000) -> float:
     """Envelope gradient norm rho_hat * ||theta - beta*|| at theta.
 
-    beta* solves the rho_hat-penalized proximal subproblem; failure to
-    converge within cfg.inner_max_iter raises ConvergenceError.
+    beta* solves the rho_hat-penalized proximal subproblem, whose polish
+    stops at an accepted step no longer than inner_tol; rho_hat must
+    exceed the weak-convexity modulus.  Failure to converge within
+    inner_max_iter raises ConvergenceError.
     """
+    check_value("rho_hat", rho_hat, POSITIVE_FINITE)
+    check_value("inner_tol", inner_tol, POSITIVE_FINITE)
     theta = np.asarray(theta, dtype=np.float64)
-    rho = cfg.rho_hat
     beta_star, _, _ = _subgradient_solve(
-        obj, X, y, gamma, theta, base_lr=1.0 / rho, step_tol=cfg.inner_tol,
-        grad_tol=0.0, max_iter=cfg.inner_max_iter,
-        context="proximal subproblem", center=theta, rho=rho)
-    return rho * float(np.linalg.norm(theta - beta_star))
+        obj, X, y, gamma, theta, base_lr=1.0 / rho_hat, step_tol=inner_tol,
+        grad_tol=0.0, max_iter=inner_max_iter,
+        context="proximal subproblem", center=theta, rho=rho_hat)
+    return rho_hat * float(np.linalg.norm(theta - beta_star))
 
 
 def reference_optimum(obj, X, y, gamma, theta0=None, base_lr=0.5,
@@ -252,9 +241,13 @@ def reference_optimum(obj, X, y, gamma, theta0=None, base_lr=0.5,
     below L_q.  On a 14-sample squared-loss instance (l2 = 0.1, cert
     8.75e-7) the value is 2.06e-11 above that of a grad_tol=1e-9 solve,
     where the bound promises 3.83e-12 (ROADMAP item 9 has a bound that
-    holds).  Intended for small convex instances where a trustworthy
-    optimum is needed.
+    holds).  cert may also exceed grad_tol: a polish that finds no float
+    decrease returns its iterate as is (that instance at grad_tol=1e-9
+    returns cert 1.98e-8), so callers must read cert.  Intended for small
+    convex instances where a trustworthy optimum is needed.
     """
+    check_value("base_lr", base_lr, POSITIVE_FINITE)
+    check_value("grad_tol", grad_tol, NONNEG)
     if theta0 is None:
         theta0 = np.zeros(obj.model.n_params)
     return _subgradient_solve(
@@ -266,6 +259,7 @@ def reference_optimum(obj, X, y, gamma, theta0=None, base_lr=0.5,
 def optimality_gap(history, lq_star: float) -> np.ndarray:
     """Running minimum of L_q(theta^t) - L_q(theta*) along a trajectory.
     A nan entry is skipped: the gap is nan only before the first number."""
+    check_value("lq_star", lq_star, FINITE)
     history = np.asarray(history, dtype=np.float64)
     return np.fmin.accumulate(history - lq_star)
 
@@ -276,8 +270,7 @@ def concentration_term(M: float, s: int, q: int, n: int, delta: float) -> float:
     At q = s and M = 1 this is the standard concentration term
     sqrt(ln(1/delta) / (2 n)) of the empirical-average bound.
     """
-    if M < 0:
-        raise ValueError(f"M must be nonnegative, got {M}")
+    check_value("M", M, FINITE, NONNEG)
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     check_sizes(n, s, q)

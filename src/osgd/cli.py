@@ -179,8 +179,8 @@ def _cmd_moreau(args):
     Xtr, ytr = ds.split("train")
     s = min(cfg.opt.batch_size, Xtr.shape[0])
     gamma = coeffs.gamma_weights(Xtr.shape[0], s, cfg.opt.initial_q(s))
-    mcfg = analysis.MoreauConfig(rho_hat=args.rho_hat, inner_tol=args.inner_tol)
-    value = analysis.moreau_grad_norm(obj, theta, Xtr, ytr, gamma, mcfg)
+    value = analysis.moreau_grad_norm(obj, theta, Xtr, ytr, gamma,
+                                      args.rho_hat, args.inner_tol)
     harness.write_csv(args.out,
                       ["rho_hat", "inner_tol", "moreau_grad_norm"],
                       [[args.rho_hat, args.inner_tol, repr(value)]])

@@ -18,8 +18,7 @@ import numpy as np
 import pytest
 
 from osgd import harness
-from osgd.analysis import (MoreauConfig, moreau_grad_norm, optimality_gap,
-                           reference_optimum)
+from osgd.analysis import moreau_grad_norm, optimality_gap, reference_optimum
 from osgd.coeffs import (beta_cdf, gamma_asymptotic, gamma_rescaled_curve,
                          gamma_weights)
 from osgd.config import load_config
@@ -250,13 +249,13 @@ def test_acceptance_6_envelope_decay():
     obj = Objective(FeedforwardModel(2, 1, hidden=(8,), activation="tanh"),
                     "binary-cross-entropy", l2=1e-4)
     gamma = gamma_weights(n, s, q)
-    cfg = MoreauConfig(rho_hat=10.0, inner_tol=1e-7, inner_max_iter=30_000)
+    settings = dict(rho_hat=10.0, inner_tol=1e-7, inner_max_iter=30_000)
     spec = ScheduleSpec(kind="inverse-sqrt", base_lr=0.5)
     ratios = []
     for seed in range(5):
         rng = np.random.default_rng(seed)
         theta0 = obj.init_params(rng)
-        initial = moreau_grad_norm(obj, theta0, X, y, gamma, cfg)
+        initial = moreau_grad_norm(obj, theta0, X, y, gamma, **settings)
         state = init_state(theta0.copy(), q=q, lr=0.5)
         step = 0
         for epoch in range(200):
@@ -264,7 +263,7 @@ def test_acceptance_6_envelope_decay():
                 state.lr_current = schedule_lr(spec, epoch, step)
                 osgd_step(state, obj, X, y, sample_minibatch(rng, n, s), q)
                 step += 1
-        final = moreau_grad_norm(obj, state.theta, X, y, gamma, cfg)
+        final = moreau_grad_norm(obj, state.theta, X, y, gamma, **settings)
         ratios.append(final / initial)
     median_ratio = float(np.median(ratios))
     assert median_ratio <= 0.5

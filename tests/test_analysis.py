@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from osgd.analysis import (ConvergenceError, MoreauConfig, _subgradient_solve,
+from osgd import analysis
+from osgd.analysis import (ConvergenceError, _subgradient_solve,
                            concentration_term, moreau_grad_norm,
                            optimality_gap, reference_optimum,
                            relative_improvement, zero_one_error)
@@ -25,17 +26,17 @@ def quadratic_objective():
 class TestMoreau:
     def test_closed_form_prox_of_quadratic(self):
         obj, X, y, gamma = quadratic_objective()
-        cfg = MoreauConfig(rho_hat=1.0, inner_tol=1e-10)
-        got = moreau_grad_norm(obj, np.array([2.0]), X, y, gamma, cfg)
+        got = moreau_grad_norm(obj, np.array([2.0]), X, y, gamma,
+                               rho_hat=1.0, inner_tol=1e-10)
         # prox minimizer is rho*theta/(1+rho) = 1, envelope grad norm = 1
         assert got == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("rho", [0.5, 2.0, 4.0])
     def test_rho_scaling_follows_closed_form(self, rho):
         obj, X, y, gamma = quadratic_objective()
-        cfg = MoreauConfig(rho_hat=rho, inner_tol=1e-10)
         theta = np.array([2.0])
-        got = moreau_grad_norm(obj, theta, X, y, gamma, cfg)
+        got = moreau_grad_norm(obj, theta, X, y, gamma, rho_hat=rho,
+                               inner_tol=1e-10)
         assert got == pytest.approx(rho * 2.0 / (1.0 + rho), abs=1e-6)
 
     def test_zero_at_prox_fixed_point(self):
@@ -51,24 +52,39 @@ class TestMoreau:
         assert cert < 1e-6
         # strong convexity turns the certificate into a value bound
         assert cert ** 2 / (2 * obj.l2) < 1e-10
-        cfg = MoreauConfig(rho_hat=2.0, inner_tol=1e-9)
-        assert moreau_grad_norm(obj, theta_star, X, y, gamma, cfg) <= 1e-5
+        assert moreau_grad_norm(obj, theta_star, X, y, gamma, rho_hat=2.0,
+                                inner_tol=1e-9) <= 1e-5
 
     def test_nonnegative_everywhere(self):
         obj, X, y, gamma = quadratic_objective()
-        cfg = MoreauConfig(rho_hat=1.5, inner_tol=1e-9)
         for t in (-3.0, -0.1, 0.0, 0.4, 7.0):
-            assert moreau_grad_norm(obj, np.array([t]), X, y, gamma, cfg) >= 0.0
+            assert moreau_grad_norm(obj, np.array([t]), X, y, gamma,
+                                    rho_hat=1.5, inner_tol=1e-9) >= 0.0
 
     @pytest.mark.parametrize("settings,match", [
-        ({"rho_hat": 0.0}, r"^rho_hat must be positive, got 0.0$"),
-        ({"rho_hat": -1.0}, r"^rho_hat must be positive, got -1.0$"),
+        ({"rho_hat": 0.0}, r"^rho_hat must be positive and finite, got 0.0$"),
+        ({"rho_hat": -1.0},
+         r"^rho_hat must be positive and finite, got -1.0$"),
         ({"rho_hat": 1.0, "inner_tol": 0.0},
-         r"^inner_tol must be positive, got 0.0$"),
-    ], ids=["zero-rho", "negative-rho", "zero-tol"])
-    def test_bad_settings_rejected(self, settings, match):
+         r"^inner_tol must be positive and finite, got 0.0$"),
+        ({"rho_hat": math.nan},
+         r"^rho_hat must be positive and finite, got nan$"),
+        ({"rho_hat": math.inf},
+         r"^rho_hat must be positive and finite, got inf$"),
+        ({"rho_hat": 1.0, "inner_tol": math.nan},
+         r"^inner_tol must be positive and finite, got nan$"),
+        ({"rho_hat": 1.0, "inner_tol": math.inf},
+         r"^inner_tol must be positive and finite, got inf$"),
+    ], ids=["zero-rho", "negative-rho", "zero-tol", "nan-rho", "inf-rho",
+            "nan-tol", "inf-tol"])
+    def test_bad_settings_rejected(self, settings, match, monkeypatch):
+        def unreached(*args, **kwargs):
+            raise AssertionError("the solver ran")
+
+        monkeypatch.setattr(analysis, "_subgradient_solve", unreached)
+        obj, X, y, gamma = quadratic_objective()
         with pytest.raises(ValueError, match=match):
-            MoreauConfig(**settings)
+            moreau_grad_norm(obj, np.array([2.0]), X, y, gamma, **settings)
 
     def test_budget_exhaustion_raises(self):
         rng = np.random.default_rng(4)
@@ -77,9 +93,9 @@ class TestMoreau:
         obj = Objective(FeedforwardModel(3, 1, bias=False),
                         "binary-cross-entropy", l2=0.01)
         gamma = gamma_weights(12, 4, 2)
-        cfg = MoreauConfig(rho_hat=1.0, inner_tol=1e-16, inner_max_iter=3)
         with pytest.raises(ConvergenceError) as err:
-            moreau_grad_norm(obj, rng.standard_normal(3), X, y, gamma, cfg)
+            moreau_grad_norm(obj, rng.standard_normal(3), X, y, gamma,
+                             rho_hat=1.0, inner_tol=1e-16, inner_max_iter=3)
         assert err.value.iterations == 3
 
 
@@ -102,6 +118,12 @@ class TestOptimalityGap:
         np.testing.assert_array_equal(
             optimality_gap([np.nan, 0.5, np.nan, 0.7, 0.2], 0.0),
             [np.nan, 0.5, 0.5, 0.5, 0.2])
+
+    @pytest.mark.parametrize("star", [math.nan, math.inf, -math.inf])
+    def test_non_finite_star_rejected(self, star):
+        with pytest.raises(ValueError, match=rf"^lq_star must be finite, "
+                                             rf"got {star!r}$"):
+            optimality_gap([1.0, 0.5], star)
 
 
 class TestConcentrationTerm:
@@ -135,6 +157,15 @@ class TestConcentrationTerm:
             concentration_term(1.0, 4, 2, 10, 1.0)
         with pytest.raises(ValueError):
             concentration_term(1.0, 4, 8, 10, 0.1)
+
+    @pytest.mark.parametrize("M,match", [
+        (math.nan, r"^M must be finite, got nan$"),
+        (math.inf, r"^M must be finite, got inf$"),
+        (-1.0, r"^M must be nonnegative, got -1.0$")],
+        ids=["nan", "inf", "negative"])
+    def test_bad_M_named(self, M, match):
+        with pytest.raises(ValueError, match=match):
+            concentration_term(M, 4, 2, 10, 0.1)
 
     @pytest.mark.parametrize("s,q,n", [(4.0, 2, 10), (4, True, 10),
                                        (4, 2, "10")])
@@ -287,8 +318,7 @@ class TestSolverForwards:
             return forward(self, theta, rows)
 
         monkeypatch.setattr(FeedforwardModel, "forward", recorded)
-        moreau_grad_norm(obj, np.ones(3), X, y, gamma,
-                         MoreauConfig(rho_hat=1.0))
+        moreau_grad_norm(obj, np.ones(3), X, y, gamma, rho_hat=1.0)
         # running all 1,500 coarse steps took 1,562 forwards, 1,322 of a
         # theta already forwarded; the 42 repeats left are polish trials
         # at coarse iterates and the best iterate's min-norm subgradient
@@ -319,12 +349,39 @@ class TestOverflowingCoarseStep:
         # l2 = 0.1 makes L_q strongly convex: cert bounds the gap
         assert val_star - 1e-9 <= val <= val_star + cert ** 2 / (2 * 0.1)
 
+    @pytest.mark.parametrize("setting,value,rule", [
+        ("base_lr", math.nan, "positive and finite"),
+        ("base_lr", math.inf, "positive and finite"),
+        ("base_lr", -1.0, "positive and finite"),
+        ("base_lr", 0.0, "positive and finite"),
+        ("grad_tol", -1.0, "nonnegative"),
+        ("grad_tol", math.nan, "nonnegative")])
+    def test_bad_settings_rejected(self, setting, value, rule):
+        obj, X, y, gamma = self.instance()
+        with pytest.raises(ValueError,
+                           match=rf"^{setting} must be {rule}, got {value!r}$"):
+            reference_optimum(obj, X, y, gamma, **{setting: value})
+
     def test_overflowing_start_rejected(self):
         obj, X, y, gamma = self.instance()
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ValueError, match="not finite at the start"):
             reference_optimum(obj, X, y, gamma,
                               theta0=np.array([1e300, 0.0, 0.0]))
+
+
+def test_stalled_polish_returns_cert_above_grad_tol():
+    """A polish that finds no float decrease returns its iterate as is and
+    raises nothing, so cert is what tells the caller (ROADMAP item 9's
+    seed-10 squared-loss instance)."""
+    rng = np.random.default_rng(10)
+    X = rng.standard_normal((14, 3))
+    y = rng.integers(0, 2, 14)
+    obj = Objective(FeedforwardModel(3, 1, bias=False), "squared", l2=0.1)
+    theta, val, cert = reference_optimum(obj, X, y, gamma_weights(14, 5, 2),
+                                         grad_tol=1e-9)
+    assert np.isfinite(theta).all() and math.isfinite(val)
+    assert cert > 1e-9
 
 
 class TestSolverPin:
@@ -361,8 +418,7 @@ class TestSolverPin:
         gamma = gamma_weights(30, 10, 3)
         theta_star, value, cert = reference_optimum(obj, X, y, gamma)
         add(theta_star, value, cert, moreau_grad_norm(
-            obj, theta_star, X, y, gamma,
-            MoreauConfig(rho_hat=2.0, inner_tol=1e-9)))
+            obj, theta_star, X, y, gamma, rho_hat=2.0, inner_tol=1e-9))
         # acceptance 6: the rings MLP at its initial points
         rings = gen_rings_2d(0)
         sub = np.random.default_rng(123).choice(rings.n, size=100,
@@ -370,9 +426,9 @@ class TestSolverPin:
         X, y = rings.features[sub], rings.labels[sub]
         obj = Objective(FeedforwardModel(2, 1, hidden=(8,), activation="tanh"),
                         "binary-cross-entropy", l2=1e-4)
-        cfg = MoreauConfig(rho_hat=10.0, inner_tol=1e-7, inner_max_iter=30_000)
         for seed in range(3):
             theta0 = obj.init_params(np.random.default_rng(seed))
             add(moreau_grad_norm(obj, theta0, X, y, gamma_weights(100, 20, 5),
-                                 cfg))
+                                 rho_hat=10.0, inner_tol=1e-7,
+                                 inner_max_iter=30_000))
         assert h.hexdigest() == self.PINNED

@@ -504,7 +504,7 @@ class TestAnalyzeCommands:
         want = analysis.moreau_grad_norm(
             obj, theta, Xtr, ytr,
             coeffs.gamma_weights(len(ytr), s, cfg.opt.initial_q(s)),
-            analysis.MoreauConfig(rho_hat=10.0, inner_tol=1e-6))
+            rho_hat=10.0, inner_tol=1e-6)
         splits = []
 
         def counting_split(*args, **kwargs):
@@ -649,6 +649,45 @@ class TestParserContract:
         assert exit_info.value.code == 2
         assert message in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+
+# Each float option the parser declares, keyed by (subcommand, flag), with
+# the start of the one line that refuses a nan or inf value of it; a new
+# float option has to join this table.
+FLOAT_OPTIONS = {
+    ("analyze bound-term", "--M"): "M must be finite",
+    ("analyze bound-term", "--delta"): "delta must lie in (0, 1)",
+    ("analyze gap", "--star"): "lq_star must be finite",
+    ("analyze moreau", "--rho-hat"): "rho_hat must be positive and finite",
+    ("analyze moreau", "--inner-tol"): "inner_tol must be positive and finite",
+}
+
+
+def test_float_options_are_the_listed_ones():
+    assert sorted((name, flag)
+                  for name, parser in command_parsers(build_parser())
+                  for flag, action in option_actions(parser)
+                  if action.type is float) == sorted(FLOAT_OPTIONS)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command, flag", sorted(FLOAT_OPTIONS),
+                         ids=lambda v: v.replace(" ", "-"))
+def test_non_finite_float_option_is_one_line_and_exit_2(
+        tmp_path, config_file, capsys, command, flag, value):
+    history = tmp_path / "records.csv"
+    history.write_text("epoch,train_ordered_loss\n0,0.9\n1,0.5\n")
+    theta = tmp_path / "theta.npy"
+    np.save(theta, np.zeros(3))
+    inputs = {"analyze gap": ["--history", str(history)],
+              "analyze moreau": ["--config", str(config_file),
+                                 "--theta", str(theta)]}
+    out = tmp_path / "out.csv"
+    assert main([*command.split(), *inputs.get(command, []), flag, value,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"osgd analyze: {FLOAT_OPTIONS[command, flag]}, got {value}\n")
+    assert not out.exists()
 
 
 README = os.path.join(os.path.dirname(os.path.dirname(
