@@ -34,9 +34,11 @@ def _int_list(raw):
     return tuple(int(tok) for tok in raw.replace(",", " ").split())
 
 
+INTEGER = (is_int, "must be an integer")
+
 # default's type -> (text parser, (test, rule) checks every value meets)
 _TYPES = {
-    int: (int, (is_int, "must be an integer")),
+    int: (int, INTEGER),
     float: (float, (lambda v: is_int(v) or isinstance(v, (float, np.floating)),
                     "must be a number")),
     str: (str, (lambda v: isinstance(v, str), "must be a string")),

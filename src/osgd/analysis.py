@@ -24,8 +24,8 @@ from math import log, sqrt
 
 import numpy as np
 
-from ._settings import (FINITE, NONNEG, POSITIVE_FINITE, check_sizes,
-                        check_value)
+from ._settings import (AT_LEAST_1, FINITE, INTEGER, NONNEG, POSITIVE_FINITE,
+                        check_sizes, check_value)
 from .ordered_loss import (lq_value_and_subgradient, ordered_empirical_loss,
                            rank_weights)
 from .selection import rank_by_loss
@@ -220,6 +220,7 @@ def moreau_grad_norm(obj, theta, X, y, gamma, rho_hat, inner_tol=1e-8,
     """
     check_value("rho_hat", rho_hat, POSITIVE_FINITE)
     check_value("inner_tol", inner_tol, POSITIVE_FINITE)
+    check_value("inner_max_iter", inner_max_iter, INTEGER, AT_LEAST_1)
     theta = np.asarray(theta, dtype=np.float64)
     beta_star, _, _ = _subgradient_solve(
         obj, X, y, gamma, theta, base_lr=1.0 / rho_hat, step_tol=inner_tol,
@@ -248,6 +249,8 @@ def reference_optimum(obj, X, y, gamma, theta0=None, base_lr=0.5,
     """
     check_value("base_lr", base_lr, POSITIVE_FINITE)
     check_value("grad_tol", grad_tol, NONNEG)
+    check_value("max_iter", max_iter, INTEGER, AT_LEAST_1)
+    check_value("coarse_iters", coarse_iters, INTEGER, NONNEG)
     if theta0 is None:
         theta0 = np.zeros(obj.model.n_params)
     return _subgradient_solve(

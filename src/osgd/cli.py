@@ -10,28 +10,26 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
 from . import analysis, coeffs, harness
+from ._settings import POSITIVE_FINITE, check_value
 from .config import build_dataset, build_objective, load_config
 from .ordered_loss import ResourceError
 
 
 def _cmd_gamma(args):
-    if args.float or not coeffs.uses_exact(args.n):
-        rows = ([j, "", "", repr(float(val))] for j, val in enumerate(
-            coeffs.gamma_weights_float(args.n, args.s, args.q), start=1))
+    if args.n <= coeffs.EXACT_N_LIMIT:  # gamma_j in lowest terms (0 as 0/1)
+        gw = coeffs.gamma_weights(args.n, args.s, args.q)
+        rows = ([j, g.numerator, g.denominator, repr(val)] for j, (g, val)
+                in enumerate(zip(gw.exact, gw.approx.tolist()), start=1))
     else:
-        # N_j / C(n, s) in lowest terms (0 as 0/1), and its one rounding
-        nums, den = coeffs.gamma_weight_numerators(args.n, args.s, args.q)
-        rows = []
-        for j, num in enumerate(nums, start=1):
-            g = math.gcd(num, den)
-            rows.append([j, num // g, den // g, repr(num / den)])
+        rows = ([j, "", "", repr(val)] for j, val in enumerate(
+            coeffs.gamma_weights_float(args.n, args.s, args.q).tolist(),
+            start=1))
     harness.write_csv(args.out, ["j", "gamma_exact_num", "gamma_exact_den",
                                  "gamma_float"], rows)
     print(f"wrote {args.n} weights to {args.out}")
@@ -56,8 +54,8 @@ def _cmd_gamma_curve(args):
     curve = coeffs.gamma_rescaled_curve(args.n, args.s, args.q)
     harness.write_csv(args.out, ["z", "n_gamma", "gamma_limit", "beta_gap"],
                       _curve_rows(curve, args.s, args.q))
-    print(f"wrote curve ({'float' if curve.approximate else 'exact'} path) "
-          f"to {args.out}")
+    path = "exact" if args.n <= coeffs.EXACT_N_LIMIT else "float"
+    print(f"wrote curve ({path} path) to {args.out}")
     return 0
 
 
@@ -163,11 +161,13 @@ def _cmd_moreau(args):
     """Envelope gradient norm at a saved parameter vector, on the train
     split of the config's first seed."""
     cfg = load_config(args.config, overrides=args.override)
-    try:  # before the rows are loaded: a bad file costs no data load
+    try:  # before the rows are loaded: a bad file or option loads none
         with open(args.theta, "rb") as fh:
             theta = np.lib.format.read_array(fh)
     except ValueError:
         raise ValueError(f"{args.theta} is not a .npy array file") from None
+    check_value("rho_hat", args.rho_hat, POSITIVE_FINITE)
+    check_value("inner_tol", args.inner_tol, POSITIVE_FINITE)
     ds = cfg.data.split(build_dataset(cfg.data), cfg.seeds[0])
     obj = build_objective(cfg, ds)
     n_params = obj.model.n_params
@@ -215,8 +215,6 @@ def build_parser():
     sizes = _sizes()
     p = sub.add_parser("gamma", parents=[sizes, out],
                        help="emit exact/float selection weights")
-    p.add_argument("--float", action="store_true",
-                   help="log-space float weights instead of exact rationals")
     p.set_defaults(fn=_cmd_gamma)
 
     p = sub.add_parser("gamma-curve", parents=[sizes, out],

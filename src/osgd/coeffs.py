@@ -28,8 +28,9 @@ import numpy as np
 from . import _special
 from ._settings import check_sizes, is_int
 
-# Above this n the float vectors of gamma_vector come from the log-space
-# path instead of the exact integers (those stay correct but get slow).
+# Above this n gamma values come from the log-space float path instead of
+# the exact integers (those stay correct but get slow): the one size rule
+# that gamma_vector, gamma_rescaled_curve and ``osgd gamma`` follow.
 EXACT_N_LIMIT = 10_000
 
 
@@ -55,13 +56,10 @@ class GammaCurve:
     """Rescaled weight curve on the grid z_j = j/n with values n * gamma_j.
 
     Consumers evaluating between grid points should interpolate linearly.
-    ``approximate`` is True when the values come from the log-space float
-    path instead of exact rationals.
     """
 
     z_grid: np.ndarray
     values: np.ndarray
-    approximate: bool = False
 
 
 def gamma_weight_numerators(n, s, q):
@@ -134,11 +132,6 @@ def gamma_weights_float(n: int, s: int, q: int) -> np.ndarray:
     return np.exp(total)  # exp(-inf) = +0.0 off every term's range
 
 
-def uses_exact(n: int) -> bool:
-    """Whether gamma values for n samples come from the exact integers."""
-    return n <= EXACT_N_LIMIT
-
-
 def gamma_vector(n: int, s: int, q: int, scale: int = 1) -> np.ndarray:
     """Float64 vector scale * gamma_1..scale * gamma_n.
 
@@ -146,7 +139,7 @@ def gamma_vector(n: int, s: int, q: int, scale: int = 1) -> np.ndarray:
     (scale * N_j) / C(n, s); beyond that it is scale times the log-space
     :func:`gamma_weights_float`.
     """
-    if uses_exact(n):
+    if n <= EXACT_N_LIMIT:
         nums, den = gamma_weight_numerators(n, s, q)
         return np.array([(scale * m) / den for m in nums], dtype=np.float64)
     return scale * gamma_weights_float(n, s, q)
@@ -231,12 +224,8 @@ def beta_cdf(z: float, a: float, b: float) -> float:
 
 
 def gamma_rescaled_curve(n: int, s: int, q: int) -> GammaCurve:
-    """Curve of n * gamma_j on the grid z_j = j/n (see :func:`gamma_vector`).
-
-    The curve is flagged approximate beyond EXACT_N_LIMIT, where the values
-    come from the log-space float path.
-    """
+    """Curve of n * gamma_j on the grid z_j = j/n (see :func:`gamma_vector`:
+    beyond EXACT_N_LIMIT the values come from the log-space float path)."""
     n, s, q = check_sizes(n, s, q)
     z = np.arange(1, n + 1, dtype=np.float64) / n
-    return GammaCurve(z_grid=z, values=gamma_vector(n, s, q, scale=n),
-                      approximate=not uses_exact(n))
+    return GammaCurve(z_grid=z, values=gamma_vector(n, s, q, scale=n))

@@ -86,6 +86,20 @@ class TestMoreau:
         with pytest.raises(ValueError, match=match):
             moreau_grad_norm(obj, np.array([2.0]), X, y, gamma, **settings)
 
+    @pytest.mark.parametrize("budget,rule", [
+        (0, "must be at least 1"), (-3, "must be at least 1"),
+        (2.5, "must be an integer"), (True, "must be an integer")])
+    def test_bad_budget_rejected(self, budget, rule, monkeypatch):
+        def unreached(*args, **kwargs):
+            raise AssertionError("the solver ran")
+
+        monkeypatch.setattr(analysis, "_subgradient_solve", unreached)
+        obj, X, y, gamma = quadratic_objective()
+        with pytest.raises(ValueError, match=rf"^inner_max_iter {rule}, "
+                                             rf"got {budget!r}$"):
+            moreau_grad_norm(obj, np.array([2.0]), X, y, gamma, rho_hat=1.0,
+                             inner_max_iter=budget)
+
     def test_budget_exhaustion_raises(self):
         rng = np.random.default_rng(4)
         X = rng.standard_normal((12, 3))
@@ -355,7 +369,11 @@ class TestOverflowingCoarseStep:
         ("base_lr", -1.0, "positive and finite"),
         ("base_lr", 0.0, "positive and finite"),
         ("grad_tol", -1.0, "nonnegative"),
-        ("grad_tol", math.nan, "nonnegative")])
+        ("grad_tol", math.nan, "nonnegative"),
+        ("max_iter", 0, "at least 1"),
+        ("max_iter", 2.5, "an integer"),
+        ("coarse_iters", -5, "nonnegative"),
+        ("coarse_iters", 1.5, "an integer")])
     def test_bad_settings_rejected(self, setting, value, rule):
         obj, X, y, gamma = self.instance()
         with pytest.raises(ValueError,

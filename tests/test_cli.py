@@ -53,6 +53,15 @@ def config_file(tmp_path):
     return path
 
 
+@pytest.fixture
+def no_rows(monkeypatch):
+    """``cli.build_dataset`` fails if called: the command loads no rows."""
+    def build_dataset(data_cfg):
+        raise AssertionError("rows loaded")
+
+    monkeypatch.setattr(cli, "build_dataset", build_dataset)
+
+
 class TestGammaCommands:
     def test_gamma_csv_columns_and_values(self, tmp_path):
         out = tmp_path / "gamma.csv"
@@ -67,15 +76,6 @@ class TestGammaCommands:
             assert float(r["gamma_float"]) == pytest.approx(
                 float(Fraction(int(r["gamma_exact_num"]),
                                int(r["gamma_exact_den"]))))
-
-    def test_gamma_float_mode(self, tmp_path):
-        out = tmp_path / "gamma-float.csv"
-        assert main(["gamma", "--n", "50", "--s", "10", "--q", "3", "--float",
-                     "--out", str(out)]) == 0
-        rows = read_rows(out)
-        assert rows[0]["gamma_exact_num"] == ""
-        total = sum(float(r["gamma_float"]) for r in rows)
-        assert total == pytest.approx(3.0, rel=1e-9)
 
     @pytest.mark.parametrize("n,s,q", [
         pytest.param(EXACT_N_LIMIT, 3, 2, id=str(EXACT_N_LIMIT)),
@@ -123,6 +123,15 @@ class TestGammaCommands:
             return
         interior = [r for r in rows if r["beta_gap"] != ""]
         assert all(abs(float(r["beta_gap"])) < 1e-9 for r in interior)
+
+    @pytest.mark.parametrize("n,path", [(EXACT_N_LIMIT, "exact"),
+                                        (EXACT_N_LIMIT + 1, "float")])
+    def test_gamma_curve_names_its_path(self, tmp_path, capsys, n, path):
+        out = tmp_path / "curve.csv"
+        assert main(["gamma-curve", "--n", str(n), "--s", "3", "--q", "2",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out == \
+            f"wrote curve ({path} path) to {out}\n"
 
 
 class TestVerifyCommand:
@@ -568,11 +577,7 @@ class TestAnalyzeCommands:
         assert not out.exists()
 
     def test_moreau_reads_theta_before_loading_rows(
-            self, tmp_path, config_file, capsys, monkeypatch):
-        def no_rows(data_cfg):
-            raise AssertionError("rows loaded before --theta was read")
-
-        monkeypatch.setattr(cli, "build_dataset", no_rows)
+            self, tmp_path, config_file, capsys, no_rows):
         path = tmp_path / "theta.npy"
         path.write_bytes(b"0.0 0.0 0.0\n")
         out = tmp_path / "moreau.csv"
@@ -612,7 +617,7 @@ class TestParserContract:
         nsq = ["--n", "--q", "--s"]
         assert dict(accepted_options(build_parser())) == {
             "": [],
-            "gamma": sorted([*nsq, "--float", "--out"]),
+            "gamma": sorted([*nsq, "--out"]),
             "gamma-curve": sorted([*nsq, "--out"]),
             "verify": [],
             "verify unbiasedness": sorted([*nsq, "--seed", "--trials"]),
@@ -637,10 +642,12 @@ class TestParserContract:
         (["analyze", "moreau", "--config", "run.cfg", "--out", "m.csv"],
          "the following arguments are required: --theta"),
         (["data", "gen-rings", "--out", "r.osgd"],
-         "argument command: invalid choice: 'data'")],
+         "argument command: invalid choice: 'data'"),
+        (["gamma", "--n", "50", "--s", "10", "--q", "3", "--float",
+          "--out", "g.csv"], "unrecognized arguments: --float")],
         ids=["gap-M", "verify-corrupt", "unbiasedness-corrupt",
              "corrupt-before-unbiasedness",
-             "moreau-theta", "data"])
+             "moreau-theta", "data", "gamma-float"])
     def test_usage_error_exits_2(self, tmp_path, monkeypatch, capsys, argv,
                                  message):
         monkeypatch.chdir(tmp_path)
@@ -674,7 +681,7 @@ def test_float_options_are_the_listed_ones():
 @pytest.mark.parametrize("command, flag", sorted(FLOAT_OPTIONS),
                          ids=lambda v: v.replace(" ", "-"))
 def test_non_finite_float_option_is_one_line_and_exit_2(
-        tmp_path, config_file, capsys, command, flag, value):
+        tmp_path, config_file, capsys, no_rows, command, flag, value):
     history = tmp_path / "records.csv"
     history.write_text("epoch,train_ordered_loss\n0,0.9\n1,0.5\n")
     theta = tmp_path / "theta.npy"

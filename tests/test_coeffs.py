@@ -247,7 +247,8 @@ class TestAgainstLoopReferences:
     def test_curve_past_the_exact_limit_bitwise(self):
         n, s, q = 100_000, 10, 3
         curve = gamma_rescaled_curve(n, s, q)
-        assert curve.approximate
+        assert curve.values.tobytes() == \
+            (n * gamma_weights_float(n, s, q)).tobytes()
         assert curve.values.tobytes() == \
             (n * gamma_float_log_comb_loop(n, s, q)).tobytes()
 
@@ -334,15 +335,19 @@ class TestRescaledCurve:
                                    [2.0, 4.0 / 3.0, 2.0 / 3.0, 0.0],
                                    rtol=1e-15)
         np.testing.assert_allclose(curve.z_grid, [0.25, 0.5, 0.75, 1.0])
-        assert not curve.approximate
+        # each value is one rounding of the exact 4 * gamma_j
+        assert curve.values.tolist() == \
+            [float(4 * g) for g in gamma_weights(4, 2, 1).exact]
 
     def test_q_equals_s_constant_curve(self):
         curve = gamma_rescaled_curve(12, 5, 5)
         np.testing.assert_allclose(curve.values, 5.0, rtol=1e-12)
 
     def test_large_n_uses_float_path(self):
-        curve = gamma_rescaled_curve(EXACT_N_LIMIT + 1, 10, 3)
-        assert curve.approximate
+        n = EXACT_N_LIMIT + 1
+        curve = gamma_rescaled_curve(n, 10, 3)
+        assert curve.values.tobytes() == \
+            (n * gamma_weights_float(n, 10, 3)).tobytes()
         assert np.all(curve.values >= 0.0)
 
     def test_converges_toward_asymptotic_limit(self):

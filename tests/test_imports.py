@@ -9,7 +9,8 @@ self-check may empty it), the enumeration oracle names nothing from
 ``q_argmax`` running ``topq_positions``, no module imports a private
 name of a sibling, the names kept only for the benchmark's tracer are
 its targets, stubs that raise and called by nothing, one function writes
-every CSV file, and one function writes the size rule ``1 <= q <= s <= n``.
+every CSV file, one function writes the size rule ``1 <= q <= s <= n``,
+and only ``osgd.coeffs`` forms the rationals of gamma.
 
 Each case runs in a fresh interpreter, since a module once imported stays
 in ``sys.modules``.  Runs without binary cross-entropy, a sigmoid hidden
@@ -433,6 +434,30 @@ def test_only_write_csv_makes_a_csv_writer():
     assert not found, (
         f"csv writers at {', '.join(found)}: every CSV file of the package "
         f"and the scripts is written by harness.write_csv")
+
+
+def test_only_coeffs_forms_gamma_rationals():
+    found = []
+    for name, tree in library_trees():
+        if name == "coeffs.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found += [f"{name}:{node.lineno} imports {alias.name}"
+                          for alias in node.names if alias.name == "fractions"]
+            elif isinstance(node, ast.ImportFrom) and (
+                    node.module == "fractions"
+                    or any(alias.name == "gcd" for alias in node.names)):
+                found.append(f"{name}:{node.lineno} imports from "
+                             f"{node.module}")
+            elif isinstance(node, ast.Call) and "gcd" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None)):
+                found.append(f"{name}:{node.lineno} calls gcd")
+    assert not found, (
+        f"{', '.join(found)}: osgd.coeffs chooses how gamma is computed and "
+        f"is the one module that forms its rationals; a caller reads "
+        f"gamma_weights(...).exact")
 
 
 def is_size_chain(node):
