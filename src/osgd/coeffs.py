@@ -204,8 +204,11 @@ def _beta_contfrac(a, b, x):
 def beta_cdf(z: float, a: float, b: float) -> float:
     """Regularized incomplete beta function I_z(a, b), i.e. the Beta(a, b) CDF.
 
-    Continued-fraction evaluation with the symmetry switch at z > a/(a+b);
-    absolute error below 1e-12 across the domain.
+    Continued-fraction evaluation with the symmetry switch at z > a/(a+b).
+    Against ``scipy.special.betainc`` the absolute error is below 1e-12
+    for shapes up to 1,000 and grows beyond (2.4e-11 at a = b = 3e4,
+    3.2e-10 at 1e5); at a = b = 1e6 the fraction fails to converge and
+    raises ValueError.
     """
     if not (a > 0 and b > 0):
         raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")

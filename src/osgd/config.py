@@ -74,11 +74,11 @@ class DataConfig(Section):
     def split(self, ds: Dataset, seed: int) -> Dataset:
         """``ds`` with the stratified train/test split of ``seed``, drawn
         over every row whatever splits ``ds`` already has.  With
-        test_fraction = 0 a ``ds`` with splits comes back unchanged, and
-        one without has every row as both splits."""
+        test_fraction = 0 ``ds`` comes back unchanged (see
+        :meth:`Dataset.split` for data without splits)."""
         if self.test_fraction > 0.0:
             return split_dataset(ds, self.test_fraction, seed, stratified=True)
-        return ds.with_default_splits()
+        return ds
 
 
 @dataclass(frozen=True)

@@ -56,20 +56,15 @@ class Dataset:
         return self.features.shape[1]
 
     def split(self, name):
-        """(features, labels) restricted to the named split."""
+        """(features, labels) restricted to the named split; a dataset
+        without splits returns its own arrays for every name."""
+        if not self.splits:
+            return self.features, self.labels
         idx = self.splits[name]
         return self.features[idx], self.labels[idx]
 
     def with_splits(self, splits):
         return replace(self, splits=dict(splits))
-
-    def with_default_splits(self):
-        """This dataset, or, where it has no splits, a copy whose train and
-        test splits are both every row (the 2-D experiments' setting)."""
-        if self.splits:
-            return self
-        return self.with_splits({"train": np.arange(self.n),
-                                 "test": np.arange(self.n)})
 
 
 # Class-imbalanced blobs, one row per component: centre, count, sigma,

@@ -195,16 +195,12 @@ def run_single(cfg: RunConfig, dataset: Dataset, seed: int) -> RunResult:
     of the first epoch before its last whose train accuracy would take
     the adaptive rule below s.
     """
-    dataset = dataset.with_default_splits()
     obj = build_objective(cfg, dataset)
     Xtr, ytr = dataset.split("train")
-    ytr = obj._checked_labels(ytr)
-    # a test split on the train rows (test_fraction = 0) is not forwarded
-    # again: evaluation reuses the train predictions
-    if np.array_equal(dataset.splits["train"], dataset.splits["test"]):
+    Xte, yte = dataset.split("test")
+    if Xte is Xtr:  # no splits: evaluation reuses the train predictions
         Xte = yte = None
-    else:
-        Xte, yte = dataset.split("test")
+    ytr = obj._checked_labels(ytr)
     n_tr = Xtr.shape[0]
     opt = cfg.opt
     s = min(opt.batch_size, n_tr)
@@ -305,7 +301,7 @@ def sweep_q(cfg: RunConfig, q_values, dataset: Dataset | None = None) -> dict:
     if len(set(q_values)) < len(q_values):
         raise ValueError(f"q values {q_values} repeat a value")
     data = dataset if dataset is not None else build_dataset(cfg.data)
-    n_train = len(cfg.data.split(data, cfg.seeds[0]).splits["train"])
+    n_train = len(cfg.data.split(data, cfg.seeds[0]).split("train")[0])
     s = min(cfg.opt.batch_size, n_train)
     bad = [q for q in q_values if not 1 <= q <= s]
     if bad:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
-from scipy.special import gammaln
+from scipy.special import betainc, gammaln
 
 from osgd.coeffs import (EXACT_N_LIMIT, beta_cdf, gamma_asymptotic,
                          gamma_rescaled_curve, gamma_vector,
@@ -320,6 +320,20 @@ class TestBetaCdf:
         lo = beta_cdf(z * 0.5, a, b)
         hi = beta_cdf(z, a, b)
         assert 0.0 <= lo <= hi <= 1.0
+
+    def test_agrees_with_betainc_for_shapes_up_to_1000(self):
+        shapes = [0.5, 1, 2, 5, 10, 30, 100, 300, 1000]
+        zs = np.arange(1, 200) / 200
+        for a in shapes:
+            for b in shapes:
+                got = [beta_cdf(float(z), a, b) for z in zs]
+                np.testing.assert_allclose(got, betainc(a, b, zs), rtol=0,
+                                           atol=1e-12)
+
+    def test_continued_fraction_that_fails_to_converge_raises(self):
+        with pytest.raises(ValueError, match=r"^incomplete beta continued "
+                                             r"fraction failed to converge"):
+            beta_cdf(0.5, 1e6, 1e6)
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):

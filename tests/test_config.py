@@ -146,8 +146,9 @@ class TestBuilders:
     def test_synthetic_datasets_get_identity_splits(self):
         dc = DataConfig(kind="rings", seed=1)
         ds = dc.split(build_dataset(dc), dc.seed)
-        np.testing.assert_array_equal(ds.splits["train"], np.arange(1000))
-        np.testing.assert_array_equal(ds.splits["test"], np.arange(1000))
+        for name in ("train", "test"):
+            X, y = ds.split(name)
+            assert X is ds.features and y is ds.labels and len(y) == 1000
 
     def test_split_fraction_applies(self):
         dc = DataConfig(kind="clusters", seed=4, test_fraction=0.25)
@@ -187,9 +188,10 @@ class TestBuilders:
     def test_split_without_a_test_fraction_keeps_every_row(self):
         dc = DataConfig(kind="rings", seed=1)
         ds = gen_rings_2d(1)
-        assert dc.split(ds, 5).splits.keys() == {"train", "test"}
-        np.testing.assert_array_equal(dc.split(ds, 5).splits["test"],
-                                      np.arange(ds.n))
+        assert dc.split(ds, 5) is ds
+        for name in ("train", "test"):
+            X, y = dc.split(ds, 5).split(name)
+            assert X is ds.features and y is ds.labels and len(y) == ds.n
         given = ds.with_splits({"train": np.arange(10),
                                 "test": np.arange(10, 20)})
         assert dc.split(given, 5) is given

@@ -276,6 +276,12 @@ class TestSplit:
         for cls in range(4):
             assert abs(int((yte == cls).sum()) - 20) <= 1
 
+    def test_unsplit_dataset_returns_its_own_arrays(self):
+        ds = self.make(10)
+        for name in ("train", "test"):
+            X, y = ds.split(name)
+            assert X is ds.features and y is ds.labels
+
     def test_degenerate_fraction_rejected(self):
         ds = self.make(10)
         with pytest.raises(ValueError):

@@ -708,7 +708,7 @@ class TestLoggedMetrics:
     def test_adaptive_q_follows_the_previous_epochs_accuracy(self, kind):
         cfg, ds = pinned_case("clusters-linear", kind)
         run = run_single(cfg, ds, 0)
-        s = min(cfg.opt.batch_size, len(ds.splits["train"]))
+        s = min(cfg.opt.batch_size, len(ds.split("train")[1]))
         qs = [rec.q for rec in run.records]
         assert qs[0] == s and len(set(qs)) > 2
         for prev, rec in zip(run.records, run.records[1:]):
@@ -808,17 +808,18 @@ class TestPerRunSetUp:
         ds = cfg.data.split(build_dataset(cfg.data), cfg.data.seed)
         run = run_single(cfg, ds, 0)
         assert not run.failed and run.records[-1].step == 2 * 16
-        assert checked == [len(ds.splits["train"])]
+        assert checked == [len(ds.split("train")[1])]
         assert ranked.count(True) == 0
 
     def test_out_of_range_train_label_fails_before_the_first_update(
             self, monkeypatch):
         cfg = load_config(RINGS_CFG, ["epochs = 2", "seeds = 0"])
         ds = cfg.data.split(build_dataset(cfg.data), cfg.data.seed)
-        labels = ds.labels.copy()
-        labels[ds.splits["train"][-1]] = 2  # the data has 3 classes, the
-        # binary cross-entropy objective 2
-        ds = dataclasses.replace(ds, labels=labels, n_classes=3)
+        X, y = ds.split("train")
+        labels = y.copy()
+        labels[-1] = 2  # the data has 3 classes, the binary cross-entropy
+        # objective 2
+        ds = data.Dataset(features=X, labels=labels, n_classes=3)
         steps, step = [], optimizers.osgd_step
 
         def counting_step(*args, **kwargs):

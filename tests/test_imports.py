@@ -3,8 +3,9 @@
 are written ``.dot``, never ``@`` (``np.matmul`` only for a stack of
 parameter vectors, in ``FeedforwardModel``), batches are forwarded on one
 path (only ``TapedBatch`` reads the loss table), one loop runs a config's
-seeds, only ``run_single`` touches the store of q = s prefixes (the q = s
-self-check may empty it), the enumeration oracle names nothing from
+seeds, only ``osgd.data`` reads a dataset's split indices, only
+``run_single`` touches the store of q = s prefixes (the q = s self-check
+may empty it), the enumeration oracle names nothing from
 ``osgd.coeffs``, one ``argsort`` ranks every selection, with
 ``q_argmax`` running ``topq_positions``, no module imports a private
 name of a sibling, the names kept only for the benchmark's tracer are
@@ -239,6 +240,18 @@ def test_one_seed_loop_and_one_split_rule():
         f"{', '.join(found)}: one seed loop and one split rule: only "
         f"harness.run_experiment iterates a config's seeds, and only "
         f"DataConfig.split calls split_dataset")
+
+
+def test_only_data_reads_dataset_splits():
+    scripts = trees_in(os.path.join(os.path.dirname(SRC), "scripts"))
+    found = [f"{name}:{node.lineno}"
+             for name, tree in [*library_trees(), *scripts]
+             if name != "data.py" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "splits"]
+    assert not found, (
+        f".splits read at {', '.join(found)}: only osgd.data reads a "
+        f"dataset's split indices; the rest read rows through "
+        f"Dataset.split, which also holds the rule for data without splits")
 
 
 def test_only_run_single_reads_or_writes_the_prefix_store():
